@@ -28,12 +28,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .structure import (
-    StructureSpec,
-    builtin_structure_path,
-    format_word,
-    load_structure,
-)
+from .emit import WordColumn, write_table
+from .structure import StructureSpec, builtin_structure_path, check_cell_cap, load_structure
 from .harmonic import HarmonicStructure, eigen_data, graph_energy, harmonic_structure
 from .energy import (
     MeanFunctional,
@@ -123,19 +119,32 @@ def resolve_structure(token: str) -> StructureSpec:
     return load_structure(token)
 
 
+def _read_levelled_file(kind: str, token: str, key: str, convert):
+    """Read a 'file:PATH' JSON object as (level, converted ``key`` field)."""
+    path = Path(token[len("file:") :])
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or key not in raw:
+        raise ParseError(f"{kind} file {path} needs 'level' and {key!r}")
+    fields = []
+    for name, value, conv in (("level", raw.get("level", 0), int), (key, raw[key], convert)):
+        try:
+            fields.append(conv(value))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{kind} file {path}: bad {name!r} field: {exc}") from exc
+    return tuple(fields)
+
+
 def _load_function(hs: HarmonicStructure, token: str) -> PiecewiseHarmonic:
     """Function spec: 'file:PATH' (JSON with level and values) or a comma
     list of boundary values for a harmonic function."""
     if token.startswith("file:"):
-        path = Path(token[len("file:") :])
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"function file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or "values" not in raw:
-            raise ParseError(f"function file {path} needs 'level' and 'values'")
-        level = int(raw.get("level", 0))
-        return interpolate(hs, level, np.asarray(raw["values"], dtype=float))
+        level, values = _read_levelled_file(
+            "function", token, "values", lambda v: np.asarray(v, dtype=float)
+        )
+        return interpolate(hs, level, values)
     values = _parse_floats(token, "function values")
     return interpolate(hs, 0, np.asarray(values))
 
@@ -149,24 +158,33 @@ def _build_family(
     if config.family == "level1":
         return level1_family(hs, mean, weights)
     if config.family.startswith("file:"):
-        path = Path(config.family[len("file:") :])
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"family file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or "members" not in raw:
-            raise ParseError(f"family file {path} needs 'level' and 'members'")
-        level = int(raw.get("level", 0))
-        return family_from_values(hs, level, raw["members"], weights, mean)
+        level, members = _read_levelled_file(
+            "family", config.family, "members",
+            lambda rows: [np.asarray(row, dtype=float) for row in rows],
+        )
+        return family_from_values(hs, level, members, weights, mean)
     raise ParseError(
         f"unknown family {config.family!r}; use harmonic, level1, or file:PATH"
     )
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _family_run(args, depths: tuple[int, ...], **fields):
+    """Config, structure, harmonic pair and family for scan, embed and
+    chainrule; every depth is checked against the cell cap before any work."""
+    config = RunConfig(
+        structure_path=args.structure,
+        depths=depths,
+        family=args.family,
+        weights=_parse_floats(args.weights, "--weights") if args.weights else None,
+        mu=_parse_floats(args.mu, "--mu") if args.mu else None,
+        workers=args.workers,
+        **fields,
+    )
+    spec = resolve_structure(args.structure)
+    check_cell_cap(spec.n_letters, *config.depths)
+    hs = harmonic_structure(spec)
+    mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
+    return config, spec, hs, _build_family(hs, config, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +202,21 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, nvars: int) -> "Polynomial":
-        src = text.replace(" ", "")
-        if not src:
-            raise ParseError("empty polynomial")
-        # Shield exponent signs of float literals, then collapse sign runs
-        # ("+ -3" and friends) so terms split cleanly on "+".
-        src = src.replace("e+", "\x01").replace("e-", "\x02")
-        src = src.replace("E+", "\x01").replace("E-", "\x02")
-        while True:
-            collapsed = (
-                src.replace("++", "+")
-                .replace("--", "+")
-                .replace("+-", "-")
-                .replace("-+", "-")
-            )
-            if collapsed == src:
-                break
-            src = collapsed
-        chunks = src.replace("-", "+-").split("+")
-        if chunks and chunks[0] == "":
-            chunks = chunks[1:]
+        # Signs split terms, except exponent signs of float literals; a run of
+        # signs ("+ -3") multiplies into the coefficient of the next term.
+        parts = re.split(r"(?<![eE])([+-])", text.replace(" ", ""))
         terms: list[tuple[float, tuple[int, ...]]] = []
-        for chunk in chunks:
-            if not chunk or chunk == "-":
-                raise ParseError(f"malformed polynomial {text!r}")
-            coeff = 1.0
-            if chunk.startswith("-"):
-                coeff = -1.0
-                chunk = chunk[1:]
+        coeff = 1.0
+        for pos, chunk in enumerate(parts):
+            if pos % 2:
+                coeff *= -1.0 if chunk == "-" else 1.0
+                continue
+            if not chunk:
+                if pos == len(parts) - 1:
+                    raise ParseError(f"malformed polynomial {text!r}")
+                continue
             powers = [0] * nvars
             for factor in chunk.split("*"):
-                factor = factor.replace("\x01", "e+").replace("\x02", "e-")
                 m = cls._FACTOR.match(factor)
                 if m:
                     idx = int(m.group(1))
@@ -229,6 +231,7 @@ class Polynomial:
                 except ValueError as exc:
                     raise ParseError(f"bad polynomial factor {factor!r}") from exc
             terms.append((coeff, tuple(powers)))
+            coeff = 1.0
         return cls(nvars=nvars, terms=tuple(terms))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -352,34 +355,16 @@ def cmd_measure(args) -> int:
             raise ValidationError(
                 f"refinement sums disagree with the parent table by {gap:.3g}"
             )
-    handle, owns = _open_out(config.out)
-    try:
-        table.write_csv(handle)
-    finally:
-        if owns:
-            handle.close()
+    table.write_csv(config.out)
     print(f"cells: {table.masses.size}, total mass: {table.total:.17g}", file=sys.stderr)
     return 0
 
 
 def cmd_scan(args) -> int:
-    config = RunConfig(
-        structure_path=args.structure,
-        depths=_parse_depths(args.depth, args.depths),
-        family=args.family,
-        weights=_parse_floats(args.weights, "--weights") if args.weights else None,
-        mu=_parse_floats(args.mu, "--mu") if args.mu else None,
-        tau_rank=args.tau_rank,
-        mass_floor=args.mass_floor,
-        seed=args.seed,
-        workers=args.workers,
-        out=args.out,
-        cells_out=args.cells_out,
+    config, _, _, family = _family_run(
+        args, _parse_depths(args.depth, args.depths), tau_rank=args.tau_rank,
+        mass_floor=args.mass_floor, seed=args.seed, out=args.out, cells_out=args.cells_out,
     )
-    spec = resolve_structure(args.structure)
-    hs = harmonic_structure(spec)
-    mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
-    family = _build_family(hs, config, mean)
     profiles = []
     last = None
     for depth in config.depths:
@@ -398,12 +383,7 @@ def cmd_scan(args) -> int:
             f"skipped = {profile.skipped_cells}",
             file=sys.stderr,
         )
-    handle, owns = _open_out(config.out)
-    try:
-        write_profile_csv(profiles, handle)
-    finally:
-        if owns:
-            handle.close()
+    write_profile_csv(profiles, config.out)
     fld, zeta, profile = last
     if config.cells_out:
         write_cells_csv(fld, zeta, config.cells_out)
@@ -416,20 +396,16 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _distinct_rows(rows: np.ndarray) -> int:
+    """Number of distinct rows, comparing entries with == (so -0.0 equals 0.0)."""
+    ordered = rows[np.lexsort(rows.T)]
+    return 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
+
+
 def cmd_embed(args) -> int:
-    config = RunConfig(
-        structure_path=args.structure,
-        depths=_parse_depths(args.depth, None),
-        family=args.family,
-        weights=_parse_floats(args.weights, "--weights") if args.weights else None,
-        mu=_parse_floats(args.mu, "--mu") if args.mu else None,
-        mass_floor=args.mass_floor,
-        workers=args.workers,
+    config, spec, _, family = _family_run(
+        args, _parse_depths(args.depth, None), mass_floor=args.mass_floor
     )
-    spec = resolve_structure(args.structure)
-    hs = harmonic_structure(spec)
-    mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
-    family = _build_family(hs, config, mean)
     k = family.size
     vertex_depth = args.vertex_depth if args.vertex_depth is not None else config.depths[0]
     cell_depth = config.depths[0]
@@ -438,12 +414,11 @@ def cmd_embed(args) -> int:
     coords = np.column_stack([lift(m, vertex_depth).values for m in family.members])
     if not np.all(np.isfinite(coords)):
         raise NumericalError("vertex coordinates contain non-finite values")
-    rounded = np.round(coords, 12)
-    unique = {tuple(row) for row in rounded}
-    if len(unique) < table.num_vertices:
+    coincidences = table.num_vertices - _distinct_rows(np.round(coords, 12))
+    if coincidences:
         print(
             f"warning: coordinate map is not injective on V_{vertex_depth} "
-            f"({table.num_vertices - len(unique)} coincidences)",
+            f"({coincidences} coincidences)",
             file=sys.stderr,
         )
 
@@ -461,20 +436,13 @@ def cmd_embed(args) -> int:
     signs[signs == 0.0] = 1.0
     top = top * signs[:, None]
 
-    with open(args.vertices_out, "w", encoding="utf-8", newline="") as handle:
-        handle.write("vertex," + ",".join(f"phi{j + 1}" for j in range(k)) + "\n")
-        for v in range(table.num_vertices):
-            row = ",".join(f"{coords[v, j]:.17g}" for j in range(k))
-            handle.write(f"{v},{row}\n")
-    with open(args.cells_out, "w", encoding="utf-8", newline="") as handle:
-        zcols = ",".join(f"z{i + 1}_{j + 1}" for i in range(k) for j in range(k))
-        dcols = ",".join(f"dir{j + 1}" for j in range(k))
-        handle.write(f"word,nu,{zcols},{dcols}\n")
-        for row in range(fld.size):
-            word = format_word(fld.word(row))
-            zvals = ",".join(f"{v:.17g}" for v in metric[row].ravel())
-            dvals = ",".join(f"{v:.17g}" for v in top[row])
-            handle.write(f"{word},{nu[row]:.17g},{zvals},{dvals}\n")
+    phis = [f"phi{j + 1}" for j in range(k)]
+    write_table(args.vertices_out, ["vertex", *phis], (np.arange(table.num_vertices), coords))
+    zcols = [f"z{i + 1}_{j + 1}" for i in range(k) for j in range(k)]
+    dirs = [f"dir{j + 1}" for j in range(k)]
+    words = WordColumn(fld.indices, fld.depth, fld.n_letters)
+    columns = (words, nu, metric.reshape(fld.size, -1), top)
+    write_table(args.cells_out, ["word", "nu", *zcols, *dirs], columns)
     print(
         f"vertices: {table.num_vertices} at depth {vertex_depth}; "
         f"cells: {fld.size} retained of {spec.n_letters ** cell_depth} "
@@ -484,19 +452,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_chainrule(args) -> int:
-    config = RunConfig(
-        structure_path=args.structure,
-        depths=_parse_depths(args.depth, args.depths),
-        family=args.family,
-        weights=_parse_floats(args.weights, "--weights") if args.weights else None,
-        mu=_parse_floats(args.mu, "--mu") if args.mu else None,
-        workers=args.workers,
-        out=args.out,
+    config, spec, hs, family = _family_run(
+        args, _parse_depths(args.depth, args.depths), out=args.out
     )
-    spec = resolve_structure(args.structure)
-    hs = harmonic_structure(spec)
-    mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
-    family = _build_family(hs, config, mean)
     k = family.size
     poly = Polynomial.parse(args.G, k)
     grads = poly.gradient()
@@ -528,10 +486,8 @@ def cmd_chainrule(args) -> int:
         rows.append((depth, lhs, rhs, gap))
         print(f"depth {depth}: lhs = {lhs:.12g}, rhs = {rhs:.12g}, rel_gap = {gap:.6e}")
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write("depth,lhs,rhs,rel_gap\n")
-            for depth, lhs, rhs, gap in rows:
-                handle.write(f"{depth},{lhs:.17g},{rhs:.17g},{gap:.17g}\n")
+        columns = [np.array(column) for column in zip(*rows)]
+        write_table(config.out, ("depth", "lhs", "rhs", "rel_gap"), columns)
     return 0
 
 
@@ -610,10 +566,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FracformError as exc:

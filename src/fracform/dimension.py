@@ -25,7 +25,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NumericalError, ValidationError
 from .harmonic import EigenData, HarmonicStructure
-from .structure import Word, format_word, index_to_word
+from .emit import WordColumn, write_table
+from .structure import Word, index_to_word
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
@@ -228,10 +229,6 @@ class DensityMatrixField:
 
     def word(self, row: int) -> Word:
         return index_to_word(int(self.indices[row]), self.depth, self.n_letters)
-
-    def weighted_matrix(self, row: int) -> np.ndarray:
-        scale = np.sqrt(self.weights)
-        return self.matrices[row] * np.outer(scale, scale)
 
 
 def density_matrices(
@@ -674,32 +671,13 @@ def write_cells_csv(
 ) -> None:
     """Per-cell rows: word, weight, descending eigenvalues, residual, alpha."""
     k = field.family_size
-    header = "word,weight," + ",".join(f"lambda{i + 1}" for i in range(k))
-    header += ",residual,alpha\n"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
-        for row in range(field.size):
-            word = format_word(field.word(row))
-            eigs = ",".join(f"{v:.17g}" for v in field.eigenvalues[row])
-            handle.write(
-                f"{word},{field.lam[row]:.17g},{eigs},"
-                f"{zeta.residuals[row]:.17g},{int(zeta.alpha[row]) + 1}\n"
-            )
+    header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(k)] + ["residual", "alpha"]
+    words = WordColumn(field.indices, field.depth, field.n_letters)
+    columns = (words, field.lam, field.eigenvalues, zeta.residuals, zeta.alpha + 1)
+    write_table(path, header, columns)
 
 
 def write_profile_csv(profiles: Sequence[RankProfile], target) -> None:
-    """One row per scanned depth; target is a path or an open text handle."""
-
-    def _rows(handle) -> None:
-        handle.write("depth,mean_lambda2,mean_residual,dim_estimate,skipped_cells\n")
-        for p in profiles:
-            handle.write(
-                f"{p.depth},{p.mean_lambda2:.17g},{p.mean_residual:.17g},"
-                f"{p.dim_estimate:.17g},{p.skipped_cells}\n"
-            )
-
-    if hasattr(target, "write"):
-        _rows(target)
-        return
-    with open(target, "w", encoding="utf-8", newline="") as handle:
-        _rows(handle)
+    """One row per scanned depth to a path, an open text handle, or stdout (None)."""
+    names = ("depth", "mean_lambda2", "mean_residual", "dim_estimate", "skipped_cells")
+    write_table(target, names, [np.array([getattr(p, a) for p in profiles]) for a in names])

@@ -20,15 +20,15 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import CHUNK_CELLS, DEFAULT_TOLERANCES, MAX_CELLS, Tolerances
-from .errors import CapExceededError, NumericalError, ValidationError
+from .config import CHUNK_CELLS, DEFAULT_TOLERANCES, Tolerances
+from .errors import NumericalError, ValidationError
 from .harmonic import HarmonicStructure
-from .structure import Word, format_word, index_to_word, word_index
+from .emit import WordColumn, write_table
+from .structure import Word, check_cell_cap, index_to_word, word_index
 
 __all__ = [
     "PiecewiseHarmonic",
@@ -276,11 +276,7 @@ def scan_cell_masses(
     Validation (including the cell cap) happens at call time, not on the
     first ``next``, so callers may size buffers after calling this.
     """
-    n = hs.spec.n_letters
-    if n ** depth > MAX_CELLS:
-        raise CapExceededError(
-            f"depth {depth} needs {n ** depth} cells, cap is {MAX_CELLS}"
-        )
+    check_cell_cap(hs.spec.n_letters, depth)
     for m in members:
         if m.structure is not hs:
             raise ValidationError("family member built on a different structure")
@@ -325,14 +321,8 @@ def _scan_chunks(
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Submit in bounded waves so at most ``workers`` Gram blocks are alive.
-        batch: list[int] = []
-        for chunk in chunks:
-            batch.append(chunk)
-            if len(batch) == workers:
-                yield from pool.map(one_chunk, batch)
-                batch = []
-        if batch:
-            yield from pool.map(one_chunk, batch)
+        for lo in range(0, len(chunks), workers):
+            yield from pool.map(one_chunk, chunks[lo : lo + workers])
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +341,6 @@ class CellMeasureTable:
     n_letters: int
     masses: np.ndarray
     total: float
-
-    def word(self, index: int) -> Word:
-        return index_to_word(index, self.depth, self.n_letters)
 
     def mass(self, word: Word) -> float:
         if len(word) != self.depth:
@@ -375,18 +362,9 @@ class CellMeasureTable:
         )
 
     def write_csv(self, target) -> None:
-        """Emit `word,mass` rows; target is a path or an open text handle."""
-        if hasattr(target, "write"):
-            self._write_rows(target)
-            return
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            self._write_rows(handle)
-
-    def _write_rows(self, handle) -> None:
-        handle.write("word,mass\n")
-        for c in range(self.masses.size):
-            word = format_word(self.word(c))
-            handle.write(f"{word},{self.masses[c]:.17g}\n")
+        """Emit `word,mass` rows to a path, an open text handle, or stdout (None)."""
+        words = WordColumn(range(self.masses.size), self.depth, self.n_letters)
+        write_table(target, ("word", "mass"), (words, self.masses))
 
 
 def measure_table(

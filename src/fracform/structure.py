@@ -133,12 +133,6 @@ class StructureSpec:
     def d(self) -> int:
         return len(self.boundary)
 
-    def boundary_index(self, label: str) -> int:
-        try:
-            return self.boundary.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown boundary label {label!r}") from None
-
     def vertex_table(self, depth: int) -> VertexTable:
         """Memoized vertex table at the given depth."""
         with self._lock:
@@ -160,15 +154,21 @@ def _resolve_roots(parent: np.ndarray) -> np.ndarray:
         roots = nxt
 
 
+def check_cell_cap(n_letters: int, *depths: int) -> None:
+    """Raise CapExceededError at the first depth with more than MAX_CELLS cells."""
+    for depth in depths:
+        if n_letters ** depth > MAX_CELLS:
+            raise CapExceededError(
+                f"depth {depth} needs {n_letters ** depth} cells, cap is {MAX_CELLS}"
+            )
+
+
 def build_vertices(spec: StructureSpec, depth: int) -> VertexTable:
     """Enumerate V_depth by recursive gluing of alphabet copies of V_{depth-1}."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     n, d = spec.n_letters, spec.d
-    if n ** depth > MAX_CELLS:
-        raise CapExceededError(
-            f"depth {depth} needs {n ** depth} cells, cap is {MAX_CELLS}"
-        )
+    check_cell_cap(n, depth)
     slots = np.arange(d, dtype=np.int64)[None, :]
     boundary_ids = np.arange(d, dtype=np.int64)
     nv = d

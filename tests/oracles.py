@@ -4,7 +4,8 @@ Each oracle takes a different route than the shipped code: slots are grouped
 by quantized geometry instead of the matching-based union-find, boundary
 forms come from dense Schur complements, cell masses from explicit per-word
 matrix products instead of the chunked scan, and big-graph energies from a
-scipy.sparse assembly.
+scipy.sparse assembly.  CSV text is rebuilt one row at a time with the word
+helpers and printf-style formatting, never through the block writer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import itertools
 import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import spsolve
+
+from fracform.structure import format_word, index_to_word
 
 
 def geometric_slot_ids(realization: dict, boundary: tuple[str, ...], depth: int) -> np.ndarray:
@@ -134,3 +137,25 @@ def brute_density_field(extensions: np.ndarray, laplacian: np.ndarray, r: np.nda
         mats.append(z)
         eigs.append(np.linalg.eigvalsh(weighted)[::-1])
     return words, mats, eigs
+
+
+def reference_word(index: int, depth: int, n_letters: int) -> str:
+    """Dot-joined letters of the word with lex index ``index``."""
+    return format_word(index_to_word(int(index), depth, n_letters))
+
+
+def reference_csv(header, rows) -> bytes:
+    """CSV bytes built row by row: strings as given, integers with %d and
+    floats with %.17g."""
+    lines = [",".join(header)]
+    for row in rows:
+        fields = []
+        for value in row:
+            if isinstance(value, str):
+                fields.append(value)
+            elif isinstance(value, (int, np.integer)):
+                fields.append("%d" % value)
+            else:
+                fields.append("%.17g" % value)
+        lines.append(",".join(fields))
+    return ("\n".join(lines) + "\n").encode("utf-8")

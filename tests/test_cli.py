@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import fracform as ff
-from fracform.cli import Polynomial, main
+import oracles
+from fracform import emit
+from fracform.cli import Polynomial, _distinct_rows, main
 from fracform.errors import ParseError
 
 
@@ -162,6 +164,27 @@ def test_embed_outputs(tmp_path, capsys):
     assert nu == pytest.approx(1.0, rel=1e-10)
 
 
+def test_distinct_rows_matches_tuple_set(rng):
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [1.0, 2.0]])
+    assert _distinct_rows(rows) == len({tuple(row) for row in rows}) == 3
+    rows = np.round(rng.integers(-2, 3, size=(500, 3)) * 0.5, 12)
+    assert _distinct_rows(rows) == len({tuple(row) for row in rows})
+
+
+def test_embed_reports_coincidences(tmp_path, capsys):
+    # One member symmetric under swapping p2 and p3: on V_1 the pair p2, p3
+    # and the two midpoints next to p1 coincide.
+    family = tmp_path / "sym.json"
+    family.write_text(json.dumps({"level": 0, "members": [[0.0, 1.0, 1.0]]}))
+    code, out, err = run(
+        capsys, "embed", "--structure", "sg2", "--family", f"file:{family}",
+        "--depth", "1", "--vertex-depth", "1",
+        "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"),
+    )
+    assert code == 0
+    assert err == "warning: coordinate map is not injective on V_1 (2 coincidences)\n"
+
+
 def test_chainrule_quadratic_and_csv(tmp_path, capsys):
     out_path = tmp_path / "gaps.csv"
     code, out, err = run(
@@ -197,8 +220,32 @@ def test_exit_code_for_missing_file(capsys):
 
 
 def test_exit_code_for_cell_cap(capsys):
-    code, out, err = run(capsys, "scan", "--structure", "sg2", "--depths", "2..30")
-    assert code == 1
+    # The whole depth range is checked before the first depth is computed.
+    for args in (("scan",), ("chainrule", "--G", "x1^2")):
+        code, out, err = run(capsys, *args, "--structure", "sg2", "--depths", "2..30")
+        assert code == 1
+        assert "depth " not in out
+        assert err.splitlines() == ["error: depth 14 needs 4782969 cells, cap is 4194304"]
+
+
+@pytest.mark.parametrize("kind,field,body", [
+    ("--f", "level", {"level": "x", "values": [1.0, 0.0, 0.0]}),
+    ("--f", "values", {"level": 0, "values": ["a", "b", "c"]}),
+    ("--family", "members", {"level": 0, "members": [["a", "b", "c"]]}),
+    ("--family", "level", {"level": [1], "members": [[1.0, 0.0, 0.0]]}),
+], ids=["function-level", "function-values", "family-members", "family-level"])
+def test_bad_fields_in_function_and_family_files(tmp_path, capsys, kind, field, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    if kind == "--f":
+        args = ("measure", "--structure", "sg2", "--f", f"file:{path}", "--depth", "1")
+    else:
+        args = ("scan", "--structure", "sg2", "--family", f"file:{path}", "--depths", "1..2")
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(field) in lines[0]
 
 
 def test_exit_code_for_bad_depth_range(capsys):
@@ -224,3 +271,111 @@ def test_argparse_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["chainrule", "--structure", "sg2", "--depths", "3..4"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes against the row-by-row oracle
+
+
+def _measure_oracle(depth, f):
+    table = ff.measure_table(f, depth=depth)
+    words = (oracles.reference_word(c, depth, 3) for c in range(table.masses.size))
+    return oracles.reference_csv(("word", "mass"), zip(words, table.masses.tolist()))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 9])
+def test_measure_csv_bytes(tmp_path, capsys, sg2, depth):
+    out_path = tmp_path / "m.csv"
+    code, _, _ = run(
+        capsys, "measure", "--structure", "sg2", "--f", "1,0,0",
+        "--depth", str(depth), "--out", str(out_path),
+    )
+    assert code == 0
+    f = ff.interpolate(sg2, 0, [1.0, 0.0, 0.0])
+    assert out_path.read_bytes() == _measure_oracle(depth, f)
+    if depth == 9:
+        assert 3 ** depth % emit.BLOCK_ROWS != 0
+
+
+def test_measure_stdout_bytes(capsys, sg2):
+    code, out, _ = run(capsys, "measure", "--structure", "sg2", "--f", "0,2,-1", "--depth", "3")
+    assert code == 0
+    assert out.encode() == _measure_oracle(3, ff.interpolate(sg2, 0, [0.0, 2.0, -1.0]))
+
+
+def test_csv_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
+    outputs = []
+    for block in (emit.BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(emit, "BLOCK_ROWS", block)
+        path = tmp_path / f"m{block}.csv"
+        code, _, _ = run(
+            capsys, "measure", "--structure", "vicsek", "--f", "1,0,0,0",
+            "--depth", "3", "--out", str(path),
+        )
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_scan_cells_csv_bytes_sparse(tmp_path, capsys, vicsek):
+    cells = tmp_path / "cells.csv"
+    code, _, _ = run(
+        capsys, "scan", "--structure", "vicsek", "--family", "level1",
+        "--depths", "2..3", "--out", str(tmp_path / "p.csv"), "--cells-out", str(cells),
+    )
+    assert code == 0
+    fld = ff.density_matrices(ff.level1_family(vicsek, ff.mean_functional(vicsek)), 3)
+    zeta = ff.zeta_factors(fld)
+    assert fld.skipped > 0
+    header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(15)] + ["residual", "alpha"]
+    rows = (
+        [oracles.reference_word(idx, 3, 5), lam, *eigs, res, int(alpha) + 1]
+        for idx, lam, eigs, res, alpha in zip(
+            fld.indices, fld.lam, fld.eigenvalues, zeta.residuals, zeta.alpha
+        )
+    )
+    assert cells.read_bytes() == oracles.reference_csv(header, rows)
+
+
+def test_embed_csv_bytes(tmp_path, capsys, sg2):
+    verts, cells = tmp_path / "v.csv", tmp_path / "c.csv"
+    code, _, _ = run(
+        capsys, "embed", "--structure", "sg2", "--depth", "3", "--vertex-depth", "4",
+        "--vertices-out", str(verts), "--cells-out", str(cells),
+    )
+    assert code == 0
+    family = ff.harmonic_family(sg2, ff.mean_functional(sg2))
+    coords = np.column_stack([ff.lift(m, 4).values for m in family.members])
+    expected = oracles.reference_csv(
+        ("vertex", "phi1", "phi2"), ([v, *row] for v, row in enumerate(coords))
+    )
+    assert verts.read_bytes() == expected
+
+    fld = ff.density_matrices(family, 3)
+    metric = fld.matrices * fld.total_mass
+    rows = []
+    for idx, lam, z in zip(fld.indices, fld.lam, metric):
+        top = np.linalg.eigh(z)[1][:, -1]
+        lead = top[np.argmax(np.abs(top) > 1e-12)]
+        top = top * (np.sign(lead) or 1.0)
+        rows.append([oracles.reference_word(idx, 3, 3), lam / fld.total_mass, *z.ravel(), *top])
+    header = ["word", "nu", "z1_1", "z1_2", "z2_1", "z2_2", "dir1", "dir2"]
+    assert cells.read_bytes() == oracles.reference_csv(header, rows)
+
+
+def test_chainrule_csv_bytes(tmp_path, capsys):
+    out_path = tmp_path / "gaps.csv"
+    code, out, _ = run(
+        capsys, "chainrule", "--structure", "sg2", "--G", "x1^2 - 0.5*x1*x2",
+        "--depths", "3..5", "--out", str(out_path),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    values = [(int(d), float(lhs), float(rhs), float(gap)) for d, lhs, rhs, gap in rows]
+    expected = oracles.reference_csv(("depth", "lhs", "rhs", "rel_gap"), values)
+    assert out_path.read_bytes() == expected
+    printed = [
+        f"depth {d}: lhs = {lhs:.12g}, rhs = {rhs:.12g}, rel_gap = {gap:.6e}"
+        for d, lhs, rhs, gap in values
+    ]
+    assert out.splitlines() == printed
