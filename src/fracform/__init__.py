@@ -10,20 +10,17 @@ from .errors import (
     ValidationError,
 )
 from .structure import (
-    EMPTY_WORD,
     StructureSpec,
     VertexTable,
     Word,
     build_vertices,
     builtin_structure,
     builtin_structure_path,
-    concat,
     format_word,
     index_to_word,
     load_structure,
     parse_structure,
     parse_word,
-    shift,
     validate_structure,
     word_index,
 )

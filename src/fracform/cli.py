@@ -29,7 +29,13 @@ from .errors import (
     ValidationError,
 )
 from .emit import WordColumn, write_table
-from .structure import StructureSpec, builtin_structure_path, check_cell_cap, load_structure
+from .structure import (
+    StructureSpec,
+    boundary_deletion_connected,
+    builtin_structure_path,
+    check_cell_cap,
+    load_structure,
+)
 from .harmonic import HarmonicStructure, eigen_data, graph_energy, harmonic_structure
 from .energy import (
     MeanFunctional,
@@ -119,6 +125,13 @@ def resolve_structure(token: str) -> StructureSpec:
     return load_structure(token)
 
 
+def _level(value) -> int:
+    """A JSON integer >= 0; int() would truncate 1.5 and accept true."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    return value
+
+
 def _read_levelled_file(kind: str, token: str, key: str, convert):
     """Read a 'file:PATH' JSON object as (level, converted ``key`` field)."""
     path = Path(token[len("file:") :])
@@ -129,7 +142,7 @@ def _read_levelled_file(kind: str, token: str, key: str, convert):
     if not isinstance(raw, dict) or key not in raw:
         raise ParseError(f"{kind} file {path} needs 'level' and {key!r}")
     fields = []
-    for name, value, conv in (("level", raw.get("level", 0), int), (key, raw[key], convert)):
+    for name, value, conv in (("level", raw.get("level", 0), _level), (key, raw[key], convert)):
         try:
             fields.append(conv(value))
         except (TypeError, ValueError) as exc:
@@ -263,36 +276,6 @@ class Polynomial:
 # subcommands
 
 
-def _boundary_deletion_connected(spec: StructureSpec) -> list[tuple[str, bool]]:
-    """Level-1 surrogate of the boundary-point deletion connectivity check:
-    vertices of a common cell are mutually reachable, so the question is
-    whether removing one boundary vertex disconnects the cell hypergraph."""
-    table = spec.vertex_table(1)
-    results = []
-    for k, label in enumerate(spec.boundary):
-        removed = int(table.boundary_ids[k])
-        adj: dict[int, set[int]] = {}
-        for row in table.slots:
-            cell = [int(v) for v in row if int(v) != removed]
-            for a in cell:
-                adj.setdefault(a, set()).update(v for v in cell if v != a)
-        vertices = set(adj)
-        if not vertices:
-            results.append((label, False))
-            continue
-        start = min(vertices)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        expected = set(range(table.num_vertices)) - {removed}
-        results.append((label, seen == expected))
-    return results
-
-
 def cmd_validate(args) -> int:
     spec = resolve_structure(args.structure)
     table1 = spec.vertex_table(1)
@@ -306,7 +289,7 @@ def cmd_validate(args) -> int:
     print(f"weights: {np.array2string(hs.weights, precision=10)}")
     print(f"fixed-point residual: {hs.residual:.3e} "
           f"(tolerance {DEFAULT_TOLERANCES.fixed_point:.0e})")
-    checks = _boundary_deletion_connected(spec)
+    checks = boundary_deletion_connected(spec)
     for label, ok in checks:
         status = "connected" if ok else "DISCONNECTED"
         print(f"level-1 network without {label}: {status}")

@@ -1,8 +1,9 @@
 """Shared numerical configuration.
 
-Every tolerance used by a validation or invariant check lives in one record so
-tests and the command line can tighten or relax individual checks without
-hunting for magic numbers.
+Every tolerance used by a validation or invariant check lives in one record,
+so no check hides a magic number.  Functions take the record as an argument,
+but every caller passes the defaults: no test and no command-line flag relaxes
+a check.  Only the cell skip threshold has its own argument (``--mass-floor``).
 """
 
 from __future__ import annotations

@@ -572,12 +572,10 @@ def estimate_delta(
     )
 
 
-def _propagate(
-    hs: HarmonicStructure, u: np.ndarray, letter: int, steps: int, rescale: bool
-) -> np.ndarray:
+def _propagate(hs: HarmonicStructure, u: np.ndarray, letter: int, steps: int) -> np.ndarray:
     """Apply the letter extension matrix repeatedly, projecting out the mean
-    each step (harmless for energies, crucial for conditioning), optionally
-    dividing by the letter weight."""
+    (harmless for energies, crucial for conditioning) and dividing by the
+    letter weight each step."""
     a = hs.extensions[letter - 1]
     r = float(hs.weights[letter - 1])
     w = np.asarray(u, dtype=float).copy()
@@ -585,8 +583,7 @@ def _propagate(
     for _ in range(steps):
         w = a @ w
         w -= w.mean()
-        if rescale:
-            w /= r
+        w /= r
     return w
 
 
@@ -603,7 +600,7 @@ def cell_run_mass(hs: HarmonicStructure, u, letter: int, n: int) -> float:
         raise ValidationError(f"letter {letter} has no fixed boundary point")
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    w = _propagate(hs, u, letter, n, rescale=True)
+    w = _propagate(hs, u, letter, n)
     return float(2.0 * (w @ (-hs.laplacian) @ w))
 
 
@@ -625,7 +622,7 @@ def projected_power_limit(hs: HarmonicStructure, u, letter: int, n: int) -> np.n
         raise ValidationError(f"letter {letter} has no fixed boundary point")
     # The per-step mean subtraction in the propagation IS the projection:
     # the iterate comes back already mean-free.
-    return _propagate(hs, u, letter, n, rescale=True)
+    return _propagate(hs, u, letter, n)
 
 
 def cylinder_mass(hs: HarmonicStructure, u, letter: int, k: int) -> float:
@@ -635,9 +632,9 @@ def cylinder_mass(hs: HarmonicStructure, u, letter: int, k: int) -> float:
         raise ValidationError(f"letter {letter} outside alphabet")
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    w = _propagate(hs, u, letter, k, rescale=False)
-    inv_rk = (1.0 / float(hs.weights[letter - 1])) ** k
-    return float(2.0 * inv_rk * (w @ (-hs.laplacian) @ w))
+    # r^k times the scaled run mass, from the same renormalized iterate.
+    w = _propagate(hs, u, letter, k)
+    return float(float(hs.weights[letter - 1]) ** k * 2.0 * (w @ (-hs.laplacian) @ w))
 
 
 def estimate_ck(hs: HarmonicStructure, kset: np.ndarray, k: int) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import CHUNK_CELLS, DEFAULT_TOLERANCES, Tolerances
 from .errors import NumericalError, ValidationError
-from .harmonic import HarmonicStructure
+from .harmonic import HarmonicStructure, graph_energy
 from .emit import WordColumn, write_table
 from .structure import Word, check_cell_cap, index_to_word, word_index
 
@@ -117,11 +117,14 @@ def interpolate(hs: HarmonicStructure, level: int, values) -> PiecewiseHarmonic:
     return PiecewiseHarmonic(structure=hs, level=level, values=np.asarray(values, dtype=float))
 
 
-def _refine_once(extensions: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # Row c*N + (i-1) of the output is A_i applied to row c: appending a
-    # letter multiplies the coefficient map on the left.
-    out = np.einsum("ipq,cq->cip", extensions, block, optimize=False)
-    return out.reshape(-1, block.shape[1])
+def _refine(extensions: np.ndarray, block: np.ndarray, levels: int) -> np.ndarray:
+    """Coefficient rows of the cells ``levels`` below each row, in lex order."""
+    for _ in range(levels):
+        # Row c*N + (i-1) is A_i applied to row c: appending a letter
+        # multiplies the coefficient map on the left.
+        out = np.einsum("ipq,cq->cip", extensions, block, optimize=False)
+        block = out.reshape(-1, block.shape[1])
+    return block
 
 
 def _weight_products(weights: np.ndarray, depth: int) -> np.ndarray:
@@ -142,9 +145,7 @@ def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
         )
     hs = f.structure
     table = hs.spec.vertex_table(level)
-    block = f.cell_coeffs
-    for _ in range(level - f.level):
-        block = _refine_once(hs.extensions, block)
+    block = _refine(hs.extensions, f.cell_coeffs, level - f.level)
     values = np.empty(table.num_vertices)
     values[table.slots.ravel()] = block.ravel()
     return PiecewiseHarmonic(hs, level, values)
@@ -192,11 +193,9 @@ def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
         raise ValidationError("cannot pair functions on different structures")
     hs = f.structure
     m = max(f.level, g.level)
-    cf = lift(f, m).cell_coeffs
-    cg = lift(g, m).cell_coeffs
-    per_cell = -np.einsum("cp,pq,cq->c", cf, hs.laplacian, cg, optimize=False)
     inv = _weight_products(1.0 / hs.weights, m)
-    return float(np.sum(per_cell * inv))
+    slots = hs.spec.vertex_table(m).slots
+    return graph_energy(slots, inv, hs.laplacian, lift(f, m).values, lift(g, m).values)
 
 
 def cell_mass(
@@ -231,20 +230,8 @@ def _chunk_block(
     hs: HarmonicStructure, member: PiecewiseHarmonic, depth: int, t: int, chunk: int
 ) -> np.ndarray:
     """Coefficient rows for all depth-``depth`` cells of one prefix chunk."""
-    n = hs.spec.n_letters
-    lvl = member.level
-    if t <= lvl:
-        width = n ** (lvl - t)
-        block = member.cell_coeffs[chunk * width : (chunk + 1) * width]
-    else:
-        prefix = index_to_word(chunk, t, n)
-        coeff = member.cell_coeffs[word_index(prefix[:lvl], n)]
-        for letter in prefix[lvl:]:
-            coeff = hs.extensions[letter - 1] @ coeff
-        block = coeff[None, :]
-    for _ in range(depth - max(t, lvl)):
-        block = _refine_once(hs.extensions, block)
-    return block
+    top = pullback(member, index_to_word(chunk, t, hs.spec.n_letters))
+    return _refine(hs.extensions, top.cell_coeffs, depth - max(t, member.level))
 
 
 def _energy_factor(laplacian: np.ndarray) -> np.ndarray:
@@ -448,7 +435,7 @@ def mean_functional(
         float(np.linalg.norm(transfer @ coeffs - coeffs)),
         abs(float(coeffs.sum()) - 1.0),
     )
-    if residual > tol.consistency:
+    if residual > tol.mean_residual:
         raise NumericalError(
             f"mean fixed point did not solve cleanly (residual {residual:.3g})"
         )

@@ -150,13 +150,6 @@ class HarmonicStructure:
     def d(self) -> int:
         return self.laplacian.shape[0]
 
-    def pullback_matrix(self, word: Word) -> np.ndarray:
-        """Coefficient map of the restriction to the cell ``word``."""
-        out = np.eye(self.d)
-        for letter in word:
-            out = self.extensions[letter - 1] @ out
-        return out
-
     def word_weight(self, word: Word) -> float:
         """Product of the letter weights along ``word``."""
         return float(np.prod(self.weights[np.array(word, dtype=int) - 1])) if word else 1.0

@@ -22,7 +22,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,25 +30,6 @@ from .config import MAX_CELLS
 from .errors import CapExceededError, ParseError, ValidationError
 
 Word = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
-
-
-def concat(w: Word, v: Word) -> Word:
-    """Concatenate two words (letters of ``v`` appended after ``w``)."""
-    return tuple(w) + tuple(v)
-
-
-def shift(w: Word, m: int = 1) -> Word:
-    """Drop the first ``m`` letters of ``w``.
-
-    Raises ValidationError when ``m`` exceeds the word length.
-    """
-    if m < 0:
-        raise ValidationError(f"shift count must be nonnegative, got {m}")
-    if m > len(w):
-        raise ValidationError(f"cannot shift {m} letters off a word of length {len(w)}")
-    return tuple(w[m:])
 
 
 def format_word(w: Word) -> str:
@@ -59,7 +40,7 @@ def format_word(w: Word) -> str:
 def parse_word(text: str) -> Word:
     text = text.strip()
     if not text:
-        return EMPTY_WORD
+        return ()
     try:
         letters = tuple(int(part) for part in text.split("."))
     except ValueError as exc:
@@ -103,16 +84,6 @@ class VertexTable:
     num_vertices: int
     slots: np.ndarray
     boundary_ids: np.ndarray
-
-    def cell_boundary(self, word: Word, corner: int) -> int:
-        """Vertex id of boundary corner ``corner`` of the cell ``word``."""
-        if len(word) != self.depth:
-            raise ValidationError(
-                f"cell word has length {len(word)}, table depth is {self.depth}"
-            )
-        if not 0 <= corner < self.slots.shape[1]:
-            raise ValidationError(f"corner index {corner} out of range")
-        return int(self.slots[word_index(word, self.n_letters), corner])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +187,16 @@ def build_vertices(spec: StructureSpec, depth: int) -> VertexTable:
 _REQUIRED_FIELDS = ("alphabet_size", "boundary", "fixed_points", "gluing")
 
 
-def _as_matrix(raw, rows: int, cols: int, what: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ParseError(f"{what} must be a {rows}x{cols} matrix, got shape {arr.shape}")
+def _floats(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A document field as a finite float array of the given shape."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} must hold numbers only: {exc}") from exc
+    if arr.shape != shape:
+        raise ParseError(f"{what} must have shape {shape}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what} must hold finite numbers")
     return arr
 
 
@@ -231,27 +208,25 @@ def _parse_realization(raw, n: int, boundary: Sequence[str]) -> dict:
         maps_raw = raw["maps"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("realization needs integer 'dimension' and a 'maps' object") from exc
+    if not isinstance(maps_raw, Mapping):
+        raise ParseError("realization needs integer 'dimension' and a 'maps' object")
     maps = {}
     for letter in range(1, n + 1):
-        key = str(letter)
-        if key not in maps_raw:
-            raise ParseError(f"realization missing map for letter {letter}")
-        entry = maps_raw[key]
-        matrix = _as_matrix(entry.get("matrix"), dim, dim, f"map {letter} matrix")
-        offset = np.asarray(entry.get("offset"), dtype=float)
-        if offset.shape != (dim,):
-            raise ParseError(f"map {letter} offset must have length {dim}")
-        maps[letter] = (matrix, offset)
+        entry = maps_raw.get(str(letter))
+        if not isinstance(entry, Mapping):
+            raise ParseError(f"realization map for letter {letter} is missing or not an object")
+        matrix = _floats(entry.get("matrix"), (dim, dim), f"map {letter} matrix")
+        maps[letter] = (matrix, _floats(entry.get("offset"), (dim,), f"map {letter} offset"))
     points = None
     if "boundary_points" in raw:
+        points_raw = raw["boundary_points"]
+        if not isinstance(points_raw, Mapping):
+            raise ParseError("realization boundary_points must be an object")
         points = {}
         for label in boundary:
-            if label not in raw["boundary_points"]:
+            if label not in points_raw:
                 raise ParseError(f"realization boundary_points missing {label!r}")
-            pt = np.asarray(raw["boundary_points"][label], dtype=float)
-            if pt.shape != (dim,):
-                raise ParseError(f"boundary point {label!r} must have length {dim}")
-            points[label] = pt
+            points[label] = _floats(points_raw[label], (dim,), f"boundary point {label!r}")
     return {"dimension": dim, "maps": maps, "boundary_points": points}
 
 
@@ -283,6 +258,39 @@ def _check_realization_geometry(spec: StructureSpec) -> None:
                 f"gluing conflict: declared identification ({i},{spec.boundary[p]}) ~ "
                 f"({j},{spec.boundary[q]}) does not hold in the realization"
             )
+
+
+def _reachable(adj: Mapping[int, Iterable[int]], start: int) -> set[int]:
+    """Vertices reachable from ``start`` in the graph with adjacency ``adj``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
+def boundary_deletion_connected(spec: StructureSpec) -> list[tuple[str, bool]]:
+    """Per boundary label, whether the level-1 network stays connected
+    without that vertex.
+
+    A level-1 surrogate of the boundary-point deletion check: vertices of a
+    common cell are mutually reachable, so the question is whether removing
+    one boundary vertex disconnects the cell hypergraph.
+    """
+    table = spec.vertex_table(1)
+    results = []
+    for k, label in enumerate(spec.boundary):
+        removed = int(table.boundary_ids[k])
+        adj = {v: set() for v in range(table.num_vertices) if v != removed}
+        for row in table.slots.tolist():
+            cell = set(row) - {removed}
+            for v in cell:
+                adj[v] |= cell
+        results.append((label, _reachable(adj, min(adj)) == set(adj)))
+    return results
 
 
 def validate_structure(raw: Mapping) -> StructureSpec:
@@ -379,13 +387,7 @@ def validate_structure(raw: Mapping) -> StructureSpec:
     for (i, _), (j, _) in pairs:
         adj[i].add(j)
         adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
+    seen = _reachable(adj, 1)
     if len(seen) != n:
         missing = sorted(set(range(1, n + 1)) - seen)
         raise ValidationError(
@@ -394,13 +396,11 @@ def validate_structure(raw: Mapping) -> StructureSpec:
 
     laplacian = None
     if raw.get("laplacian") is not None:
-        laplacian = _as_matrix(raw["laplacian"], d, d, "laplacian")
+        laplacian = _floats(raw["laplacian"], (d, d), "laplacian")
         laplacian.setflags(write=False)
     weights = None
     if raw.get("weights") is not None:
-        weights = np.asarray(raw["weights"], dtype=float)
-        if weights.shape != (n,):
-            raise ParseError(f"weights must list one number per letter, got {weights.shape}")
+        weights = _floats(raw["weights"], (n,), "weights")
         weights.setflags(write=False)
 
     realization = None

@@ -9,6 +9,7 @@ import oracles
 from fracform import emit
 from fracform.cli import Polynomial, _distinct_rows, main
 from fracform.errors import ParseError
+from fracform.structure import boundary_deletion_connected
 
 
 def run(capsys, *args):
@@ -233,7 +234,10 @@ def test_exit_code_for_cell_cap(capsys):
     ("--f", "values", {"level": 0, "values": ["a", "b", "c"]}),
     ("--family", "members", {"level": 0, "members": [["a", "b", "c"]]}),
     ("--family", "level", {"level": [1], "members": [[1.0, 0.0, 0.0]]}),
-], ids=["function-level", "function-values", "family-members", "family-level"])
+    ("--f", "level", {"level": 1.5, "values": [1.0, 0.0, 0.0, 0.5, 0.2, 0.1]}),
+    ("--family", "level", {"level": True, "members": [[1.0, 0.0, 0.0, 0.5, 0.2, 0.1]]}),
+], ids=["function-level", "function-values", "family-members", "family-level",
+        "function-fractional-level", "family-boolean-level"])
 def test_bad_fields_in_function_and_family_files(tmp_path, capsys, kind, field, body):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(body))
@@ -246,6 +250,53 @@ def test_bad_fields_in_function_and_family_files(tmp_path, capsys, kind, field, 
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert repr(field) in lines[0]
+
+
+@pytest.mark.parametrize("keys,value", [
+    (("laplacian", 0, 1), "x"),
+    (("weights",), ["a", "b", "c"]),
+    (("weights", 1), None),
+    (("realization", "maps"), 5),
+    (("realization", "maps", "2"), 5),
+    (("realization", "boundary_points"), 5),
+], ids=["laplacian-string", "weights-strings", "weights-null", "maps-number",
+        "map-entry-number", "boundary-points-number"])
+def test_bad_fields_in_structure_documents(tmp_path, capsys, keys, value):
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
+    # Cell 3 touches the rest only at p1, so the network without p1 falls apart.
+    doc = {
+        "alphabet_size": 3,
+        "boundary": ["p1", "p2"],
+        "fixed_points": {"1": "p1", "2": "p2"},
+        "gluing": [[1, "p2", 2, "p1"], [1, "p1", 3, "p1"]],
+        "laplacian": [[-1.0, 1.0], [1.0, -1.0]],
+        "weights": [0.5, 0.5, 0.5],
+    }
+    path = tmp_path / "pendant.json"
+    path.write_text(json.dumps(doc))
+    spec = ff.load_structure(path)
+    assert boundary_deletion_connected(spec) == [("p1", False), ("p2", True)]
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert code == 1
+    assert "level-1 network without p1: DISCONNECTED" in out.splitlines()
+    assert "level-1 network without p2: connected" in out.splitlines()
+    assert err.splitlines() == [
+        "error: removing a boundary vertex disconnects the level-1 network"
+    ]
 
 
 def test_exit_code_for_bad_depth_range(capsys):

@@ -59,7 +59,7 @@ def test_lift_preserves_energy_and_values(name, rng):
         for cell in range(n):
             for corner in range(hs.spec.d):
                 word = (cell + 1,) + (corner + 1,) * (level - 1)
-                deep_id = deep.cell_boundary(word, corner)
+                deep_id = deep.slots[ff.word_index(word, n), corner]
                 assert lifted.values[deep_id] == pytest.approx(
                     f.values[shallow.slots[cell, corner]], abs=1e-13
                 )

@@ -30,11 +30,6 @@ def test_format_parse_round_trip(w):
     assert ff.parse_word(ff.format_word(w)) == w
 
 
-@given(words, words)
-def test_shift_undoes_concat(w, v):
-    assert ff.shift(ff.concat(w, v), len(w)) == v
-
-
 def test_word_edge_cases():
     assert ff.format_word(()) == ""
     assert ff.parse_word("") == ()
@@ -43,8 +38,6 @@ def test_word_edge_cases():
         ff.parse_word("1..2")
     with pytest.raises(ParseError):
         ff.parse_word("0.1")
-    with pytest.raises(ValidationError):
-        ff.shift((1, 2), 3)
     with pytest.raises(ValidationError):
         ff.word_index((4,), 3)
 
@@ -91,15 +84,6 @@ def test_first_occurrence_numbering(sg2):
             assert vid == expected_next
             seen.add(vid)
             expected_next += 1
-
-
-def test_cell_boundary_lookup(sg2):
-    table = sg2.spec.vertex_table(2)
-    assert table.cell_boundary((1, 1), 0) == 0
-    with pytest.raises(ValidationError):
-        table.cell_boundary((1,), 0)
-    with pytest.raises(ValidationError):
-        table.cell_boundary((1, 1), 7)
 
 
 def test_vertex_table_memoized(sg2):
