@@ -1,6 +1,5 @@
 """Dirichlet forms, energy measures, and rank diagnostics on p.c.f. self-similar sets."""
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     CapExceededError,
     FracformError,
@@ -19,7 +18,6 @@ from .structure import (
     format_word,
     index_to_word,
     load_structure,
-    parse_structure,
     parse_word,
     validate_structure,
     word_index,
@@ -28,7 +26,6 @@ from .harmonic import (
     EigenData,
     HarmonicStructure,
     eigen_data,
-    extension_matrices,
     graph_energy,
     harmonic_extension,
     harmonic_structure,

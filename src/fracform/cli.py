@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import CONSISTENCY_TOL, FIXED_POINT_TOL, MASS_FLOOR
 from .errors import (
     FracformError,
     NumericalError,
@@ -31,6 +31,8 @@ from .errors import (
 from .emit import WordColumn, write_table
 from .structure import (
     StructureSpec,
+    _floats,
+    _integer,
     boundary_deletion_connected,
     builtin_structure_path,
     check_cell_cap,
@@ -61,8 +63,6 @@ from .dimension import (
     zeta_factors,
 )
 
-_BUILTIN_NAMES = ("sg2", "vicsek")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -74,23 +74,21 @@ class RunConfig:
     weights: tuple[float, ...] | None = None
     mu: tuple[float, ...] | None = None
     tau_rank: float = 0.05
-    mass_floor: float = DEFAULT_TOLERANCES.mass_floor
-    seed: int = 0
+    mass_floor: float = MASS_FLOOR
     workers: int = 1
-    out: str | None = None
-    cells_out: str | None = None
 
     def __post_init__(self) -> None:
+        # Option ranges are input errors (exit 2), like malformed values.
         if not self.depths:
-            raise ValidationError("at least one depth is required")
+            raise ParseError("at least one depth is required")
         if any(n < 0 for n in self.depths):
-            raise ValidationError("depths must be nonnegative")
+            raise ParseError("depths must be nonnegative")
         if not 0.0 < self.tau_rank < 1.0:
-            raise ValidationError("--tau-rank must lie strictly between 0 and 1")
+            raise ParseError("--tau-rank must lie strictly between 0 and 1")
         if self.mass_floor <= 0.0:
-            raise ValidationError("--mass-floor must be positive")
+            raise ParseError("--mass-floor must be positive")
         if self.workers < 1:
-            raise ValidationError("--workers must be at least 1")
+            raise ParseError("--workers must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +117,21 @@ def _parse_depths(depth: int | None, depths: str | None) -> tuple[int, ...]:
 
 
 def resolve_structure(token: str) -> StructureSpec:
-    """A builtin name or a path to a structure document."""
-    if token in _BUILTIN_NAMES:
-        return load_structure(builtin_structure_path(token))
-    return load_structure(token)
-
-
-def _level(value) -> int:
-    """A JSON integer >= 0; int() would truncate 1.5 and accept true."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"expected an integer >= 0, got {value!r}")
-    return value
+    """A builtin name or a path to a structure document.  A token without a
+    path separator is a builtin when ``data/<token>.json`` ships with the
+    package; any other token is a path."""
+    path: str | Path = token
+    if Path(token).name == token:
+        try:
+            path = builtin_structure_path(token)
+        except ParseError:
+            pass
+    return load_structure(path)
 
 
 def _read_levelled_file(kind: str, token: str, key: str, convert):
-    """Read a 'file:PATH' JSON object as (level, converted ``key`` field)."""
+    """Read a 'file:PATH' JSON object as (level, converted ``key`` field);
+    ``convert(value, what)`` raises ParseError naming the field."""
     path = Path(token[len("file:") :])
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -141,22 +139,21 @@ def _read_levelled_file(kind: str, token: str, key: str, convert):
         raise ParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or key not in raw:
         raise ParseError(f"{kind} file {path} needs 'level' and {key!r}")
-    fields = []
-    for name, value, conv in (("level", raw.get("level", 0), _level), (key, raw[key], convert)):
-        try:
-            fields.append(conv(value))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{kind} file {path}: bad {name!r} field: {exc}") from exc
-    return tuple(fields)
+    where = f"{kind} file {path}:"
+    level = _integer(raw.get("level", 0), f"{where} 'level'")
+    if level < 0:
+        raise ParseError(f"{where} 'level' must be >= 0, got {level}")
+    try:
+        return level, convert(raw[key], f"{where} {key!r}")
+    except TypeError as exc:
+        raise ParseError(f"{where} bad {key!r} field: {exc}") from exc
 
 
 def _load_function(hs: HarmonicStructure, token: str) -> PiecewiseHarmonic:
     """Function spec: 'file:PATH' (JSON with level and values) or a comma
     list of boundary values for a harmonic function."""
     if token.startswith("file:"):
-        level, values = _read_levelled_file(
-            "function", token, "values", lambda v: np.asarray(v, dtype=float)
-        )
+        level, values = _read_levelled_file("function", token, "values", _floats)
         return interpolate(hs, level, values)
     values = _parse_floats(token, "function values")
     return interpolate(hs, 0, np.asarray(values))
@@ -173,7 +170,7 @@ def _build_family(
     if config.family.startswith("file:"):
         level, members = _read_levelled_file(
             "family", config.family, "members",
-            lambda rows: [np.asarray(row, dtype=float) for row in rows],
+            lambda rows, what: [_floats(row, what) for row in rows],
         )
         return family_from_values(hs, level, members, weights, mean)
     raise ParseError(
@@ -288,7 +285,7 @@ def cmd_validate(args) -> int:
           "off-diagonal entries nonnegative")
     print(f"weights: {np.array2string(hs.weights, precision=10)}")
     print(f"fixed-point residual: {hs.residual:.3e} "
-          f"(tolerance {DEFAULT_TOLERANCES.fixed_point:.0e})")
+          f"(tolerance {FIXED_POINT_TOL:.0e})")
     checks = boundary_deletion_connected(spec)
     for label, ok in checks:
         status = "connected" if ok else "DISCONNECTED"
@@ -317,7 +314,6 @@ def cmd_measure(args) -> int:
         structure_path=args.structure,
         depths=_parse_depths(args.depth, None),
         workers=args.workers,
-        out=args.out,
     )
     spec = resolve_structure(args.structure)
     hs = harmonic_structure(spec)
@@ -327,18 +323,18 @@ def cmd_measure(args) -> int:
     table = measure_table(f, g, depth, workers=config.workers)
     twice = 2.0 * energy(f, g if g is not None else f)
     scale = max(1.0, abs(twice))
-    if abs(table.total - twice) > DEFAULT_TOLERANCES.consistency * scale:
+    if abs(table.total - twice) > CONSISTENCY_TOL * scale:
         raise ValidationError(
             f"total mass {table.total!r} disagrees with twice the energy {twice!r}"
         )
     if depth >= 1:
         parent = measure_table(f, g, depth - 1, workers=config.workers)
         gap = float(np.abs(table.coarsen().masses - parent.masses).max())
-        if gap > DEFAULT_TOLERANCES.consistency * max(1.0, float(np.abs(parent.masses).max())):
+        if gap > CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max())):
             raise ValidationError(
                 f"refinement sums disagree with the parent table by {gap:.3g}"
             )
-    table.write_csv(config.out)
+    table.write_csv(args.out)
     print(f"cells: {table.masses.size}, total mass: {table.total:.17g}", file=sys.stderr)
     return 0
 
@@ -346,7 +342,7 @@ def cmd_measure(args) -> int:
 def cmd_scan(args) -> int:
     config, _, _, family = _family_run(
         args, _parse_depths(args.depth, args.depths), tau_rank=args.tau_rank,
-        mass_floor=args.mass_floor, seed=args.seed, out=args.out, cells_out=args.cells_out,
+        mass_floor=args.mass_floor,
     )
     profiles = []
     last = None
@@ -366,10 +362,10 @@ def cmd_scan(args) -> int:
             f"skipped = {profile.skipped_cells}",
             file=sys.stderr,
         )
-    write_profile_csv(profiles, config.out)
+    write_profile_csv(profiles, args.out)
     fld, zeta, profile = last
-    if config.cells_out:
-        write_cells_csv(fld, zeta, config.cells_out)
+    if args.cells_out:
+        write_cells_csv(fld, zeta, args.cells_out)
     rounded = int(round(profile.dim_estimate))
     print(
         f"dimension estimate at depth {profile.depth}: {rounded} "
@@ -435,9 +431,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_chainrule(args) -> int:
-    config, spec, hs, family = _family_run(
-        args, _parse_depths(args.depth, args.depths), out=args.out
-    )
+    config, spec, hs, family = _family_run(args, _parse_depths(args.depth, args.depths))
     k = family.size
     poly = Polynomial.parse(args.G, k)
     grads = poly.gradient()
@@ -468,9 +462,9 @@ def cmd_chainrule(args) -> int:
         gap = abs(lhs - rhs) / rhs
         rows.append((depth, lhs, rhs, gap))
         print(f"depth {depth}: lhs = {lhs:.12g}, rhs = {rhs:.12g}, rel_gap = {gap:.6e}")
-    if config.out:
+    if args.out:
         columns = [np.array(column) for column in zip(*rows)]
-        write_table(config.out, ("depth", "lhs", "rhs", "rel_gap"), columns)
+        write_table(args.out, ("depth", "lhs", "rhs", "rel_gap"), columns)
     return 0
 
 
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default=None, help="inclusive range A..B")
     p.add_argument("--tau-rank", type=float, default=0.05, dest="tau_rank")
     p.add_argument("--mass-floor", type=float,
-                   default=DEFAULT_TOLERANCES.mass_floor, dest="mass_floor")
+                   default=MASS_FLOOR, dest="mass_floor")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="profile CSV path (stdout when omitted)")
     p.add_argument("--cells-out", default=None, dest="cells_out",
@@ -529,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True, help="cell depth")
     p.add_argument("--vertex-depth", type=int, default=None, dest="vertex_depth")
     p.add_argument("--mass-floor", type=float,
-                   default=DEFAULT_TOLERANCES.mass_floor, dest="mass_floor")
+                   default=MASS_FLOOR, dest="mass_floor")
     p.add_argument("--vertices-out", required=True, dest="vertices_out")
     p.add_argument("--cells-out", required=True, dest="cells_out")
     p.set_defaults(func=cmd_embed)

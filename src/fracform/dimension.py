@@ -22,11 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import (
+    CONSISTENCY_TOL,
+    FAMILY_NORM_TOL,
+    MASS_FLOOR,
+    PSD_TOL,
+    REPRESENTING_TOL,
+    TRACE_IDENTITY_TOL,
+)
 from .errors import NumericalError, ValidationError
 from .harmonic import EigenData, HarmonicStructure
 from .emit import WordColumn, write_table
-from .structure import Word, index_to_word
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
@@ -91,7 +97,7 @@ class FunctionFamily:
             )
         if np.any(w <= 0.0):
             raise ValidationError("family weights must be positive")
-        if abs(float(w.sum()) - 1.0) > DEFAULT_TOLERANCES.consistency:
+        if abs(float(w.sum()) - 1.0) > CONSISTENCY_TOL:
             raise ValidationError("family weights must sum to 1")
         w = w.copy()
         w.setflags(write=False)
@@ -110,7 +116,6 @@ class FunctionFamily:
 def _orthonormalize(
     candidates: Sequence[PiecewiseHarmonic],
     mean: MeanFunctional,
-    drop_tol: float,
 ) -> list[PiecewiseHarmonic]:
     """Gram-Schmidt in the 2E inner product after centering, dropping
     candidates that collapse onto the span of the earlier ones."""
@@ -122,7 +127,7 @@ def _orthonormalize(
         for member in out:
             g = g - (2.0 * energy(g, member)) * member
         twice = 2.0 * energy(g)
-        if twice <= drop_tol:
+        if twice <= FAMILY_NORM_TOL:
             continue
         out.append(PiecewiseHarmonic(g.structure, g.level, g.values / np.sqrt(twice)))
     return out
@@ -132,7 +137,6 @@ def harmonic_family(
     hs: HarmonicStructure,
     mean: MeanFunctional | None = None,
     weights=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> FunctionFamily:
     """Orthonormal mean-zero harmonic members built from the boundary basis.
 
@@ -142,7 +146,7 @@ def harmonic_family(
         mean = mean_functional(hs)
     d = hs.d
     candidates = [interpolate(hs, 0, np.eye(d)[k]) for k in range(d)]
-    members = _orthonormalize(candidates, mean, tol.family_norm)
+    members = _orthonormalize(candidates, mean)
     if not members:
         raise ValidationError("no nonconstant harmonic members found")
     if weights is None:
@@ -154,7 +158,6 @@ def level1_family(
     hs: HarmonicStructure,
     mean: MeanFunctional | None = None,
     weights=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> FunctionFamily:
     """Orthonormal members spanning the level-1 piecewise harmonics.
 
@@ -166,7 +169,7 @@ def level1_family(
     table = hs.spec.vertex_table(1)
     eye = np.eye(table.num_vertices)
     candidates = [interpolate(hs, 1, eye[v]) for v in range(table.num_vertices)]
-    members = _orthonormalize(candidates, mean, tol.family_norm)
+    members = _orthonormalize(candidates, mean)
     if weights is None:
         weights = np.full(len(members), 1.0 / len(members))
     return FunctionFamily(members=tuple(members), weights=weights)
@@ -227,33 +230,27 @@ class DensityMatrixField:
     def family_size(self) -> int:
         return int(self.weights.size)
 
-    def word(self, row: int) -> Word:
-        return index_to_word(int(self.indices[row]), self.depth, self.n_letters)
-
 
 def density_matrices(
     family: FunctionFamily,
     depth: int,
     workers: int = 1,
-    mass_floor: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    mass_floor: float = MASS_FLOOR,
 ) -> DensityMatrixField:
     """Build Z and its spectra for every cell whose mass clears the floor.
 
-    The floor is mass_floor (default tol.mass_floor) times the total combined
-    mass; cells below it have no meaningful density and are only counted.
+    The floor is mass_floor times the total combined mass; cells below it
+    have no meaningful density and are only counted.
     """
     hs = family.structure
     n = hs.spec.n_letters
     a = family.weights
     twice_energies = [2.0 * energy(member) for member in family.members]
     for i, twice in enumerate(twice_energies):
-        if abs(twice - 1.0) > tol.family_norm:
+        if abs(twice - 1.0) > FAMILY_NORM_TOL:
             raise ValidationError(
                 f"family member {i + 1} has twice-energy {twice!r}, expected 1"
             )
-    if mass_floor is None:
-        mass_floor = tol.mass_floor
     if mass_floor <= 0.0:
         raise ValidationError("mass floor must be positive")
     total = float(np.sum(a * np.asarray(twice_energies)))
@@ -300,24 +297,22 @@ def density_matrices(
     )
 
 
-def verify_field_invariants(
-    field: DensityMatrixField, tol: Tolerances = DEFAULT_TOLERANCES
-) -> None:
+def verify_field_invariants(field: DensityMatrixField) -> None:
     """Raise unless every retained cell satisfies the Gram and trace identities.
 
-    Checks: min eigenvalue of the trace-one form at or above -tol.psd, and
-    the weighted diagonal of Z summing to 1 within tol.trace_identity.
+    Checks: min eigenvalue of the trace-one form at or above -PSD_TOL, and
+    the weighted diagonal of Z summing to 1 within TRACE_IDENTITY_TOL.
     """
     if field.size == 0:
         raise ValidationError("empty field: all cells were skipped")
     min_eig = float(field.eigenvalues[:, -1].min())
-    if min_eig < -tol.psd:
+    if min_eig < -PSD_TOL:
         raise ValidationError(
             f"density matrix lost positivity: min eigenvalue {min_eig:.3g}"
         )
     diag = np.einsum("cii,i->c", field.matrices, field.weights, optimize=False)
     worst = float(np.abs(diag - 1.0).max())
-    if worst > tol.trace_identity:
+    if worst > TRACE_IDENTITY_TOL:
         raise ValidationError(
             f"weighted trace identity violated by {worst:.3g} on a retained cell"
         )
@@ -428,7 +423,6 @@ class RepresentingField:
 def representing_field(
     field: DensityMatrixField,
     zeta: ZetaField | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RepresentingField:
     if zeta is None:
         zeta = zeta_factors(field)
@@ -438,8 +432,8 @@ def representing_field(
         raise NumericalError("nonpositive weighted square sum on a retained cell")
     h = a[None, :] * zeta.zeta / s[:, None]
     pairing = np.einsum("ci,ci->c", h, zeta.zeta, optimize=False)
-    bad = int(np.sum(np.abs(pairing - 1.0) > tol.representing))
-    bad += int(np.sum(s > 1.0 + tol.representing))
+    bad = int(np.sum(np.abs(pairing - 1.0) > REPRESENTING_TOL))
+    bad += int(np.sum(s > 1.0 + REPRESENTING_TOL))
     for arr in (s, h):
         arr.setflags(write=False)
     return RepresentingField(depth=field.depth, s=s, h=h, violations=bad)

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import CHUNK_CELLS, DEFAULT_TOLERANCES, Tolerances
+from .config import CHUNK_CELLS, CONSISTENCY_TOL, MEAN_RESIDUAL_TOL
 from .errors import NumericalError, ValidationError
 from .harmonic import HarmonicStructure, graph_energy
 from .emit import WordColumn, write_table
@@ -82,11 +82,6 @@ class PiecewiseHarmonic:
         coeffs = self.values[table.slots]
         coeffs.setflags(write=False)
         return coeffs
-
-    def boundary(self) -> np.ndarray:
-        """Values on V_0."""
-        table = self.structure.spec.vertex_table(self.level)
-        return self.values[table.boundary_ids]
 
     def _binary(self, other: "PiecewiseHarmonic", sign: float) -> "PiecewiseHarmonic":
         if not isinstance(other, PiecewiseHarmonic):
@@ -329,13 +324,6 @@ class CellMeasureTable:
     masses: np.ndarray
     total: float
 
-    def mass(self, word: Word) -> float:
-        if len(word) != self.depth:
-            raise ValidationError(
-                f"table holds depth-{self.depth} cells, got a length-{len(word)} word"
-            )
-        return float(self.masses[word_index(word, self.n_letters)])
-
     def coarsen(self) -> "CellMeasureTable":
         """Aggregate one level up by summing letter blocks."""
         if self.depth == 0:
@@ -404,11 +392,7 @@ class MeanFunctional:
         return float(np.sum((f.cell_coeffs @ self.coefficients) * mu))
 
 
-def mean_functional(
-    hs: HarmonicStructure,
-    mu_weights=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> MeanFunctional:
+def mean_functional(hs: HarmonicStructure, mu_weights=None) -> MeanFunctional:
     """Solve the self-similarity fixed point for the mean coefficient vector.
 
     The vector m satisfies m = sum_i mu_i A_i^T m with m(1) = 1, which pins
@@ -424,7 +408,7 @@ def mean_functional(
             raise ValidationError(f"need one measure weight per letter, got {mu.shape}")
         if np.any(mu <= 0.0):
             raise ValidationError("measure weights must be positive")
-        if abs(float(mu.sum()) - 1.0) > tol.consistency:
+        if abs(float(mu.sum()) - 1.0) > CONSISTENCY_TOL:
             raise ValidationError("measure weights must sum to 1")
     transfer = np.einsum("i,ipq->qp", mu, hs.extensions, optimize=False)
     system = np.vstack([transfer - np.eye(d), np.ones((1, d))])
@@ -435,7 +419,7 @@ def mean_functional(
         float(np.linalg.norm(transfer @ coeffs - coeffs)),
         abs(float(coeffs.sum()) - 1.0),
     )
-    if residual > tol.mean_residual:
+    if residual > MEAN_RESIDUAL_TOL:
         raise NumericalError(
             f"mean fixed point did not solve cleanly (residual {residual:.3g})"
         )

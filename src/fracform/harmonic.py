@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import (
+    DEFINITENESS_TOL,
+    EIGEN_GAP_TOL,
+    EIGEN_SIGN_TOL,
+    FIXED_POINT_TOL,
+    KERNEL_TOL,
+    OFFDIAGONAL_TOL,
+    SYMMETRY_TOL,
+)
 from .errors import NotHarmonicError, NumericalError, ValidationError
 from .structure import StructureSpec, VertexTable, Word
 
@@ -22,7 +30,6 @@ __all__ = [
     "graph_energy",
     "level_one_energy_matrix",
     "harmonic_extension",
-    "extension_matrices",
     "HarmonicStructure",
     "EigenData",
     "eigen_data",
@@ -30,9 +37,7 @@ __all__ = [
 ]
 
 
-def validate_laplacian(
-    matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def validate_laplacian(matrix: np.ndarray) -> np.ndarray:
     """Check the boundary Laplacian axioms and return the matrix as float64.
 
     Required: symmetry, nonpositive definiteness, kernel spanned by the
@@ -43,22 +48,22 @@ def validate_laplacian(
         raise ValidationError(f"laplacian must be square, got shape {D.shape}")
     d = D.shape[0]
     scale = float(np.abs(D).max()) or 1.0
-    if float(np.abs(D - D.T).max()) > tol.symmetry * scale:
+    if float(np.abs(D - D.T).max()) > SYMMETRY_TOL * scale:
         raise ValidationError("laplacian is not symmetric")
     D = 0.5 * (D + D.T)
     off = D - np.diag(np.diag(D))
-    if float(off.min()) < -tol.offdiagonal * scale:
+    if float(off.min()) < -OFFDIAGONAL_TOL * scale:
         raise ValidationError("laplacian has a negative off-diagonal entry")
     eigvals = np.linalg.eigvalsh(D)
-    if eigvals[-1] > tol.definiteness * scale:
+    if eigvals[-1] > DEFINITENESS_TOL * scale:
         raise ValidationError(
             f"laplacian is not nonpositive definite (top eigenvalue {eigvals[-1]:.3g})"
         )
     ones = np.ones(d) / np.sqrt(d)
-    if float(np.linalg.norm(D @ ones)) > tol.kernel * scale:
+    if float(np.linalg.norm(D @ ones)) > KERNEL_TOL * scale:
         raise ValidationError("laplacian does not annihilate constants")
     # Second-largest eigenvalue must be strictly negative: constants only.
-    if d > 1 and eigvals[-2] > -tol.kernel * scale:
+    if d > 1 and eigvals[-2] > -KERNEL_TOL * scale:
         raise ValidationError("laplacian kernel is larger than the constants")
     D.setflags(write=False)
     return D
@@ -155,54 +160,6 @@ class HarmonicStructure:
         return float(np.prod(self.weights[np.array(word, dtype=int) - 1])) if word else 1.0
 
 
-def extension_matrices(
-    spec: StructureSpec,
-    D: np.ndarray,
-    r: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> HarmonicStructure:
-    """Validate (D, r) as a harmonic pair and compute the extension matrices.
-
-    The fixed-point check is an equality: the boundary trace of the level-1
-    form must reproduce D entrywise within tol.fixed_point.
-    """
-    D = validate_laplacian(D, tol)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (spec.n_letters,):
-        raise ValidationError(
-            f"need one weight per letter, got shape {r.shape} for {spec.n_letters} letters"
-        )
-    if np.any(r <= 0.0) or np.any(r >= 1.0):
-        raise ValidationError("letter weights must lie strictly between 0 and 1")
-
-    table = spec.vertex_table(1)
-    d = spec.d
-    full = harmonic_extension(spec, D, r, np.eye(d))
-
-    # Boundary trace of the level-1 form on the harmonic extensions.  The
-    # matrix identity trace = -D checks every bilinear pair at once, so sums
-    # of basis vectors are covered by bilinearity.
-    H, _ = level_one_energy_matrix(spec, D, r)
-    traced = full.T @ H @ full
-    scale = float(np.abs(D).max()) or 1.0
-    residual = float(np.abs(traced + D).max()) / scale
-    if residual > tol.fixed_point:
-        raise NotHarmonicError(
-            f"(D, r) is not a harmonic pair: trace residual {residual:.3g}",
-            residual=residual,
-        )
-
-    exts = np.empty((spec.n_letters, d, d))
-    for i in range(spec.n_letters):
-        exts[i] = full[table.slots[i]]
-    exts.setflags(write=False)
-    if r.flags.writeable:
-        r.setflags(write=False)
-    return HarmonicStructure(
-        spec=spec, laplacian=D, weights=r, extensions=exts, residual=residual
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class EigenData:
     """Spectral data of one letter extension matrix at a fixed boundary point.
@@ -223,11 +180,7 @@ class EigenData:
     second_modulus: float
 
 
-def eigen_data(
-    hs: HarmonicStructure,
-    letter: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> EigenData:
+def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
     """Eigen decomposition of the letter's extension matrix at its fixed point.
 
     Only letters with a declared fixed boundary point (1 <= letter <= d)
@@ -246,19 +199,19 @@ def eigen_data(
     eigvals = np.linalg.eigvals(A)
     dist_one = np.abs(eigvals - 1.0)
     dist_ri = np.abs(eigvals - ri)
-    if np.sum(dist_one < tol.eigen_gap) != 1:
+    if np.sum(dist_one < EIGEN_GAP_TOL) != 1:
         raise ValidationError(f"eigenvalue 1 of letter {letter} is not simple")
-    if np.sum(dist_ri < tol.eigen_gap) != 1:
+    if np.sum(dist_ri < EIGEN_GAP_TOL) != 1:
         raise ValidationError(f"eigenvalue {ri} of letter {letter} is not simple")
-    rest = np.abs(eigvals[(dist_one >= tol.eigen_gap) & (dist_ri >= tol.eigen_gap)])
+    rest = np.abs(eigvals[(dist_one >= EIGEN_GAP_TOL) & (dist_ri >= EIGEN_GAP_TOL)])
     second = float(rest.max()) if rest.size else 0.0
-    if second >= ri - tol.eigen_gap:
+    if second >= ri - EIGEN_GAP_TOL:
         raise ValidationError(
             f"letter {letter}: eigenvalue modulus {second:.6g} is not below r = {ri}"
         )
 
     left = hs.laplacian[:, letter - 1].copy()
-    if float(np.linalg.norm(left @ A - ri * left)) > tol.eigen_gap * max(
+    if float(np.linalg.norm(left @ A - ri * left)) > EIGEN_GAP_TOL * max(
         1.0, float(np.linalg.norm(left))
     ):
         raise ValidationError(
@@ -270,13 +223,13 @@ def eigen_data(
     right = np.real(vecs[:, k])
     if float(right.sum()) < 0.0:
         right = -right
-    if float(right.min()) < -tol.eigen_sign * float(np.abs(right).max()):
+    if float(right.min()) < -EIGEN_SIGN_TOL * float(np.abs(right).max()):
         raise ValidationError(
             f"letter {letter}: right eigenvector at r has mixed signs"
         )
     right = np.clip(right, 0.0, None)
     pairing = float(left @ right)
-    if abs(pairing) < tol.eigen_gap:
+    if abs(pairing) < EIGEN_GAP_TOL:
         raise NumericalError(
             f"letter {letter}: left/right eigenvector pairing is numerically zero"
         )
@@ -301,9 +254,13 @@ def harmonic_structure(
     spec: StructureSpec,
     D: np.ndarray | None = None,
     r: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> HarmonicStructure:
-    """Harmonic structure from explicit data or the structure document."""
+    """Validate (D, r) as a harmonic pair and compute the extension matrices.
+
+    D and r default to the structure document's pair.  The fixed-point check
+    is an equality: the boundary trace of the level-1 form must reproduce D
+    entrywise within FIXED_POINT_TOL.
+    """
     if D is None:
         D = spec.laplacian
     if r is None:
@@ -313,4 +270,38 @@ def harmonic_structure(
             "no harmonic data: the structure document declares neither a "
             "laplacian nor weights and none were passed"
         )
-    return extension_matrices(spec, D, r, tol)
+    D = validate_laplacian(D)
+    r = np.asarray(r, dtype=float)
+    if r.shape != (spec.n_letters,):
+        raise ValidationError(
+            f"need one weight per letter, got shape {r.shape} for {spec.n_letters} letters"
+        )
+    if np.any(r <= 0.0) or np.any(r >= 1.0):
+        raise ValidationError("letter weights must lie strictly between 0 and 1")
+
+    table = spec.vertex_table(1)
+    d = spec.d
+    full = harmonic_extension(spec, D, r, np.eye(d))
+
+    # Boundary trace of the level-1 form on the harmonic extensions.  The
+    # matrix identity trace = -D checks every bilinear pair at once, so sums
+    # of basis vectors are covered by bilinearity.
+    H, _ = level_one_energy_matrix(spec, D, r)
+    traced = full.T @ H @ full
+    scale = float(np.abs(D).max()) or 1.0
+    residual = float(np.abs(traced + D).max()) / scale
+    if residual > FIXED_POINT_TOL:
+        raise NotHarmonicError(
+            f"(D, r) is not a harmonic pair: trace residual {residual:.3g}",
+            residual=residual,
+        )
+
+    exts = np.empty((spec.n_letters, d, d))
+    for i in range(spec.n_letters):
+        exts[i] = full[table.slots[i]]
+    exts.setflags(write=False)
+    if r.flags.writeable:
+        r.setflags(write=False)
+    return HarmonicStructure(
+        spec=spec, laplacian=D, weights=r, extensions=exts, residual=residual
+    )

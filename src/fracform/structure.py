@@ -187,13 +187,32 @@ def build_vertices(spec: StructureSpec, depth: int) -> VertexTable:
 _REQUIRED_FIELDS = ("alphabet_size", "boundary", "fixed_points", "gluing")
 
 
-def _floats(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A document field as a finite float array of the given shape."""
+def _integer(raw, what: str) -> int:
+    """A document field as a JSON integer; int() would truncate 3.5 and
+    accept "3" and true."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ParseError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
+def _floats(raw, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A document field as a finite float array (of ``shape``, when given).
+
+    Every entry must be a JSON number: np.asarray would parse "0.6" and read
+    true as 1.0.
+    """
+    stack = [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ParseError(f"{what} must hold numbers only, got {item!r}")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} must hold numbers only: {exc}") from exc
-    if arr.shape != shape:
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(f"{what} must be a regular array of floats: {exc}") from exc
+    if shape is not None and arr.shape != shape:
         raise ParseError(f"{what} must have shape {shape}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{what} must hold finite numbers")
@@ -203,20 +222,17 @@ def _floats(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
 def _parse_realization(raw, n: int, boundary: Sequence[str]) -> dict:
     if not isinstance(raw, Mapping):
         raise ParseError("realization must be an object")
-    try:
-        dim = int(raw["dimension"])
-        maps_raw = raw["maps"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("realization needs integer 'dimension' and a 'maps' object") from exc
-    if not isinstance(maps_raw, Mapping):
+    maps_raw = raw.get("maps")
+    if "dimension" not in raw or not isinstance(maps_raw, Mapping):
         raise ParseError("realization needs integer 'dimension' and a 'maps' object")
+    dim = _integer(raw["dimension"], "realization dimension")
     maps = {}
     for letter in range(1, n + 1):
         entry = maps_raw.get(str(letter))
         if not isinstance(entry, Mapping):
             raise ParseError(f"realization map for letter {letter} is missing or not an object")
-        matrix = _floats(entry.get("matrix"), (dim, dim), f"map {letter} matrix")
-        maps[letter] = (matrix, _floats(entry.get("offset"), (dim,), f"map {letter} offset"))
+        matrix = _floats(entry.get("matrix"), f"map {letter} matrix", (dim, dim))
+        maps[letter] = (matrix, _floats(entry.get("offset"), f"map {letter} offset", (dim,)))
     points = None
     if "boundary_points" in raw:
         points_raw = raw["boundary_points"]
@@ -226,7 +242,7 @@ def _parse_realization(raw, n: int, boundary: Sequence[str]) -> dict:
         for label in boundary:
             if label not in points_raw:
                 raise ParseError(f"realization boundary_points missing {label!r}")
-            points[label] = _floats(points_raw[label], (dim,), f"boundary point {label!r}")
+            points[label] = _floats(points_raw[label], f"boundary point {label!r}", (dim,))
     return {"dimension": dim, "maps": maps, "boundary_points": points}
 
 
@@ -298,10 +314,7 @@ def validate_structure(raw: Mapping) -> StructureSpec:
     for key in _REQUIRED_FIELDS:
         if key not in raw:
             raise ParseError(f"structure document missing field {key!r}")
-    try:
-        n = int(raw["alphabet_size"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("alphabet_size must be an integer") from exc
+    n = _integer(raw["alphabet_size"], "alphabet_size")
     if n < 2:
         raise ValidationError(f"alphabet must have at least two letters, got {n}")
 
@@ -353,10 +366,7 @@ def validate_structure(raw: Mapping) -> StructureSpec:
         if not isinstance(entry, Sequence) or len(entry) != 4:
             raise ParseError(f"gluing entry {entry!r} is not a 4-tuple [i, p, j, q]")
         i_raw, p_raw, j_raw, q_raw = entry
-        try:
-            i, j = int(i_raw), int(j_raw)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"gluing entry {entry!r} has non-integer letters") from exc
+        i, j = (_integer(c, f"gluing letter in {entry!r}") for c in (i_raw, j_raw))
         for letter in (i, j):
             if not 1 <= letter <= n:
                 raise ValidationError(f"gluing letter {letter} outside alphabet 1..{n}")
@@ -396,11 +406,11 @@ def validate_structure(raw: Mapping) -> StructureSpec:
 
     laplacian = None
     if raw.get("laplacian") is not None:
-        laplacian = _floats(raw["laplacian"], (d, d), "laplacian")
+        laplacian = _floats(raw["laplacian"], "laplacian", (d, d))
         laplacian.setflags(write=False)
     weights = None
     if raw.get("weights") is not None:
-        weights = _floats(raw["weights"], (n,), "weights")
+        weights = _floats(raw["weights"], "weights", (n,))
         weights.setflags(write=False)
 
     realization = None
@@ -425,21 +435,16 @@ def validate_structure(raw: Mapping) -> StructureSpec:
     return spec
 
 
-def parse_structure(text: str) -> StructureSpec:
+def load_structure(path: str | Path) -> StructureSpec:
+    """Read and validate a structure document from disk."""
+    path = Path(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"structure document is not valid JSON: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ParseError("structure document must be a JSON object")
-    return validate_structure(raw)
-
-
-def load_structure(path: str | Path) -> StructureSpec:
-    """Read and validate a structure document from disk."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    spec = parse_structure(text)
+    spec = validate_structure(raw)
     if not spec.name:
         object.__setattr__(spec, "name", path.stem)
     return spec

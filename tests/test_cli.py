@@ -220,6 +220,20 @@ def test_exit_code_for_missing_file(capsys):
     assert "error" in err
 
 
+def test_structure_token_resolution(tmp_path, monkeypatch, capsys):
+    # A token without a path separator names a builtin when one ships under
+    # that name; every other token is a path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mine.json").write_text(ff.builtin_structure_path("vicsek").read_text())
+    (tmp_path / "sg2").write_text("not json")
+    for token, code in (("sg2", 0), ("vicsek", 0), ("mine.json", 0), ("./sg2", 2), ("nosuch", 2)):
+        got, out, err = run(capsys, "validate", "--structure", token)
+        assert got == code, token
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_exit_code_for_cell_cap(capsys):
     # The whole depth range is checked before the first depth is computed.
     for args in (("scan",), ("chainrule", "--G", "x1^2")):
@@ -236,8 +250,13 @@ def test_exit_code_for_cell_cap(capsys):
     ("--family", "level", {"level": [1], "members": [[1.0, 0.0, 0.0]]}),
     ("--f", "level", {"level": 1.5, "values": [1.0, 0.0, 0.0, 0.5, 0.2, 0.1]}),
     ("--family", "level", {"level": True, "members": [[1.0, 0.0, 0.0, 0.5, 0.2, 0.1]]}),
+    ("--f", "values", {"level": 0, "values": ["1", "0", "0"]}),
+    ("--family", "members", {"level": 0, "members": [[True, False, False]]}),
+    ("--family", "members", {"level": 0, "members": 5}),
+    ("--f", "level", {"level": -1, "values": [1.0, 0.0, 0.0]}),
 ], ids=["function-level", "function-values", "family-members", "family-level",
-        "function-fractional-level", "family-boolean-level"])
+        "function-fractional-level", "family-boolean-level", "function-numeric-strings",
+        "family-booleans", "family-members-number", "function-negative-level"])
 def test_bad_fields_in_function_and_family_files(tmp_path, capsys, kind, field, body):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(body))
@@ -259,8 +278,16 @@ def test_bad_fields_in_function_and_family_files(tmp_path, capsys, kind, field, 
     (("realization", "maps"), 5),
     (("realization", "maps", "2"), 5),
     (("realization", "boundary_points"), 5),
+    (("alphabet_size",), 3.5),
+    (("alphabet_size",), "3"),
+    (("alphabet_size",), True),
+    (("realization", "dimension"), 2.5),
+    (("gluing", 0, 0), 1.7),
+    (("weights",), ["0.6", "0.6", "0.6"]),
 ], ids=["laplacian-string", "weights-strings", "weights-null", "maps-number",
-        "map-entry-number", "boundary-points-number"])
+        "map-entry-number", "boundary-points-number", "alphabet-size-fractional",
+        "alphabet-size-string", "alphabet-size-boolean", "dimension-fractional",
+        "gluing-letter-fractional", "weights-numeric-strings"])
 def test_bad_fields_in_structure_documents(tmp_path, capsys, keys, value):
     raw = json.loads(ff.builtin_structure_path("sg2").read_text())
     target = raw
@@ -297,6 +324,19 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     assert err.splitlines() == [
         "error: removing a boundary vertex disconnects the level-1 network"
     ]
+
+
+@pytest.mark.parametrize("args", [
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--workers", "0"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--tau-rank", "1.5"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--mass-floor", "-1"),
+    ("measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "-2"),
+], ids=["workers", "tau-rank", "mass-floor", "depth"])
+def test_option_range_errors_exit_2(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_exit_code_for_bad_depth_range(capsys):

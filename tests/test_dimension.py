@@ -59,7 +59,7 @@ def test_field_matches_brute_force(name, depth):
     )
     assert field.size == len(words)
     for c, word in enumerate(words):
-        assert field.word(c) == word
+        assert ff.index_to_word(int(field.indices[c]), depth, hs.spec.n_letters) == word
         np.testing.assert_allclose(field.matrices[c], mats[c], atol=1e-12)
         np.testing.assert_allclose(field.eigenvalues[c], eigs[c], atol=1e-12)
 
