@@ -18,7 +18,6 @@ from .structure import (
     format_word,
     index_to_word,
     load_structure,
-    parse_word,
     validate_structure,
     word_index,
 )

@@ -102,18 +102,14 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise ParseError(f"{what} must be a comma-separated number list, got {text!r}") from exc
 
 
-def _parse_depths(depth: int | None, depths: str | None) -> tuple[int, ...]:
-    if depths is not None:
-        m = re.fullmatch(r"(\d+)\.\.(\d+)", depths.strip())
-        if not m:
-            raise ParseError(f"--depths expects A..B, got {depths!r}")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise ParseError(f"--depths range is empty: {depths!r}")
-        return tuple(range(lo, hi + 1))
-    if depth is None:
-        raise ParseError("one of --depth or --depths is required")
-    return (depth,)
+def _parse_depths(depths: str) -> tuple[int, ...]:
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", depths.strip())
+    if not m:
+        raise ParseError(f"--depths expects A..B, got {depths!r}")
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if hi < lo:
+        raise ParseError(f"--depths range is empty: {depths!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def resolve_structure(token: str) -> StructureSpec:
@@ -312,7 +308,7 @@ def cmd_validate(args) -> int:
 def cmd_measure(args) -> int:
     config = RunConfig(
         structure_path=args.structure,
-        depths=_parse_depths(args.depth, None),
+        depths=(args.depth,),
         workers=args.workers,
     )
     spec = resolve_structure(args.structure)
@@ -341,7 +337,7 @@ def cmd_measure(args) -> int:
 
 def cmd_scan(args) -> int:
     config, _, _, family = _family_run(
-        args, _parse_depths(args.depth, args.depths), tau_rank=args.tau_rank,
+        args, _parse_depths(args.depths), tau_rank=args.tau_rank,
         mass_floor=args.mass_floor,
     )
     profiles = []
@@ -382,11 +378,11 @@ def _distinct_rows(rows: np.ndarray) -> int:
 
 
 def cmd_embed(args) -> int:
+    vertex_depth = args.depth if args.vertex_depth is None else args.vertex_depth
     config, spec, _, family = _family_run(
-        args, _parse_depths(args.depth, None), mass_floor=args.mass_floor
+        args, (args.depth, vertex_depth), mass_floor=args.mass_floor
     )
     k = family.size
-    vertex_depth = args.vertex_depth if args.vertex_depth is not None else config.depths[0]
     cell_depth = config.depths[0]
 
     table = spec.vertex_table(vertex_depth)
@@ -404,6 +400,7 @@ def cmd_embed(args) -> int:
     fld = density_matrices(
         family, cell_depth, workers=config.workers, mass_floor=config.mass_floor
     )
+    verify_field_invariants(fld)
     nu = fld.lam / fld.total_mass
     metric = fld.matrices * fld.total_mass
     if not np.all(np.isfinite(metric)):
@@ -431,7 +428,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_chainrule(args) -> int:
-    config, spec, hs, family = _family_run(args, _parse_depths(args.depth, args.depths))
+    config, spec, hs, family = _family_run(args, _parse_depths(args.depths))
     k = family.size
     poly = Polynomial.parse(args.G, k)
     grads = poly.gradient()
@@ -507,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("scan", help="rank diagnostics over a depth range")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--depths", default=None, help="inclusive range A..B")
+    p.add_argument("--depths", required=True, help="inclusive range A..B")
     p.add_argument("--tau-rank", type=float, default=0.05, dest="tau_rank")
     p.add_argument("--mass-floor", type=float,
                    default=MASS_FLOOR, dest="mass_floor")
@@ -531,10 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("chainrule", help="discrete chain-rule convergence report")
     _add_common(p)
     p.add_argument("--G", required=True, help="polynomial in x1..xk, e.g. 'x1^2'")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--depths", default=None, help="inclusive range A..B")
+    p.add_argument("--depths", required=True, help="inclusive range A..B")
     p.add_argument("--out", default=None, help="optional CSV path")
     p.set_defaults(func=cmd_chainrule)
+    for sub in subs.choices.values():
+        sub.allow_abbrev = False  # so --depth cannot stand for --depths
     return parser
 
 

@@ -133,25 +133,31 @@ def _orthonormalize(
     return out
 
 
+def _indicator_family(
+    hs: HarmonicStructure, level: int, mean: MeanFunctional | None, weights
+) -> FunctionFamily:
+    """Orthonormalized interpolants of the level's vertex indicators; the
+    constant direction drops, so the family has one member fewer than the
+    level has vertices."""
+    if mean is None:
+        mean = mean_functional(hs)
+    eye = np.eye(hs.spec.vertex_table(level).num_vertices)
+    members = _orthonormalize([interpolate(hs, level, row) for row in eye], mean)
+    if not members:
+        raise ValidationError("no nonconstant members found")
+    if weights is None:
+        weights = np.full(len(members), 1.0 / len(members))
+    return FunctionFamily(members=tuple(members), weights=weights)
+
+
 def harmonic_family(
     hs: HarmonicStructure,
     mean: MeanFunctional | None = None,
     weights=None,
 ) -> FunctionFamily:
-    """Orthonormal mean-zero harmonic members built from the boundary basis.
-
-    Yields d - 1 members on a d-point boundary: the constant direction drops.
-    """
-    if mean is None:
-        mean = mean_functional(hs)
-    d = hs.d
-    candidates = [interpolate(hs, 0, np.eye(d)[k]) for k in range(d)]
-    members = _orthonormalize(candidates, mean)
-    if not members:
-        raise ValidationError("no nonconstant harmonic members found")
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    return FunctionFamily(members=tuple(members), weights=weights)
+    """Orthonormal mean-zero harmonic members built from the boundary basis:
+    d - 1 members on a d-point boundary."""
+    return _indicator_family(hs, 0, mean, weights)
 
 
 def level1_family(
@@ -159,20 +165,8 @@ def level1_family(
     mean: MeanFunctional | None = None,
     weights=None,
 ) -> FunctionFamily:
-    """Orthonormal members spanning the level-1 piecewise harmonics.
-
-    One candidate per depth-1 vertex (its indicator values, interpolated);
-    the span has codimension one in vertex count since constants drop.
-    """
-    if mean is None:
-        mean = mean_functional(hs)
-    table = hs.spec.vertex_table(1)
-    eye = np.eye(table.num_vertices)
-    candidates = [interpolate(hs, 1, eye[v]) for v in range(table.num_vertices)]
-    members = _orthonormalize(candidates, mean)
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    return FunctionFamily(members=tuple(members), weights=weights)
+    """Orthonormal members spanning the level-1 piecewise harmonics."""
+    return _indicator_family(hs, 1, mean, weights)
 
 
 def family_from_values(

@@ -221,14 +221,6 @@ def _chunk_prefix_depth(n_letters: int, depth: int) -> int:
     return t
 
 
-def _chunk_block(
-    hs: HarmonicStructure, member: PiecewiseHarmonic, depth: int, t: int, chunk: int
-) -> np.ndarray:
-    """Coefficient rows for all depth-``depth`` cells of one prefix chunk."""
-    top = pullback(member, index_to_word(chunk, t, hs.spec.n_letters))
-    return _refine(hs.extensions, top.cell_coeffs, depth - max(t, member.level))
-
-
 def _energy_factor(laplacian: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T = -laplacian and an exactly null constant mode.
 
@@ -282,10 +274,17 @@ def _scan_chunks(
     inv_tail = _weight_products(inv_letter, depth - t)
     factor = _energy_factor(hs.laplacian)
     width = n ** (depth - t)
+    levels = [depth - max(t, m.level) for m in members]
 
-    def one_chunk(chunk: int) -> tuple[int, np.ndarray]:
+    def heads(chunk: int) -> list[np.ndarray]:
+        # Pullbacks build vertex tables, so they run on the calling thread;
+        # workers only touch arrays.
+        word = index_to_word(chunk, t, n)
+        return [pullback(m, word).cell_coeffs for m in members]
+
+    def one_chunk(chunk: int, tops: list[np.ndarray]) -> tuple[int, np.ndarray]:
         blocks = np.stack(
-            [_chunk_block(hs, m, depth, t, chunk) for m in members]
+            [_refine(hs.extensions, top, k) for top, k in zip(tops, levels)]
         )
         # Center each cell first: constants carry no energy, and cells whose
         # pullbacks are nearly constant would otherwise cancel through O(1)
@@ -299,12 +298,13 @@ def _scan_chunks(
     chunks = range(n ** t)
     if workers <= 1:
         for chunk in chunks:
-            yield one_chunk(chunk)
+            yield one_chunk(chunk, heads(chunk))
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Submit in bounded waves so at most ``workers`` Gram blocks are alive.
         for lo in range(0, len(chunks), workers):
-            yield from pool.map(one_chunk, chunks[lo : lo + workers])
+            wave = chunks[lo : lo + workers]
+            yield from pool.map(one_chunk, wave, [heads(c) for c in wave])
 
 
 # ---------------------------------------------------------------------------

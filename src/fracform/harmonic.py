@@ -250,32 +250,17 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
     )
 
 
-def harmonic_structure(
-    spec: StructureSpec,
-    D: np.ndarray | None = None,
-    r: np.ndarray | None = None,
-) -> HarmonicStructure:
-    """Validate (D, r) as a harmonic pair and compute the extension matrices.
-
-    D and r default to the structure document's pair.  The fixed-point check
+def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
+    """Validate the document's (D, r), whose shapes parsing has fixed, as a
+    harmonic pair and compute the extension matrices.  The fixed-point check
     is an equality: the boundary trace of the level-1 form must reproduce D
-    entrywise within FIXED_POINT_TOL.
-    """
-    if D is None:
-        D = spec.laplacian
-    if r is None:
-        r = spec.weights
+    entrywise within FIXED_POINT_TOL."""
+    D, r = spec.laplacian, spec.weights
     if D is None or r is None:
         raise ValidationError(
-            "no harmonic data: the structure document declares neither a "
-            "laplacian nor weights and none were passed"
+            "no harmonic data: the structure document declares no laplacian or no weights"
         )
     D = validate_laplacian(D)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (spec.n_letters,):
-        raise ValidationError(
-            f"need one weight per letter, got shape {r.shape} for {spec.n_letters} letters"
-        )
     if np.any(r <= 0.0) or np.any(r >= 1.0):
         raise ValidationError("letter weights must lie strictly between 0 and 1")
 
@@ -300,8 +285,6 @@ def harmonic_structure(
     for i in range(spec.n_letters):
         exts[i] = full[table.slots[i]]
     exts.setflags(write=False)
-    if r.flags.writeable:
-        r.setflags(write=False)
     return HarmonicStructure(
         spec=spec, laplacian=D, weights=r, extensions=exts, residual=residual
     )

@@ -19,7 +19,6 @@ same structure always agree byte for byte.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -35,19 +34,6 @@ Word = tuple[int, ...]
 def format_word(w: Word) -> str:
     """Dot-joined letters; the empty word formats as the empty string."""
     return ".".join(str(c) for c in w)
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        letters = tuple(int(part) for part in text.split("."))
-    except ValueError as exc:
-        raise ParseError(f"malformed word {text!r}") from exc
-    if any(c < 1 for c in letters):
-        raise ParseError(f"word letters must be positive, got {text!r}")
-    return letters
 
 
 def word_index(w: Word, n_letters: int) -> int:
@@ -98,20 +84,16 @@ class StructureSpec:
     realization: dict | None = None
     name: str = ""
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return len(self.boundary)
 
     def vertex_table(self, depth: int) -> VertexTable:
-        """Memoized vertex table at the given depth."""
-        with self._lock:
-            table = self._tables.get(depth)
+        """Memoized vertex table; unlocked, so racing first calls may build it twice."""
+        table = self._tables.get(depth)
         if table is None:
-            table = build_vertices(self, depth)
-            with self._lock:
-                self._tables[depth] = table
+            table = self._tables[depth] = build_vertices(self, depth)
         return table
 
 
@@ -392,7 +374,12 @@ def validate_structure(raw: Mapping) -> StructureSpec:
         seen_pairs.add(pair)
         pairs.append(pair)
 
-    # The level-1 cell adjacency graph must be connected.
+    # The level-1 cell adjacency graph must be connected, which takes at
+    # least n - 1 edges; counting them first keeps a huge alphabet cheap.
+    if len(pairs) < n - 1:
+        raise ValidationError(
+            f"disconnected level-1 graph: {len(pairs)} gluing pairs cannot connect {n} cells"
+        )
     adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
     for (i, _), (j, _) in pairs:
         adj[i].add(j)

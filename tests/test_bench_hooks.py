@@ -4,8 +4,10 @@
 wraps named layer functions (``cli._build_family``, ``energy.lift``,
 ``CellMeasureTable.write_csv``, ``scan_cell_masses`` in three modules, ...)
 to trace them.  Deleting or renaming one of those names breaks the benchmark
-without failing any other test.  Each check runs in a fresh interpreter from
-the benchmark's directory, as the benchmark itself does.
+without failing any other test, and so can a change to the scan or to
+``harmonic_structure`` that only the ``trace`` and ``scaling`` modes reach.
+Each check runs in a fresh interpreter from the benchmark's directory, as
+the benchmark itself does.
 """
 
 import json
@@ -26,14 +28,19 @@ def run_child(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_replay_setup_builds_every_workload():
+def seed_zero_inputs() -> dict:
+    """Each workload's seed-0 inputs, by workload name."""
     listed = run_child(
         "-c",
         "import json, workloads; "
         "print(json.dumps({n: w.inputs(0) for n, w in workloads.WORKLOADS.items()}))",
     )
     assert listed.returncode == 0, listed.stderr
-    inputs = json.loads(listed.stdout)
+    return json.loads(listed.stdout)
+
+
+def test_replay_setup_builds_every_workload():
+    inputs = seed_zero_inputs()
     assert inputs
     for name, values in inputs.items():
         done = run_child("replay.py", "setup", "--workload", name, "--inputs", json.dumps(values))
@@ -43,3 +50,22 @@ def test_replay_setup_builds_every_workload():
 def test_tracer_wraps_every_layer():
     done = run_child("-c", "import replay; replay.instrument(replay.Tracer())")
     assert done.returncode == 0, done.stderr
+
+
+def test_replay_trace_records_scan_and_pair_spans(tmp_path):
+    inputs = json.dumps(seed_zero_inputs()["chainrule-sg2"])
+    done = run_child(
+        "replay.py", "trace", "--workload", "chainrule-sg2", "--inputs", inputs,
+        "--outdir", str(tmp_path),
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads((tmp_path / "trace.json").read_text())["spans"]
+    assert {"energy.scan", "harmonic.pair"} <= {span[0] for span in spans}
+
+
+def test_replay_scaling_times_both_worker_counts():
+    inputs = json.dumps(seed_zero_inputs()["chainrule-sg2"])
+    done = run_child("replay.py", "scaling", "--workload", "chainrule-sg2", "--inputs", inputs)
+    assert done.returncode == 0, done.stderr
+    seconds = json.loads(done.stdout)
+    assert seconds["scan_w1_s"] > 0 and seconds["scan_w2_s"] > 0

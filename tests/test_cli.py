@@ -6,9 +6,9 @@ import pytest
 
 import fracform as ff
 import oracles
-from fracform import emit
+from fracform import cli, emit
 from fracform.cli import Polynomial, _distinct_rows, main
-from fracform.errors import ParseError
+from fracform.errors import ParseError, ValidationError
 from fracform.structure import boundary_deletion_connected
 
 
@@ -70,6 +70,22 @@ def test_validate_structure_without_pair(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--structure", str(target))
     assert code == 1
     assert "error" in err
+
+
+def test_validate_huge_alphabet_fails_fast(tmp_path, capsys):
+    # Three gluing pairs cannot connect two million cells; the check must
+    # say so at once, not list every unreachable cell.
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    raw["alphabet_size"] = 2_000_000
+    for key in ("laplacian", "weights", "realization"):
+        del raw[key]
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", "--structure", str(target))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200
+    assert "disconnected" in lines[0]
 
 
 def test_measure_writes_table(tmp_path, capsys):
@@ -331,12 +347,40 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     ("scan", "--structure", "sg2", "--depths", "2..3", "--tau-rank", "1.5"),
     ("scan", "--structure", "sg2", "--depths", "2..3", "--mass-floor", "-1"),
     ("measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "-2"),
-], ids=["workers", "tau-rank", "mass-floor", "depth"])
+    ("embed", "--structure", "sg2", "--depth", "2", "--vertex-depth", "-1",
+     "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv"),
+], ids=["workers", "tau-rank", "mass-floor", "depth", "embed-vertex-depth"])
 def test_option_range_errors_exit_2(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_embed_vertex_depth_cap_checked_before_family(capsys, monkeypatch):
+    def no_family(*args):
+        raise AssertionError("family built before the cell cap check")
+
+    monkeypatch.setattr(cli, "_build_family", no_family)
+    code, out, err = run(
+        capsys, "embed", "--structure", "sg2", "--depth", "2", "--vertex-depth", "30",
+        "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv",
+    )
+    assert code == 1
+    assert err.splitlines() == [f"error: depth 30 needs {3 ** 30} cells, cap is 4194304"]
+
+
+def test_embed_checks_field_invariants(tmp_path, capsys, monkeypatch):
+    def broken(field):
+        raise ValidationError("density matrix lost positivity")
+
+    monkeypatch.setattr(cli, "verify_field_invariants", broken)
+    code, out, err = run(
+        capsys, "embed", "--structure", "sg2", "--depth", "2",
+        "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"),
+    )
+    assert code == 1
+    assert err.splitlines() == ["error: density matrix lost positivity"]
 
 
 def test_exit_code_for_bad_depth_range(capsys):
@@ -361,6 +405,19 @@ def test_exit_code_for_bad_weights(capsys):
 def test_argparse_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["chainrule", "--structure", "sg2", "--depths", "3..4"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("scan", "--structure", "sg2", "--depth", "3"),
+    ("scan", "--structure", "sg2", "--depth", "2..3"),
+    ("chainrule", "--structure", "sg2", "--G", "x1", "--depth", "3"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--depth", "3"),
+], ids=["scan", "scan-range", "chainrule", "scan-both"])
+def test_ranged_commands_take_only_depths(args):
+    # Abbreviations are off, so --depth is not read as --depths.
+    with pytest.raises(SystemExit) as info:
+        main(list(args))
     assert info.value.code == 2
 
 

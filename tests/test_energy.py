@@ -1,5 +1,6 @@
 import io
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -194,6 +195,25 @@ def test_scan_workers_agree(vicsek, rng):
     serial = ff.measure_table(f, depth=4, workers=1)
     threaded = ff.measure_table(f, depth=4, workers=4)
     assert np.array_equal(serial.masses, threaded.masses)
+
+
+def test_scan_workers_leave_vertex_tables_alone(monkeypatch):
+    # The vertex-table memo has no lock: every table a scan needs must be
+    # built or read on the thread that iterates the scan.
+    hs = ff.harmonic_structure(ff.builtin_structure("sg2"))
+    members = ff.harmonic_family(hs).members
+    callers = []
+    original = ff.StructureSpec.vertex_table
+
+    def spy(spec, depth):
+        callers.append(threading.get_ident())
+        return original(spec, depth)
+
+    monkeypatch.setattr(ff.StructureSpec, "vertex_table", spy)
+    for _ in ff.scan_cell_masses(hs, members, 10, 2):
+        pass
+    assert callers
+    assert set(callers) == {threading.get_ident()}
 
 
 def test_scan_validates_at_call_time(sg2):

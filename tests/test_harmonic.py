@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +32,11 @@ def test_schur_complement_reproduces_laplacian(name):
 
 
 def test_wrong_weights_raise_with_residual():
-    spec = ff.builtin_structure("sg2")
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    raw["weights"] = [0.5, 0.5, 0.5]
+    spec = ff.validate_structure(raw)
     with pytest.raises(NotHarmonicError) as info:
-        ff.harmonic_structure(spec, r=np.full(3, 0.5))
+        ff.harmonic_structure(spec)
     assert info.value.residual > 0.01
 
 

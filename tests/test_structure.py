@@ -25,19 +25,8 @@ def test_word_index_round_trip(w, n):
     assert ff.index_to_word(ff.word_index(w, n), len(w), n) == w
 
 
-@given(words)
-def test_format_parse_round_trip(w):
-    assert ff.parse_word(ff.format_word(w)) == w
-
-
 def test_word_edge_cases():
     assert ff.format_word(()) == ""
-    assert ff.parse_word("") == ()
-    assert ff.parse_word(" 2.1.3 ") == (2, 1, 3)
-    with pytest.raises(ParseError):
-        ff.parse_word("1..2")
-    with pytest.raises(ParseError):
-        ff.parse_word("0.1")
     with pytest.raises(ValidationError):
         ff.word_index((4,), 3)
 
