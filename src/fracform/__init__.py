@@ -15,7 +15,6 @@ from .structure import (
     build_vertices,
     builtin_structure,
     builtin_structure_path,
-    format_word,
     index_to_word,
     load_structure,
     validate_structure,
@@ -36,7 +35,6 @@ from .energy import (
     PiecewiseHarmonic,
     cell_mass,
     energy,
-    interpolate,
     lift,
     mean_functional,
     measure_table,
@@ -45,26 +43,19 @@ from .energy import (
     scan_cell_masses,
 )
 from .dimension import (
-    DeltaEstimate,
     DensityMatrixField,
     FunctionFamily,
     RankProfile,
     RepresentingField,
     ZetaField,
     cell_run_mass,
-    cylinder_mass,
     density_matrices,
-    estimate_ck,
-    estimate_delta,
     family_from_values,
-    gamma_eta,
     harmonic_family,
     level1_family,
-    projected_power_limit,
     rank_statistics,
     representing_field,
     run_mass_limit,
-    sample_kset,
     verify_field_invariants,
     zeta_factors,
 )

@@ -44,7 +44,6 @@ from .energy import (
     PiecewiseHarmonic,
     _weight_products,
     energy,
-    interpolate,
     lift,
     mean_functional,
     measure_table,
@@ -52,6 +51,7 @@ from .energy import (
 )
 from .dimension import (
     FunctionFamily,
+    check_field_bytes,
     density_matrices,
     family_from_values,
     harmonic_family,
@@ -150,9 +150,8 @@ def _load_function(hs: HarmonicStructure, token: str) -> PiecewiseHarmonic:
     list of boundary values for a harmonic function."""
     if token.startswith("file:"):
         level, values = _read_levelled_file("function", token, "values", _floats)
-        return interpolate(hs, level, values)
-    values = _parse_floats(token, "function values")
-    return interpolate(hs, 0, np.asarray(values))
+        return PiecewiseHarmonic(hs, level, values)
+    return PiecewiseHarmonic(hs, 0, _parse_floats(token, "function values"))
 
 
 def _build_family(
@@ -319,14 +318,14 @@ def cmd_measure(args) -> int:
     table = measure_table(f, g, depth, workers=config.workers)
     twice = 2.0 * energy(f, g if g is not None else f)
     scale = max(1.0, abs(twice))
-    if abs(table.total - twice) > CONSISTENCY_TOL * scale:
+    if not abs(table.total - twice) <= CONSISTENCY_TOL * scale:  # NaN fails too
         raise ValidationError(
             f"total mass {table.total!r} disagrees with twice the energy {twice!r}"
         )
     if depth >= 1:
         parent = measure_table(f, g, depth - 1, workers=config.workers)
         gap = float(np.abs(table.coarsen().masses - parent.masses).max())
-        if gap > CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max())):
+        if not gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max())):
             raise ValidationError(
                 f"refinement sums disagree with the parent table by {gap:.3g}"
             )
@@ -336,10 +335,11 @@ def cmd_measure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config, _, _, family = _family_run(
+    config, spec, _, family = _family_run(
         args, _parse_depths(args.depths), tau_rank=args.tau_rank,
         mass_floor=args.mass_floor,
     )
+    check_field_bytes(spec.n_letters, config.depths[-1], family.size)
     profiles = []
     last = None
     for depth in config.depths:

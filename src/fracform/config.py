@@ -9,6 +9,10 @@ directly; only the cell skip threshold can be overridden, through the
 # Operations refuse to materialize more word cells than this.
 MAX_CELLS = 1 << 22
 
+# A density field of n**depth cells and k members is refused when its k x k
+# float64 matrices, counted over every cell, would take more bytes than this.
+MAX_FIELD_BYTES = 1 << 32
+
 # Fixed subtree chunk size for the deep table builders.  The chunk layout is a
 # function of the requested depth alone, never of the worker count, so results
 # are byte-for-byte reproducible no matter how work is scheduled.

@@ -8,10 +8,8 @@ concentration: second eigenvalues of the trace-one weighted matrices, the
 rank-one factorization residuals, and a weighted eigenvalue-count estimate of
 the effective dimension.
 
-The module also provides the boundary-spectral quantities that drive the
-run-word analysis: gamma/eta of a harmonic function, the sampled minimum of
-gamma over the normalized mean-zero harmonic sphere, scaled masses of
-constant-letter cylinders, and projected power iterates.
+The module also provides the scaled masses of constant-letter cells and
+their closed-form limits, which drive the run-word analysis.
 """
 
 from __future__ import annotations
@@ -26,18 +24,18 @@ from .config import (
     CONSISTENCY_TOL,
     FAMILY_NORM_TOL,
     MASS_FLOOR,
+    MAX_FIELD_BYTES,
     PSD_TOL,
     REPRESENTING_TOL,
     TRACE_IDENTITY_TOL,
 )
-from .errors import NumericalError, ValidationError
+from .errors import CapExceededError, NumericalError, ValidationError
 from .harmonic import EigenData, HarmonicStructure
 from .emit import WordColumn, write_table
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
     energy,
-    interpolate,
     mean_functional,
     normalize_xi,
     scan_cell_masses,
@@ -49,6 +47,7 @@ __all__ = [
     "level1_family",
     "family_from_values",
     "DensityMatrixField",
+    "check_field_bytes",
     "density_matrices",
     "verify_field_invariants",
     "ZetaField",
@@ -57,15 +56,8 @@ __all__ = [
     "rank_statistics",
     "RepresentingField",
     "representing_field",
-    "gamma_eta",
-    "DeltaEstimate",
-    "sample_kset",
-    "estimate_delta",
     "cell_run_mass",
     "run_mass_limit",
-    "projected_power_limit",
-    "cylinder_mass",
-    "estimate_ck",
     "write_cells_csv",
     "write_profile_csv",
 ]
@@ -142,7 +134,7 @@ def _indicator_family(
     if mean is None:
         mean = mean_functional(hs)
     eye = np.eye(hs.spec.vertex_table(level).num_vertices)
-    members = _orthonormalize([interpolate(hs, level, row) for row in eye], mean)
+    members = _orthonormalize([PiecewiseHarmonic(hs, level, row) for row in eye], mean)
     if not members:
         raise ValidationError("no nonconstant members found")
     if weights is None:
@@ -182,7 +174,7 @@ def family_from_values(
     rows = [np.asarray(row, dtype=float) for row in value_rows]
     members = []
     for idx, row in enumerate(rows):
-        f = normalize_xi(interpolate(hs, level, row), mean)
+        f = normalize_xi(PiecewiseHarmonic(hs, level, row), mean)
         if float(np.ptp(f.values)) == 0.0:
             raise ValidationError(f"member {idx + 1} is constant; it carries no measure")
         members.append(f)
@@ -200,9 +192,10 @@ class DensityMatrixField:
     """Density matrices of all retained cells at one depth.
 
     Retained means the cell's combined mass stayed at or above the floor;
-    rows are in lexicographic cell order throughout.  matrices[c] is the
-    symmetrized Z of the cell, eigenvalues[c] the descending spectrum of the
-    trace-one weighted form M = [sqrt(a_i a_j) Z_ij].
+    rows are in lexicographic cell order throughout.  matrices[c] is the Z of
+    the cell, exactly symmetric because the scan forms each Gram block from
+    one factor-rotated array; eigenvalues[c] is the descending spectrum of
+    the trace-one weighted form M = [sqrt(a_i a_j) Z_ij].
     """
 
     depth: int
@@ -225,6 +218,17 @@ class DensityMatrixField:
         return int(self.weights.size)
 
 
+def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
+    """Raise CapExceededError when the depth's k x k float64 matrices, one per
+    cell, would exceed MAX_FIELD_BYTES."""
+    need = n_letters ** depth * family_size * family_size * 8
+    if need > MAX_FIELD_BYTES:
+        raise CapExceededError(
+            f"depth {depth} density field of {family_size} members needs {need} bytes, "
+            f"cap is {MAX_FIELD_BYTES}"
+        )
+
+
 def density_matrices(
     family: FunctionFamily,
     depth: int,
@@ -238,6 +242,7 @@ def density_matrices(
     """
     hs = family.structure
     n = hs.spec.n_letters
+    check_field_bytes(n, depth, family.size)
     a = family.weights
     twice_energies = [2.0 * energy(member) for member in family.members]
     for i, twice in enumerate(twice_energies):
@@ -255,16 +260,17 @@ def density_matrices(
     z_parts: list[np.ndarray] = []
     skipped = 0
     for start, gram in scan_cell_masses(hs, family.members, depth, workers):
-        gram = 0.5 * (gram + gram.transpose(0, 2, 1))
         lam = np.einsum("cii,i->c", gram, a, optimize=False)
         keep = lam >= floor
+        kept = gram[keep]
+        del gram  # free the block before the scan computes the next wave
         skipped += int(np.sum(~keep))
         if not np.any(keep):
             continue
         idx_parts.append(start + np.nonzero(keep)[0])
         lam_kept = lam[keep]
         lam_parts.append(lam_kept)
-        z_parts.append(gram[keep] / lam_kept[:, None, None])
+        z_parts.append(kept / lam_kept[:, None, None])
     if not idx_parts:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor:.3g}"
@@ -300,13 +306,13 @@ def verify_field_invariants(field: DensityMatrixField) -> None:
     if field.size == 0:
         raise ValidationError("empty field: all cells were skipped")
     min_eig = float(field.eigenvalues[:, -1].min())
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:  # NaN fails too
         raise ValidationError(
             f"density matrix lost positivity: min eigenvalue {min_eig:.3g}"
         )
     diag = np.einsum("cii,i->c", field.matrices, field.weights, optimize=False)
     worst = float(np.abs(diag - 1.0).max())
-    if worst > TRACE_IDENTITY_TOL:
+    if not worst <= TRACE_IDENTITY_TOL:
         raise ValidationError(
             f"weighted trace identity violated by {worst:.3g} on a retained cell"
         )
@@ -341,8 +347,8 @@ def zeta_factors(field: DensityMatrixField) -> ZetaField:
     if z.shape[0] and float(pivot.min()) <= 0.0:
         raise NumericalError("retained cell with nonpositive pivot diagonal entry")
     zeta = z[rows, :, alpha] / np.sqrt(pivot)[:, None]
-    outer = zeta[:, :, None] * zeta[:, None, :]
-    num = np.sqrt(np.einsum("cij,cij->c", z - outer, z - outer, optimize=False))
+    gap = z - zeta[:, :, None] * zeta[:, None, :]
+    num = np.sqrt(np.einsum("cij,cij->c", gap, gap, optimize=False))
     den = np.sqrt(np.einsum("cij,cij->c", z, z, optimize=False))
     residuals = num / den
     for arr in (alpha, zeta, residuals):
@@ -434,130 +440,7 @@ def representing_field(
 
 
 # ---------------------------------------------------------------------------
-# boundary-spectral quantities
-
-
-def gamma_eta(hs: HarmonicStructure, f: PiecewiseHarmonic) -> tuple[float, int]:
-    """Largest pairing of a harmonic function with the boundary Laplacian
-    columns, and the 1-based index of the first column attaining it."""
-    if f.level != 0:
-        raise ValidationError("gamma/eta are defined for level-0 (harmonic) functions")
-    pairings = hs.laplacian @ f.values
-    gamma = float(np.abs(pairings).max())
-    eta = int(np.argmax(np.abs(pairings))) + 1
-    return gamma, eta
-
-
-def _mean_zero_energy_basis(hs: HarmonicStructure, mean: MeanFunctional) -> np.ndarray:
-    """Columns: an orthonormal basis of the mean-zero boundary vectors under
-    the twice-energy inner product."""
-    d = hs.d
-    # Column k is e_k - m_k * 1, which the mean functional annihilates.
-    raw = np.eye(d) - np.outer(np.ones(d), mean.coefficients)
-    gram = 2.0 * (raw.T @ (-hs.laplacian) @ raw)
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > 1e-12 * float(vals.max())
-    basis = raw @ (vecs[:, keep] / np.sqrt(vals[keep]))
-    return basis
-
-
-def sample_kset(
-    hs: HarmonicStructure,
-    mean: MeanFunctional | None = None,
-    count: int = 1,
-    seed: int = 0,
-) -> np.ndarray:
-    """Boundary vectors of mean-zero harmonic functions with twice-energy 1.
-
-    Uniform on the energy sphere: a counter-based generator keyed by (seed,
-    sample index) feeds one Gaussian per sample, so sample i is the same no
-    matter how many others are drawn or on which thread.
-    """
-    if count < 1:
-        raise ValidationError("sample count must be at least 1")
-    if mean is None:
-        mean = mean_functional(hs)
-    basis = _mean_zero_energy_basis(hs, mean)
-    q = basis.shape[1]
-    out = np.empty((count, hs.d))
-    for i in range(count):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        x = rng.standard_normal(q)
-        norm = float(np.linalg.norm(x))
-        while norm == 0.0:
-            x = rng.standard_normal(q)
-            norm = float(np.linalg.norm(x))
-        out[i] = basis @ (x / norm)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class DeltaEstimate:
-    """Sampled upper estimate of the minimum of gamma over the normalized
-    mean-zero harmonic functions.  Never a certified bound."""
-
-    value: float
-    minimizer: np.ndarray
-    samples: int
-    refine_steps: int
-    seed: int
-    certified: bool = False
-
-
-def estimate_delta(
-    hs: HarmonicStructure,
-    mean: MeanFunctional | None = None,
-    samples: int = 1024,
-    refine_steps: int = 64,
-    seed: int = 0,
-) -> DeltaEstimate:
-    """Sample the energy sphere and locally descend the max-pairing objective.
-
-    Each sample runs a projected subgradient descent on the sphere in basis
-    coordinates; the reported value is the running minimum over everything
-    evaluated, so it is non-increasing in the sample count for a fixed seed.
-    """
-    if samples < 1:
-        raise ValidationError("sample count must be at least 1")
-    if mean is None:
-        mean = mean_functional(hs)
-    basis = _mean_zero_energy_basis(hs, mean)
-    pair = hs.laplacian @ basis
-    best_val = np.inf
-    best_u = np.zeros(hs.d)
-    for i in range(samples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        x = rng.standard_normal(basis.shape[1])
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            continue
-        y = x / norm
-        for step in range(refine_steps):
-            g = pair @ y
-            j = int(np.argmax(np.abs(g)))
-            val = abs(float(g[j]))
-            if val < best_val:
-                best_val = val
-                best_u = basis @ y
-            grad = np.sign(g[j]) * pair[j]
-            tangent = grad - float(grad @ y) * y
-            tnorm = float(np.linalg.norm(tangent))
-            if tnorm < 1e-14:
-                break
-            y = y - (0.2 / (1.0 + step)) * tangent / tnorm
-            y = y / float(np.linalg.norm(y))
-        g = pair @ y
-        val = float(np.abs(g).max())
-        if val < best_val:
-            best_val = val
-            best_u = basis @ y
-    return DeltaEstimate(
-        value=float(best_val),
-        minimizer=np.asarray(best_u, dtype=float),
-        samples=samples,
-        refine_steps=refine_steps,
-        seed=seed,
-    )
+# single-letter runs
 
 
 def _propagate(hs: HarmonicStructure, u: np.ndarray, letter: int, steps: int) -> np.ndarray:
@@ -600,53 +483,6 @@ def run_mass_limit(hs: HarmonicStructure, data: EigenData, u) -> float:
     return 2.0 * pairing * pairing * data.energy_mass
 
 
-def projected_power_limit(hs: HarmonicStructure, u, letter: int, n: int) -> np.ndarray:
-    """The mean-zero part of the n-step renormalized letter iterate.
-
-    Converges to the pairing (u_i, u) times the mean-zero part of the
-    letter's right eigenvector.
-    """
-    if not 1 <= letter <= hs.d:
-        raise ValidationError(f"letter {letter} has no fixed boundary point")
-    # The per-step mean subtraction in the propagation IS the projection:
-    # the iterate comes back already mean-free.
-    return _propagate(hs, u, letter, n)
-
-
-def cylinder_mass(hs: HarmonicStructure, u, letter: int, k: int) -> float:
-    """Unscaled mass of the depth-k constant-letter cell for the harmonic
-    function with boundary values u."""
-    if not 1 <= letter <= hs.spec.n_letters:
-        raise ValidationError(f"letter {letter} outside alphabet")
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    # r^k times the scaled run mass, from the same renormalized iterate.
-    w = _propagate(hs, u, letter, k)
-    return float(float(hs.weights[letter - 1]) ** k * 2.0 * (w @ (-hs.laplacian) @ w))
-
-
-def estimate_ck(hs: HarmonicStructure, kset: np.ndarray, k: int) -> float:
-    """Smallest sampled fraction of mass kept by the k-fold repetition of
-    each sample's own maximizing letter.  A sampling estimate, not a bound
-    over the whole normalized set.
-    """
-    kset = np.asarray(kset, dtype=float)
-    if kset.ndim != 2 or kset.shape[1] != hs.d:
-        raise ValidationError(f"expected sample rows of length {hs.d}")
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    best = np.inf
-    for u in kset:
-        pairings = hs.laplacian @ u
-        eta = int(np.argmax(np.abs(pairings))) + 1
-        total = float(2.0 * (u @ (-hs.laplacian) @ u))
-        if total <= 0.0:
-            raise ValidationError("constant sample in the normalized set")
-        ratio = cylinder_mass(hs, u, eta, k) / total
-        best = min(best, ratio)
-    return float(best)
-
-
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -663,6 +499,6 @@ def write_cells_csv(
 
 
 def write_profile_csv(profiles: Sequence[RankProfile], target) -> None:
-    """One row per scanned depth to a path, an open text handle, or stdout (None)."""
+    """One row per scanned depth to a path, or to stdout when ``target`` is None."""
     names = ("depth", "mean_lambda2", "mean_residual", "dim_estimate", "skipped_cells")
     write_table(target, names, [np.array([getattr(p, a) for p in profiles]) for a in names])

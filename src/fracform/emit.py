@@ -61,7 +61,7 @@ def _array_fields(arr: np.ndarray):
 
 
 def write_table(target, header: Sequence[str], columns: Sequence) -> None:
-    """Stream a CSV table to a path, an open text handle, or stdout (None).
+    """Stream a CSV table to a path, or to stdout when ``target`` is None.
 
     Each column is a WordColumn, a 1-D array (one field per row) or a 2-D
     array (one field per array column); all share the same row count.
@@ -83,8 +83,6 @@ def write_table(target, header: Sequence[str], columns: Sequence) -> None:
 
     if target is None:
         emit(sys.stdout)
-    elif hasattr(target, "write"):
-        emit(target)
     else:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             emit(handle)

@@ -32,7 +32,6 @@ from .structure import Word, check_cell_cap, index_to_word, word_index
 
 __all__ = [
     "PiecewiseHarmonic",
-    "interpolate",
     "lift",
     "pullback",
     "energy",
@@ -83,33 +82,18 @@ class PiecewiseHarmonic:
         coeffs.setflags(write=False)
         return coeffs
 
-    def _binary(self, other: "PiecewiseHarmonic", sign: float) -> "PiecewiseHarmonic":
+    def __sub__(self, other):
         if not isinstance(other, PiecewiseHarmonic):
             return NotImplemented
         if other.structure is not self.structure:
             raise ValidationError("cannot combine functions on different structures")
         m = max(self.level, other.level)
-        a, b = lift(self, m), lift(other, m)
-        return PiecewiseHarmonic(self.structure, m, a.values + sign * b.values)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
+        return PiecewiseHarmonic(self.structure, m, lift(self, m).values - lift(other, m).values)
 
     def __mul__(self, scalar):
         return PiecewiseHarmonic(self.structure, self.level, float(scalar) * self.values)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-
-def interpolate(hs: HarmonicStructure, level: int, values) -> PiecewiseHarmonic:
-    """The unique level-``level`` piecewise harmonic with the given vertex values."""
-    return PiecewiseHarmonic(structure=hs, level=level, values=np.asarray(values, dtype=float))
 
 
 def _refine(extensions: np.ndarray, block: np.ndarray, levels: int) -> np.ndarray:
@@ -337,7 +321,7 @@ class CellMeasureTable:
         )
 
     def write_csv(self, target) -> None:
-        """Emit `word,mass` rows to a path, an open text handle, or stdout (None)."""
+        """Emit `word,mass` rows to a path, or to stdout when ``target`` is None."""
         words = WordColumn(range(self.masses.size), self.depth, self.n_letters)
         write_table(target, ("word", "mass"), (words, self.masses))
 

@@ -173,7 +173,6 @@ class EigenData:
     second_modulus: largest modulus among the eigenvalues below r_i.
     """
 
-    letter: int
     left: np.ndarray
     right: np.ndarray
     energy_mass: float
@@ -242,7 +241,6 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
     left.setflags(write=False)
     right.setflags(write=False)
     return EigenData(
-        letter=letter,
         left=left,
         right=right,
         energy_mass=mass,
@@ -275,7 +273,7 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     traced = full.T @ H @ full
     scale = float(np.abs(D).max()) or 1.0
     residual = float(np.abs(traced + D).max()) / scale
-    if residual > FIXED_POINT_TOL:
+    if not residual <= FIXED_POINT_TOL:  # NaN fails too
         raise NotHarmonicError(
             f"(D, r) is not a harmonic pair: trace residual {residual:.3g}",
             residual=residual,

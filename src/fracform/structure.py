@@ -31,11 +31,6 @@ from .errors import CapExceededError, ParseError, ValidationError
 Word = tuple[int, ...]
 
 
-def format_word(w: Word) -> str:
-    """Dot-joined letters; the empty word formats as the empty string."""
-    return ".".join(str(c) for c in w)
-
-
 def word_index(w: Word, n_letters: int) -> int:
     """Lexicographic rank of ``w`` among words of its own length."""
     idx = 0

@@ -4,8 +4,9 @@ Each oracle takes a different route than the shipped code: slots are grouped
 by quantized geometry instead of the matching-based union-find, boundary
 forms come from dense Schur complements, cell masses from explicit per-word
 matrix products instead of the chunked scan, and big-graph energies from a
-scipy.sparse assembly.  CSV text is rebuilt one row at a time with the word
-helpers and printf-style formatting, never through the block writer.
+scipy.sparse assembly.  CSV text is rebuilt one row at a time, with words
+spelled out by digit expansion of the lex index and printf-style formatting,
+never through the block writer or the package's word helpers.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import itertools
 import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import spsolve
-
-from fracform.structure import format_word, index_to_word
 
 
 def geometric_slot_ids(realization: dict, boundary: tuple[str, ...], depth: int) -> np.ndarray:
@@ -140,8 +139,14 @@ def brute_density_field(extensions: np.ndarray, laplacian: np.ndarray, r: np.nda
 
 
 def reference_word(index: int, depth: int, n_letters: int) -> str:
-    """Dot-joined letters of the word with lex index ``index``."""
-    return format_word(index_to_word(int(index), depth, n_letters))
+    """Dot-joined letters of the word with lex index ``index``: its base-n
+    digits, most significant first, each shifted up by one."""
+    index = int(index)
+    letters = []
+    for _ in range(depth):
+        index, digit = divmod(index, n_letters)
+        letters.append(str(digit + 1))
+    return ".".join(reversed(letters))
 
 
 def reference_csv(header, rows) -> bytes:

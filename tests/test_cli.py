@@ -88,6 +88,30 @@ def test_validate_huge_alphabet_fails_fast(tmp_path, capsys):
     assert "disconnected" in lines[0]
 
 
+@pytest.mark.parametrize("key", ["laplacian", "weights"])
+def test_non_finite_pair_fails_closed(tmp_path, capsys, key):
+    # Subnormal entries make the extension matrices and the fixed-point
+    # residual NaN; every gate must read NaN as a failure.
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    if key == "laplacian":
+        raw["laplacian"] = [[x * 1e-320 for x in row] for row in raw["laplacian"]]
+    else:
+        raw["weights"] = [1e-320] * 3
+    doc = tmp_path / "tiny.json"
+    doc.write_text(json.dumps(raw))
+    masses = tmp_path / "m.csv"
+    for command, *rest in (
+        ("validate",),
+        ("measure", "--f", "1,0,0", "--depth", "2", "--out", str(masses)),
+        ("scan", "--depths", "2..3"),
+    ):
+        code, out, err = run(capsys, command, "--structure", str(doc), *rest)
+        assert code == 1, command
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not masses.exists()
+
+
 def test_measure_writes_table(tmp_path, capsys):
     out_path = tmp_path / "m.csv"
     code, out, err = run(
@@ -257,6 +281,24 @@ def test_exit_code_for_cell_cap(capsys):
         assert code == 1
         assert "depth " not in out
         assert err.splitlines() == ["error: depth 14 needs 4782969 cells, cap is 4194304"]
+
+
+def test_scan_field_byte_budget(tmp_path, capsys):
+    # 3**13 cells pass the cell cap, but 50 x 50 matrices for each would
+    # take about 32 GB; the scan must refuse before its first depth.
+    rows = np.random.default_rng(5).standard_normal((50, 6)).tolist()
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps({"level": 1, "members": rows}))
+    code, out, err = run(
+        capsys, "scan", "--structure", "sg2", "--family", f"file:{family}",
+        "--depths", "2..13",
+    )
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: depth 13 density field of 50 members needs {3 ** 13 * 2500 * 8} bytes, "
+        f"cap is {1 << 32}"
+    ]
+    assert out == ""
 
 
 @pytest.mark.parametrize("kind,field,body", [
@@ -439,7 +481,7 @@ def test_measure_csv_bytes(tmp_path, capsys, sg2, depth):
         "--depth", str(depth), "--out", str(out_path),
     )
     assert code == 0
-    f = ff.interpolate(sg2, 0, [1.0, 0.0, 0.0])
+    f = ff.PiecewiseHarmonic(sg2, 0, [1.0, 0.0, 0.0])
     assert out_path.read_bytes() == _measure_oracle(depth, f)
     if depth == 9:
         assert 3 ** depth % emit.BLOCK_ROWS != 0
@@ -448,7 +490,7 @@ def test_measure_csv_bytes(tmp_path, capsys, sg2, depth):
 def test_measure_stdout_bytes(capsys, sg2):
     code, out, _ = run(capsys, "measure", "--structure", "sg2", "--f", "0,2,-1", "--depth", "3")
     assert code == 0
-    assert out.encode() == _measure_oracle(3, ff.interpolate(sg2, 0, [0.0, 2.0, -1.0]))
+    assert out.encode() == _measure_oracle(3, ff.PiecewiseHarmonic(sg2, 0, [0.0, 2.0, -1.0]))
 
 
 def test_csv_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import io
 import itertools
 import threading
 
@@ -169,12 +168,11 @@ def test_cross_measure_is_bilinear(sg2, rng):
     assert np.all(np.abs(cross.masses) <= bound)
 
 
-def test_measure_csv_round_trip(sg2):
+def test_measure_csv_round_trip(sg2, capsys):
     f = harmonic_fn(sg2, [1.0, 0.0, 0.0])
     table = ff.measure_table(f, depth=1)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    table.write_csv(None)
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "word,mass"
     assert len(lines) == 4
     word, mass = lines[1].split(",")
@@ -182,12 +180,11 @@ def test_measure_csv_round_trip(sg2):
     assert float(mass) == table.masses[0]
 
 
-def test_root_table_word_is_empty_string(sg2):
+def test_root_table_word_is_empty_string(sg2, capsys):
     f = harmonic_fn(sg2, [1.0, 0.0, 0.0])
     table = ff.measure_table(f, depth=0)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    assert buf.getvalue().splitlines()[1].startswith(",")
+    table.write_csv(None)
+    assert capsys.readouterr().out.splitlines()[1].startswith(",")
 
 
 def test_scan_workers_agree(vicsek, rng):

@@ -78,7 +78,7 @@ def test_pullback_matrix_reverses_letters(sg2):
     word = (2, 1, 3)
     u = np.array([0.3, -1.0, 0.7])
     expected = sg2.extensions[2] @ sg2.extensions[0] @ sg2.extensions[1] @ u
-    pulled = ff.pullback(ff.interpolate(sg2, 0, u), word)
+    pulled = ff.pullback(ff.PiecewiseHarmonic(sg2, 0, u), word)
     np.testing.assert_allclose(pulled.values, expected, rtol=0, atol=1e-15)
     assert sg2.word_weight(word) == pytest.approx(0.6 ** 3)
 

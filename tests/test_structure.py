@@ -26,7 +26,7 @@ def test_word_index_round_trip(w, n):
 
 
 def test_word_edge_cases():
-    assert ff.format_word(()) == ""
+    assert ff.index_to_word(0, 0, 3) == ()
     with pytest.raises(ValidationError):
         ff.word_index((4,), 3)
 
