@@ -29,6 +29,7 @@ MEAN_RESIDUAL_TOL = 1e-12   # mean-functional fixed-point residual cap
 CONSISTENCY_TOL = 1e-12     # refinement / total-mass identities
 TRACE_IDENTITY_TOL = 1e-12  # weighted trace of a density matrix vs 1
 PSD_TOL = 1e-10             # PSD slack, scaled by the matrix trace
+PIVOT_TIE_TOL = 1e-9        # weighted diagonals this close (relative) tie for alpha
 REPRESENTING_TOL = 1e-10    # representing-field range and pairing checks
 MASS_FLOOR = 1e-14          # cell skip threshold as a fraction of total mass
 FAMILY_NORM_TOL = 1e-8      # |2 E(e_i) - 1| allowed for family members

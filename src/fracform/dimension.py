@@ -25,6 +25,7 @@ from .config import (
     FAMILY_NORM_TOL,
     MASS_FLOOR,
     MAX_FIELD_BYTES,
+    PIVOT_TIE_TOL,
     PSD_TOL,
     REPRESENTING_TOL,
     TRACE_IDENTITY_TOL,
@@ -194,8 +195,8 @@ class DensityMatrixField:
     Retained means the cell's combined mass stayed at or above the floor;
     rows are in lexicographic cell order throughout.  matrices[c] is the Z of
     the cell, exactly symmetric because the scan forms each Gram block from
-    one factor-rotated array; eigenvalues[c] is the descending spectrum of
-    the trace-one weighted form M = [sqrt(a_i a_j) Z_ij].
+    one array of energy coordinates; eigenvalues[c] is the descending
+    spectrum of the trace-one weighted form M = [sqrt(a_i a_j) Z_ij].
     """
 
     depth: int
@@ -341,7 +342,10 @@ class ZetaField:
 def zeta_factors(field: DensityMatrixField) -> ZetaField:
     z = field.matrices
     diag = np.einsum("cii->ci", z)
-    alpha = np.argmax(field.weights[None, :] * diag, axis=1)
+    weighted = field.weights[None, :] * diag
+    # The first index within PIVOT_TIE_TOL of the row maximum, not rounding, wins.
+    tied = weighted >= (1.0 - PIVOT_TIE_TOL) * weighted.max(axis=1, keepdims=True)
+    alpha = np.argmax(tied, axis=1)
     rows = np.arange(z.shape[0])
     pivot = diag[rows, alpha]
     if z.shape[0] and float(pivot.min()) <= 0.0:

@@ -7,11 +7,13 @@ E(f, g) is a finite sum over cells.  The (signed) energy measure of a pair
 assigns each word cell twice the rescaled energy of the pulled-back pair, and
 the full table of depth-n masses is what the dimension diagnostics consume.
 
-The cell scan at the bottom of this module is the shared engine: it walks the
-word tree in fixed-size lexicographic chunks, refining per-cell boundary
-coefficients one level at a time, and hands back Gram blocks of pair masses.
-The chunk layout depends only on the requested depth, never on the worker
-count, and all reductions run in lexicographic order, so outputs are bitwise
+The cell scan at the bottom of this module is the shared engine.  It maps
+each member once into energy coordinates, where a cell's energy is a squared
+norm, refines them one level at a time by the letter matrices of that basis
+in fixed-size lexicographic chunks, and hands back Gram blocks of pair masses
+(exactly symmetric and positive semidefinite in floating point).  The chunk
+layout depends only on the requested depth, never on the worker count, and
+all reductions run in lexicographic order, so outputs are bitwise
 reproducible.
 """
 
@@ -28,7 +30,7 @@ from .config import CHUNK_CELLS, CONSISTENCY_TOL, MEAN_RESIDUAL_TOL
 from .errors import NumericalError, ValidationError
 from .harmonic import HarmonicStructure, graph_energy
 from .emit import WordColumn, write_table
-from .structure import Word, check_cell_cap, index_to_word, word_index
+from .structure import Word, check_cell_cap, word_index
 
 __all__ = [
     "PiecewiseHarmonic",
@@ -205,17 +207,16 @@ def _chunk_prefix_depth(n_letters: int, depth: int) -> int:
     return t
 
 
-def _energy_factor(laplacian: np.ndarray) -> np.ndarray:
-    """Factor F with F @ F.T = -laplacian and an exactly null constant mode.
-
-    Writing cell energies as Gram matrices of F-rotated coefficients keeps
-    every mass matrix positive semidefinite in floating point, which a direct
-    contraction with -laplacian cannot promise once pullbacks degenerate.
-    """
-    vals, vecs = np.linalg.eigh(-laplacian)
-    vals = np.clip(vals, 0.0, None)
-    vals[0] = 0.0
-    return vecs * np.sqrt(vals)
+def _energy_coordinates(hs: HarmonicStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Energy basis B = L^T Q^T, with |B u|^2 = -u^T D u, and letter matrices
+    C_i = B A_i Q L^-T, with B A_i = C_i B because every A_i fixes the
+    constants that B annihilates.  Q spans the vectors orthogonal to the
+    constants and L L^T = Q^T (-D) Q."""
+    q = np.linalg.qr(np.column_stack([np.ones(hs.d), np.eye(hs.d)[:, 1:]]))[0][:, 1:]
+    chol = np.linalg.cholesky(q.T @ (-hs.laplacian) @ q)
+    basis = chol.T @ q.T
+    letters = basis @ hs.extensions @ np.linalg.solve(chol, q.T).T
+    return basis, np.ascontiguousarray(letters)
 
 
 def scan_cell_masses(
@@ -256,25 +257,19 @@ def _scan_chunks(
     inv_letter = 1.0 / hs.weights
     inv_prefix = _weight_products(inv_letter, t)
     inv_tail = _weight_products(inv_letter, depth - t)
-    factor = _energy_factor(hs.laplacian)
+    basis, letters = _energy_coordinates(hs)
     width = n ** (depth - t)
+    # Each member's energy coordinates refined down to the chunk prefixes,
+    # with top[c] the rows under chunk c.
+    tops = [
+        _refine(letters, m.cell_coeffs @ basis.T, max(0, t - m.level))
+        .reshape(n**t, -1, hs.d - 1)
+        for m in members
+    ]
     levels = [depth - max(t, m.level) for m in members]
 
-    def heads(chunk: int) -> list[np.ndarray]:
-        # Pullbacks build vertex tables, so they run on the calling thread;
-        # workers only touch arrays.
-        word = index_to_word(chunk, t, n)
-        return [pullback(m, word).cell_coeffs for m in members]
-
-    def one_chunk(chunk: int, tops: list[np.ndarray]) -> tuple[int, np.ndarray]:
-        blocks = np.stack(
-            [_refine(hs.extensions, top, k) for top, k in zip(tops, levels)]
-        )
-        # Center each cell first: constants carry no energy, and cells whose
-        # pullbacks are nearly constant would otherwise cancel through O(1)
-        # values and leave noise above the mass floor.
-        blocks -= blocks.mean(axis=2, keepdims=True)
-        rooted = np.einsum("kcp,pa->kca", blocks, factor, optimize=False)
+    def one_chunk(chunk: int) -> tuple[int, np.ndarray]:
+        rooted = np.stack([_refine(letters, top[chunk], k) for top, k in zip(tops, levels)])
         gram = np.einsum("ica,jca->cij", rooted, rooted, optimize=False)
         gram *= (2.0 * inv_prefix[chunk]) * inv_tail[:, None, None]
         return chunk * width, gram
@@ -282,13 +277,12 @@ def _scan_chunks(
     chunks = range(n ** t)
     if workers <= 1:
         for chunk in chunks:
-            yield one_chunk(chunk, heads(chunk))
+            yield one_chunk(chunk)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Submit in bounded waves so at most ``workers`` Gram blocks are alive.
         for lo in range(0, len(chunks), workers):
-            wave = chunks[lo : lo + workers]
-            yield from pool.map(one_chunk, wave, [heads(c) for c in wave])
+            yield from pool.map(one_chunk, chunks[lo : lo + workers])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ def validate_laplacian(matrix: np.ndarray) -> np.ndarray:
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"laplacian must be square, got shape {D.shape}")
     d = D.shape[0]
-    scale = float(np.abs(D).max()) or 1.0
+    scale = float(np.abs(D).max())
+    if not scale >= np.finfo(float).tiny:
+        raise ValidationError(f"laplacian scale {scale:.3g} is zero or subnormal")
     if float(np.abs(D - D.T).max()) > SYMMETRY_TOL * scale:
         raise ValidationError("laplacian is not symmetric")
     D = 0.5 * (D + D.T)
@@ -195,7 +197,7 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
         )
     A = hs.extensions[letter - 1]
     ri = float(hs.weights[letter - 1])
-    eigvals = np.linalg.eigvals(A)
+    eigvals, vecs = np.linalg.eig(A)
     dist_one = np.abs(eigvals - 1.0)
     dist_ri = np.abs(eigvals - ri)
     if np.sum(dist_one < EIGEN_GAP_TOL) != 1:
@@ -217,8 +219,7 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
             f"letter {letter}: D column at the fixed point is not a left eigenvector at r"
         )
 
-    vals, vecs = np.linalg.eig(A)
-    k = int(np.argmin(np.abs(vals - ri)))
+    k = int(np.argmin(dist_ri))
     right = np.real(vecs[:, k])
     if float(right.sum()) < 0.0:
         right = -right
@@ -259,8 +260,8 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
             "no harmonic data: the structure document declares no laplacian or no weights"
         )
     D = validate_laplacian(D)
-    if np.any(r <= 0.0) or np.any(r >= 1.0):
-        raise ValidationError("letter weights must lie strictly between 0 and 1")
+    if not np.all((r >= np.finfo(float).tiny) & (r < 1.0)):
+        raise ValidationError("letter weights must be normal floats in (0, 1)")
 
     table = spec.vertex_table(1)
     d = spec.d
@@ -271,7 +272,7 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     # of basis vectors are covered by bilinearity.
     H, _ = level_one_energy_matrix(spec, D, r)
     traced = full.T @ H @ full
-    scale = float(np.abs(D).max()) or 1.0
+    scale = float(np.abs(D).max())
     residual = float(np.abs(traced + D).max()) / scale
     if not residual <= FIXED_POINT_TOL:  # NaN fails too
         raise NotHarmonicError(

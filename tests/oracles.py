@@ -12,6 +12,7 @@ never through the block writer or the package's word helpers.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -136,6 +137,32 @@ def brute_density_field(extensions: np.ndarray, laplacian: np.ndarray, r: np.nda
         mats.append(z)
         eigs.append(np.linalg.eigvalsh(weighted)[::-1])
     return words, mats, eigs
+
+
+def sg2_exact_cell_masses(boundary_values, depth: int) -> list[Fraction]:
+    """Depth-``depth`` cell masses, in lex order and exact rationals, of the
+    harmonic function on the Sierpinski gasket with the given corner values.
+
+    Cell i keeps corner p_i, and the midpoint of p_i p_j (k the third corner)
+    takes the classical value (2 u_i + 2 u_j + u_k) / 5.  A cell's energy is
+    the sum of squared corner differences and its mass twice that energy
+    times (5/3)^depth.
+    """
+    corners = [tuple(Fraction(v) for v in boundary_values)]
+    for _ in range(depth):
+        refined = []
+        for u in corners:
+            for i in range(3):
+                refined.append(tuple(
+                    u[i] if j == i else (2 * u[i] + 2 * u[j] + u[3 - i - j]) / 5
+                    for j in range(3)
+                ))
+        corners = refined
+    scale = 2 * Fraction(5, 3) ** depth
+    return [
+        scale * sum((u[i] - u[j]) ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
+        for u in corners
+    ]
 
 
 def reference_word(index: int, depth: int, n_letters: int) -> str:

@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracform as ff
 import oracles
@@ -86,6 +89,58 @@ def test_validate_huge_alphabet_fails_fast(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200
     assert "disconnected" in lines[0]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _field_paths(node, prefix=()):
+    """Every key and list-index path below ``node``, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["sg2", "vicsek"]),
+    pick=st.integers(min_value=0),
+    replacement=st.none() | JSON_VALUES.map(lambda value: [value]),
+)
+def test_mutated_document_fails_cleanly(tmp_path_factory, name, pick, replacement):
+    # One field deleted or replaced by arbitrary JSON: every command ends
+    # with a defined exit code and, on failure, a single error line.
+    raw = json.loads(ff.builtin_structure_path(name).read_text())
+    corner = ",".join(["1"] + ["0"] * (len(raw["boundary"]) - 1))
+    paths = list(_field_paths(raw))
+    *parents, key = paths[pick % len(paths)]
+    node = raw
+    for step in parents:
+        node = node[step]
+    if replacement is None:
+        del node[key]
+    else:
+        node[key] = replacement[0]
+    doc = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    doc.write_text(json.dumps(raw))
+    for argv in (
+        ["validate", "--structure", str(doc)],
+        ["measure", "--structure", str(doc), "--f", corner, "--depth", "1"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert len(errors) == 1, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("key", ["laplacian", "weights"])

@@ -139,6 +139,18 @@ def test_zeta_reconstructs_pivot(sg2):
         assert zeta.residuals[c] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_zeta_alpha_is_smallest_tied_index(vicsek, depth):
+    # Symmetric cells of the level-1 family have weighted diagonals that tie
+    # up to rounding (gaps below 1e-12, against genuine gaps above 2e-5); the
+    # pivot must be the first tied member, whatever the rounding.
+    field = ff.density_matrices(ff.level1_family(vicsek), depth)
+    weighted = field.weights * np.einsum("cii->ci", field.matrices)
+    tied = weighted >= (1.0 - 1e-7) * weighted.max(axis=1, keepdims=True)
+    assert np.any(tied.sum(axis=1) > 1)
+    np.testing.assert_array_equal(ff.zeta_factors(field).alpha, tied.argmax(axis=1))
+
+
 def test_rank_statistics_recomputed(sg2):
     field = ff.density_matrices(ff.harmonic_family(sg2), 5)
     zeta = ff.zeta_factors(field)

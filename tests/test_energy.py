@@ -1,5 +1,6 @@
 import itertools
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ def test_cell_masses_of_first_corner_function(sg2):
     assert ff.cell_mass(f, word=(1,)) == pytest.approx(2.4, abs=1e-14)
     assert ff.cell_mass(f, word=(2,)) == pytest.approx(0.8, abs=1e-14)
     assert ff.cell_mass(f, word=(3,)) == pytest.approx(0.8, abs=1e-14)
+
+
+def test_measure_table_matches_exact_rationals(sg2):
+    # The oracle starts from the exact values of the float inputs, so every
+    # difference is the scan's own rounding.
+    values = (0.3, -0.2, 0.7)
+    exact = oracles.sg2_exact_cell_masses([Fraction(v) for v in values], 8)
+    table = ff.measure_table(harmonic_fn(sg2, values), depth=8)
+    np.testing.assert_allclose(table.masses, [float(m) for m in exact], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
