@@ -15,7 +15,6 @@ from .structure import (
     build_vertices,
     builtin_structure,
     builtin_structure_path,
-    index_to_word,
     load_structure,
     validate_structure,
     word_index,

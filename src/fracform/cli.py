@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CONSISTENCY_TOL, FIXED_POINT_TOL, MASS_FLOOR
+from .config import COINCIDENCE_DECIMALS, CONSISTENCY_TOL, FIXED_POINT_TOL, MASS_FLOOR
 from .errors import (
     FracformError,
     NumericalError,
@@ -85,7 +85,7 @@ class RunConfig:
             raise ParseError("depths must be nonnegative")
         if not 0.0 < self.tau_rank < 1.0:
             raise ParseError("--tau-rank must lie strictly between 0 and 1")
-        if self.mass_floor <= 0.0:
+        if not self.mass_floor > 0.0:
             raise ParseError("--mass-floor must be positive")
         if self.workers < 1:
             raise ParseError("--workers must be at least 1")
@@ -97,9 +97,10 @@ class RunConfig:
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"{what} must be a comma-separated number list, got {text!r}") from exc
+    return tuple(_floats(values, what).tolist())
 
 
 def _parse_depths(depths: str) -> tuple[int, ...]:
@@ -389,7 +390,7 @@ def cmd_embed(args) -> int:
     coords = np.column_stack([lift(m, vertex_depth).values for m in family.members])
     if not np.all(np.isfinite(coords)):
         raise NumericalError("vertex coordinates contain non-finite values")
-    coincidences = table.num_vertices - _distinct_rows(np.round(coords, 12))
+    coincidences = table.num_vertices - _distinct_rows(np.round(coords, COINCIDENCE_DECIMALS))
     if coincidences:
         print(
             f"warning: coordinate map is not injective on V_{vertex_depth} "
@@ -405,19 +406,15 @@ def cmd_embed(args) -> int:
     metric = fld.matrices * fld.total_mass
     if not np.all(np.isfinite(metric)):
         raise NumericalError("per-cell metric contains non-finite values")
-    vals, vecs = np.linalg.eigh(metric)
-    top = vecs[:, :, -1]
-    lead = np.argmax(np.abs(top) > 1e-12, axis=1)
-    signs = np.sign(top[np.arange(top.shape[0]), lead])
-    signs[signs == 0.0] = 1.0
-    top = top * signs[:, None]
+    zeta = zeta_factors(fld).zeta
+    direction = zeta / np.linalg.norm(zeta, axis=1, keepdims=True)
 
     phis = [f"phi{j + 1}" for j in range(k)]
     write_table(args.vertices_out, ["vertex", *phis], (np.arange(table.num_vertices), coords))
     zcols = [f"z{i + 1}_{j + 1}" for i in range(k) for j in range(k)]
     dirs = [f"dir{j + 1}" for j in range(k)]
     words = WordColumn(fld.indices, fld.depth, fld.n_letters)
-    columns = (words, nu, metric.reshape(fld.size, -1), top)
+    columns = (words, nu, metric.reshape(fld.size, -1), direction)
     write_table(args.cells_out, ["word", "nu", *zcols, *dirs], columns)
     print(
         f"vertices: {table.num_vertices} at depth {vertex_depth}; "
@@ -539,11 +536,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow, NaN and division by zero stop the run instead of flowing
+        # into the output.  errstate is per thread: scan pool threads keep
+        # numpy's defaults.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FracformError as exc:
+    except (FracformError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,3 +33,5 @@ PIVOT_TIE_TOL = 1e-9        # weighted diagonals this close (relative) tie for a
 REPRESENTING_TOL = 1e-10    # representing-field range and pairing checks
 MASS_FLOOR = 1e-14          # cell skip threshold as a fraction of total mass
 FAMILY_NORM_TOL = 1e-8      # |2 E(e_i) - 1| allowed for family members
+REALIZATION_TOL = 1e-9      # realization fixed-point and gluing gaps, relative
+COINCIDENCE_DECIMALS = 12   # embed: vertex coordinates equal at this rounding coincide

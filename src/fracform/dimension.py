@@ -31,11 +31,12 @@ from .config import (
     TRACE_IDENTITY_TOL,
 )
 from .errors import CapExceededError, NumericalError, ValidationError
-from .harmonic import EigenData, HarmonicStructure
+from .harmonic import EigenData, HarmonicStructure, graph_energy
 from .emit import WordColumn, write_table
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
+    _weight_products,
     energy,
     mean_functional,
     normalize_xi,
@@ -88,9 +89,9 @@ class FunctionFamily:
                 f"{len(self.members)} members need {len(self.members)} weights, "
                 f"got shape {w.shape}"
             )
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValidationError("family weights must be positive")
-        if abs(float(w.sum()) - 1.0) > CONSISTENCY_TOL:
+        if not abs(float(w.sum()) - 1.0) <= CONSISTENCY_TOL:
             raise ValidationError("family weights must sum to 1")
         w = w.copy()
         w.setflags(write=False)
@@ -111,19 +112,24 @@ def _orthonormalize(
     mean: MeanFunctional,
 ) -> list[PiecewiseHarmonic]:
     """Gram-Schmidt in the 2E inner product after centering, dropping
-    candidates that collapse onto the span of the earlier ones."""
-    out: list[PiecewiseHarmonic] = []
+    candidates that collapse onto the span of the earlier ones.  The
+    candidates share one structure and level, so the sweep runs on their
+    vertex-value arrays."""
+    hs, level = candidates[0].structure, candidates[0].level
+    slots = hs.spec.vertex_table(level).slots
+    inv = _weight_products(1.0 / hs.weights, level)
+    out: list[np.ndarray] = []
     for cand in candidates:
-        g = normalize_xi(cand, mean)
-        if float(np.ptp(g.values)) == 0.0:
+        g = normalize_xi(cand, mean).values
+        if float(np.ptp(g)) == 0.0:
             continue
         for member in out:
-            g = g - (2.0 * energy(g, member)) * member
-        twice = 2.0 * energy(g)
+            g = g - (2.0 * graph_energy(slots, inv, hs.laplacian, g, member)) * member
+        twice = 2.0 * graph_energy(slots, inv, hs.laplacian, g)
         if twice <= FAMILY_NORM_TOL:
             continue
-        out.append(PiecewiseHarmonic(g.structure, g.level, g.values / np.sqrt(twice)))
-    return out
+        out.append(g / np.sqrt(twice))
+    return [PiecewiseHarmonic(hs, level, g) for g in out]
 
 
 def _indicator_family(
@@ -173,6 +179,8 @@ def family_from_values(
     if mean is None:
         mean = mean_functional(hs)
     rows = [np.asarray(row, dtype=float) for row in value_rows]
+    if not rows:
+        raise ValidationError("family needs at least one member")
     members = []
     for idx, row in enumerate(rows):
         f = normalize_xi(PiecewiseHarmonic(hs, level, row), mean)
@@ -251,7 +259,7 @@ def density_matrices(
             raise ValidationError(
                 f"family member {i + 1} has twice-energy {twice!r}, expected 1"
             )
-    if mass_floor <= 0.0:
+    if not mass_floor > 0.0:
         raise ValidationError("mass floor must be positive")
     total = float(np.sum(a * np.asarray(twice_energies)))
     floor = mass_floor * total
@@ -447,36 +455,22 @@ def representing_field(
 # single-letter runs
 
 
-def _propagate(hs: HarmonicStructure, u: np.ndarray, letter: int, steps: int) -> np.ndarray:
-    """Apply the letter extension matrix repeatedly, projecting out the mean
-    (harmless for energies, crucial for conditioning) and dividing by the
-    letter weight each step."""
-    a = hs.extensions[letter - 1]
-    r = float(hs.weights[letter - 1])
-    w = np.asarray(u, dtype=float).copy()
-    w -= w.mean()
-    for _ in range(steps):
-        w = a @ w
-        w -= w.mean()
-        w /= r
-    return w
-
-
 def cell_run_mass(hs: HarmonicStructure, u, letter: int, n: int) -> float:
     """Scaled mass of the depth-n constant-letter cell: r_i^{-n} times the
     mass the measure of the harmonic function with boundary values u puts on
     the word i...i (n letters).
 
-    Evaluated as twice the energy pairing of the per-step renormalized
-    iterate, which agrees with the direct formula exactly in real arithmetic
-    and avoids the growth of the constant component in floating point.
+    Evaluated in the pair's energy basis, x <- C_i x / r_i per letter, where
+    constants have no component and the energy is the squared norm.
     """
     if not 1 <= letter <= hs.d:
         raise ValidationError(f"letter {letter} has no fixed boundary point")
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    w = _propagate(hs, u, letter, n)
-    return float(2.0 * (w @ (-hs.laplacian) @ w))
+    x = hs.energy_basis @ np.asarray(u, dtype=float)
+    for _ in range(n):
+        x = hs.energy_letters[letter - 1] @ x / hs.weights[letter - 1]
+    return float(2.0 * (x @ x))
 
 
 def run_mass_limit(hs: HarmonicStructure, data: EigenData, u) -> float:

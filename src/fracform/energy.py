@@ -8,13 +8,13 @@ assigns each word cell twice the rescaled energy of the pulled-back pair, and
 the full table of depth-n masses is what the dimension diagnostics consume.
 
 The cell scan at the bottom of this module is the shared engine.  It maps
-each member once into energy coordinates, where a cell's energy is a squared
-norm, refines them one level at a time by the letter matrices of that basis
-in fixed-size lexicographic chunks, and hands back Gram blocks of pair masses
-(exactly symmetric and positive semidefinite in floating point).  The chunk
-layout depends only on the requested depth, never on the worker count, and
-all reductions run in lexicographic order, so outputs are bitwise
-reproducible.
+every member once into the pair's energy basis, where a cell's energy is a
+squared norm, stacks the members into one block, refines it one level at a
+time by the pair's energy letter matrices in fixed-size lexicographic chunks,
+and hands back Gram blocks of pair masses (exactly symmetric and positive
+semidefinite in floating point).  The chunk layout depends only on the
+requested depth, never on the worker count, and all reductions run in
+lexicographic order, so outputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -83,19 +83,6 @@ class PiecewiseHarmonic:
         coeffs = self.values[table.slots]
         coeffs.setflags(write=False)
         return coeffs
-
-    def __sub__(self, other):
-        if not isinstance(other, PiecewiseHarmonic):
-            return NotImplemented
-        if other.structure is not self.structure:
-            raise ValidationError("cannot combine functions on different structures")
-        m = max(self.level, other.level)
-        return PiecewiseHarmonic(self.structure, m, lift(self, m).values - lift(other, m).values)
-
-    def __mul__(self, scalar):
-        return PiecewiseHarmonic(self.structure, self.level, float(scalar) * self.values)
-
-    __rmul__ = __mul__
 
 
 def _refine(extensions: np.ndarray, block: np.ndarray, levels: int) -> np.ndarray:
@@ -207,18 +194,6 @@ def _chunk_prefix_depth(n_letters: int, depth: int) -> int:
     return t
 
 
-def _energy_coordinates(hs: HarmonicStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Energy basis B = L^T Q^T, with |B u|^2 = -u^T D u, and letter matrices
-    C_i = B A_i Q L^-T, with B A_i = C_i B because every A_i fixes the
-    constants that B annihilates.  Q spans the vectors orthogonal to the
-    constants and L L^T = Q^T (-D) Q."""
-    q = np.linalg.qr(np.column_stack([np.ones(hs.d), np.eye(hs.d)[:, 1:]]))[0][:, 1:]
-    chol = np.linalg.cholesky(q.T @ (-hs.laplacian) @ q)
-    basis = chol.T @ q.T
-    letters = basis @ hs.extensions @ np.linalg.solve(chol, q.T).T
-    return basis, np.ascontiguousarray(letters)
-
-
 def scan_cell_masses(
     hs: HarmonicStructure,
     members: Sequence[PiecewiseHarmonic],
@@ -257,19 +232,19 @@ def _scan_chunks(
     inv_letter = 1.0 / hs.weights
     inv_prefix = _weight_products(inv_letter, t)
     inv_tail = _weight_products(inv_letter, depth - t)
-    basis, letters = _energy_coordinates(hs)
+    letters, k = hs.energy_letters, len(members)
     width = n ** (depth - t)
-    # Each member's energy coordinates refined down to the chunk prefixes,
-    # with top[c] the rows under chunk c.
-    tops = [
-        _refine(letters, m.cell_coeffs @ basis.T, max(0, t - m.level))
-        .reshape(n**t, -1, hs.d - 1)
-        for m in members
-    ]
-    levels = [depth - max(t, m.level) for m in members]
+    # Every member's energy coordinates at depth ``top``, member-major, with
+    # block[i, c] member i's rows under chunk c.  Refinement sends row c to
+    # rows c*n .. c*n+n-1, so each member's rows stay contiguous.
+    top = max([t] + [m.level for m in members])
+    block = np.concatenate(
+        [_refine(letters, m.cell_coeffs @ hs.energy_basis.T, top - m.level) for m in members]
+    ).reshape(k, n**t, -1, hs.d - 1)
 
     def one_chunk(chunk: int) -> tuple[int, np.ndarray]:
-        rooted = np.stack([_refine(letters, top[chunk], k) for top, k in zip(tops, levels)])
+        rooted = _refine(letters, block[:, chunk].reshape(-1, hs.d - 1), depth - top)
+        rooted = rooted.reshape(k, width, hs.d - 1)
         gram = np.einsum("ica,jca->cij", rooted, rooted, optimize=False)
         gram *= (2.0 * inv_prefix[chunk]) * inv_tail[:, None, None]
         return chunk * width, gram
@@ -384,9 +359,9 @@ def mean_functional(hs: HarmonicStructure, mu_weights=None) -> MeanFunctional:
         mu = np.asarray(mu_weights, dtype=float)
         if mu.shape != (n,):
             raise ValidationError(f"need one measure weight per letter, got {mu.shape}")
-        if np.any(mu <= 0.0):
+        if not np.all(mu > 0.0):
             raise ValidationError("measure weights must be positive")
-        if abs(float(mu.sum()) - 1.0) > CONSISTENCY_TOL:
+        if not abs(float(mu.sum()) - 1.0) <= CONSISTENCY_TOL:
             raise ValidationError("measure weights must sum to 1")
     transfer = np.einsum("i,ipq->qp", mu, hs.extensions, optimize=False)
     system = np.vstack([transfer - np.eye(d), np.ones((1, d))])
@@ -397,7 +372,7 @@ def mean_functional(hs: HarmonicStructure, mu_weights=None) -> MeanFunctional:
         float(np.linalg.norm(transfer @ coeffs - coeffs)),
         abs(float(coeffs.sum()) - 1.0),
     )
-    if residual > MEAN_RESIDUAL_TOL:
+    if not residual <= MEAN_RESIDUAL_TOL:
         raise NumericalError(
             f"mean fixed point did not solve cleanly (residual {residual:.3g})"
         )

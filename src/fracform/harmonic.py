@@ -89,7 +89,10 @@ def graph_energy(
     uu = np.asarray(u, dtype=float)[slots]
     vv = np.asarray(v, dtype=float)[slots]
     per_cell = -np.einsum("cp,pq,cq->c", uu, D, vv, optimize=False)
-    return float(np.sum(per_cell * inv_r))
+    total = float(np.sum(per_cell * inv_r))
+    if not np.isfinite(total):  # einsum overflows without a floating-point error
+        raise NumericalError(f"network energy {total!r} is not finite")
+    return total
 
 
 def level_one_energy_matrix(spec: StructureSpec, D: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, VertexTable]:
@@ -145,12 +148,19 @@ class HarmonicStructure:
     extensions[i] maps boundary values of a function to the boundary values
     of its harmonic restriction to the letter-(i+1) cell.  Pulling back along
     a word multiplies these in reverse letter order.
+
+    energy_basis is B = L^T Q^T, with |B u|^2 = -u^T D u, and energy_letters
+    holds the letter matrices C_i = B A_i Q L^-T, with B A_i = C_i B because
+    every A_i fixes the constants that B annihilates.  Q spans the vectors
+    orthogonal to the constants and L L^T = Q^T (-D) Q.
     """
 
     spec: StructureSpec
     laplacian: np.ndarray
     weights: np.ndarray
     extensions: np.ndarray
+    energy_basis: np.ndarray
+    energy_letters: np.ndarray
     residual: float
 
     @property
@@ -284,6 +294,13 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     for i in range(spec.n_letters):
         exts[i] = full[table.slots[i]]
     exts.setflags(write=False)
+    q = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))[0][:, 1:]
+    chol = np.linalg.cholesky(q.T @ (-D) @ q)
+    basis = chol.T @ q.T
+    letters = np.ascontiguousarray(basis @ exts @ np.linalg.solve(chol, q.T).T)
+    basis.setflags(write=False)
+    letters.setflags(write=False)
     return HarmonicStructure(
-        spec=spec, laplacian=D, weights=r, extensions=exts, residual=residual
+        spec=spec, laplacian=D, weights=r, extensions=exts, energy_basis=basis,
+        energy_letters=letters, residual=residual,
     )

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import MAX_CELLS
+from .config import MAX_CELLS, REALIZATION_TOL
 from .errors import CapExceededError, ParseError, ValidationError
 
 Word = tuple[int, ...]
@@ -39,14 +39,6 @@ def word_index(w: Word, n_letters: int) -> int:
             raise ValidationError(f"letter {c} outside alphabet 1..{n_letters}")
         idx = idx * n_letters + (c - 1)
     return idx
-
-
-def index_to_word(idx: int, depth: int, n_letters: int) -> Word:
-    letters = []
-    for _ in range(depth):
-        idx, rem = divmod(idx, n_letters)
-        letters.append(rem + 1)
-    return tuple(reversed(letters))
 
 
 GluePair = tuple[tuple[int, int], tuple[int, int]]
@@ -133,13 +125,10 @@ def build_vertices(spec: StructureSpec, depth: int) -> VertexTable:
                 rb = parent[rb]
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        roots = _resolve_roots(parent)
-        flat = roots[base.ravel()]
-        uniq, first = np.unique(flat, return_index=True)
-        order = np.argsort(first, kind="stable")
-        new_ids = np.empty(n * nv, dtype=np.int64)
-        new_ids[uniq[order]] = np.arange(uniq.size, dtype=np.int64)
-        slots = new_ids[flat].reshape(base.shape)
+        # Ids first occur in increasing order along base and each root is the
+        # least id of its class, so sorted roots are in first-occurrence order.
+        uniq, inverse = np.unique(_resolve_roots(parent)[base.ravel()], return_inverse=True)
+        slots = inverse.reshape(base.shape)
         nv = int(uniq.size)
         # p_k sits at the all-k word: row (k-1) * (n^level - 1) / (n - 1).
         run = (n ** level - 1) // (n - 1)
@@ -239,14 +228,14 @@ def _check_realization_geometry(spec: StructureSpec) -> None:
     for i in range(1, spec.d + 1):
         label = spec.boundary[i - 1]
         err = np.linalg.norm(image(i, label) - pts[label])
-        if err > 1e-9 * scale:
+        if err > REALIZATION_TOL * scale:
             raise ValidationError(
                 f"fixed-point mismatch: map {i} does not fix {label!r} "
                 f"in the supplied realization (error {err:.3g})"
             )
     for (i, p), (j, q) in spec.gluing:
         err = np.linalg.norm(image(i, spec.boundary[p]) - image(j, spec.boundary[q]))
-        if err > 1e-9 * scale:
+        if err > REALIZATION_TOL * scale:
             raise ValidationError(
                 f"gluing conflict: declared identification ({i},{spec.boundary[p]}) ~ "
                 f"({j},{spec.boundary[q]}) does not hold in the realization"

