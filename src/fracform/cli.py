@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class RunConfig:
     """Validated bundle of common run parameters."""
 
     structure_path: str
-    depths: tuple[int, ...]
+    depths: Sequence[int]
     family: str = "harmonic"
     weights: tuple[float, ...] | None = None
     mu: tuple[float, ...] | None = None
@@ -79,9 +80,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Option ranges are input errors (exit 2), like malformed values.
+        # depths is an ascending range or at most two depths, so its ends
+        # bound it; a --depths range is never walked here.
         if not self.depths:
             raise ParseError("at least one depth is required")
-        if any(n < 0 for n in self.depths):
+        if min(self.depths[0], self.depths[-1]) < 0:
             raise ParseError("depths must be nonnegative")
         if not 0.0 < self.tau_rank < 1.0:
             raise ParseError("--tau-rank must lie strictly between 0 and 1")
@@ -103,14 +106,25 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     return tuple(_floats(values, what).tolist())
 
 
-def _parse_depths(depths: str) -> tuple[int, ...]:
+def _parse_depths(depths: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", depths.strip())
     if not m:
         raise ParseError(f"--depths expects A..B, got {depths!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if hi < lo:
         raise ParseError(f"--depths range is empty: {depths!r}")
-    return tuple(range(lo, hi + 1))
+    return range(lo, hi + 1)
+
+
+def _check_convex(values, count: int, option: str) -> None:
+    """Weights of the right count must be positive and sum to 1 (exit 2); a
+    wrong count is a mismatch the library refuses (exit 1)."""
+    if values is None or len(values) != count:
+        return
+    if not all(v > 0.0 for v in values):
+        raise ParseError(f"{option} must be positive")
+    if not abs(float(np.sum(values)) - 1.0) <= CONSISTENCY_TOL:
+        raise ParseError(f"{option} must sum to 1")
 
 
 def resolve_structure(token: str) -> StructureSpec:
@@ -158,23 +172,25 @@ def _load_function(hs: HarmonicStructure, token: str) -> PiecewiseHarmonic:
 def _build_family(
     hs: HarmonicStructure, config: RunConfig, mean: MeanFunctional
 ) -> FunctionFamily:
-    weights = np.asarray(config.weights, dtype=float) if config.weights else None
     if config.family == "harmonic":
-        return harmonic_family(hs, mean, weights)
-    if config.family == "level1":
-        return level1_family(hs, mean, weights)
-    if config.family.startswith("file:"):
+        family = harmonic_family(hs, mean)
+    elif config.family == "level1":
+        family = level1_family(hs, mean)
+    elif config.family.startswith("file:"):
         level, members = _read_levelled_file(
             "family", config.family, "members",
             lambda rows, what: [_floats(row, what) for row in rows],
         )
-        return family_from_values(hs, level, members, weights, mean)
-    raise ParseError(
-        f"unknown family {config.family!r}; use harmonic, level1, or file:PATH"
-    )
+        family = family_from_values(hs, level, members, mean=mean)
+    else:
+        raise ParseError(
+            f"unknown family {config.family!r}; use harmonic, level1, or file:PATH"
+        )
+    _check_convex(config.weights, family.size, "--weights")
+    return FunctionFamily(family.members, config.weights)
 
 
-def _family_run(args, depths: tuple[int, ...], **fields):
+def _family_run(args, depths: Sequence[int], **fields):
     """Config, structure, harmonic pair and family for scan, embed and
     chainrule; every depth is checked against the cell cap before any work."""
     config = RunConfig(
@@ -187,7 +203,9 @@ def _family_run(args, depths: tuple[int, ...], **fields):
         **fields,
     )
     spec = resolve_structure(args.structure)
-    check_cell_cap(spec.n_letters, *config.depths)
+    for depth in config.depths:
+        check_cell_cap(spec.n_letters, depth)
+    _check_convex(config.mu, spec.n_letters, "--mu")
     hs = harmonic_structure(spec)
     mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
     return config, spec, hs, _build_family(hs, config, mean)
@@ -385,6 +403,7 @@ def cmd_embed(args) -> int:
     )
     k = family.size
     cell_depth = config.depths[0]
+    check_field_bytes(spec.n_letters, cell_depth, k)
 
     table = spec.vertex_table(vertex_depth)
     coords = np.column_stack([lift(m, vertex_depth).values for m in family.members])

@@ -78,17 +78,15 @@ class FunctionFamily:
     """
 
     members: tuple[PiecewiseHarmonic, ...]
-    weights: np.ndarray
+    weights: np.ndarray | None = None  # uniform when omitted
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if len(self.members) == 0:
+        k = len(self.members)
+        if k == 0:
             raise ValidationError("family needs at least one member")
-        if w.shape != (len(self.members),):
-            raise ValidationError(
-                f"{len(self.members)} members need {len(self.members)} weights, "
-                f"got shape {w.shape}"
-            )
+        w = np.full(k, 1.0 / k) if self.weights is None else np.asarray(self.weights, dtype=float)
+        if w.shape != (k,):
+            raise ValidationError(f"{k} members need {k} weights, got shape {w.shape}")
         if not np.all(w > 0.0):
             raise ValidationError("family weights must be positive")
         if not abs(float(w.sum()) - 1.0) <= CONSISTENCY_TOL:
@@ -133,7 +131,7 @@ def _orthonormalize(
 
 
 def _indicator_family(
-    hs: HarmonicStructure, level: int, mean: MeanFunctional | None, weights
+    hs: HarmonicStructure, level: int, mean: MeanFunctional | None
 ) -> FunctionFamily:
     """Orthonormalized interpolants of the level's vertex indicators; the
     constant direction drops, so the family has one member fewer than the
@@ -144,35 +142,24 @@ def _indicator_family(
     members = _orthonormalize([PiecewiseHarmonic(hs, level, row) for row in eye], mean)
     if not members:
         raise ValidationError("no nonconstant members found")
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    return FunctionFamily(members=tuple(members), weights=weights)
+    return FunctionFamily(tuple(members))
 
 
-def harmonic_family(
-    hs: HarmonicStructure,
-    mean: MeanFunctional | None = None,
-    weights=None,
-) -> FunctionFamily:
+def harmonic_family(hs: HarmonicStructure, mean: MeanFunctional | None = None) -> FunctionFamily:
     """Orthonormal mean-zero harmonic members built from the boundary basis:
     d - 1 members on a d-point boundary."""
-    return _indicator_family(hs, 0, mean, weights)
+    return _indicator_family(hs, 0, mean)
 
 
-def level1_family(
-    hs: HarmonicStructure,
-    mean: MeanFunctional | None = None,
-    weights=None,
-) -> FunctionFamily:
+def level1_family(hs: HarmonicStructure, mean: MeanFunctional | None = None) -> FunctionFamily:
     """Orthonormal members spanning the level-1 piecewise harmonics."""
-    return _indicator_family(hs, 1, mean, weights)
+    return _indicator_family(hs, 1, mean)
 
 
 def family_from_values(
     hs: HarmonicStructure,
     level: int,
     value_rows,
-    weights=None,
     mean: MeanFunctional | None = None,
 ) -> FunctionFamily:
     """Family from explicit vertex-value rows, normalized member by member."""
@@ -187,9 +174,7 @@ def family_from_values(
         if float(np.ptp(f.values)) == 0.0:
             raise ValidationError(f"member {idx + 1} is constant; it carries no measure")
         members.append(f)
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    return FunctionFamily(members=tuple(members), weights=weights)
+    return FunctionFamily(tuple(members))
 
 
 # ---------------------------------------------------------------------------

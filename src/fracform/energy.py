@@ -63,11 +63,10 @@ class PiecewiseHarmonic:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        table = self.structure.spec.vertex_table(self.level)
-        if vals.shape != (table.num_vertices,):
+        count = self.structure.spec.vertex_count(self.level)
+        if vals.shape != (count,):
             raise ValidationError(
-                f"level {self.level} needs {table.num_vertices} vertex values, "
-                f"got shape {vals.shape}"
+                f"level {self.level} needs {count} vertex values, got shape {vals.shape}"
             )
         if not vals.flags.writeable:
             object.__setattr__(self, "values", vals)
@@ -216,7 +215,7 @@ def scan_cell_masses(
             raise ValidationError("family member built on a different structure")
         if m.level > depth:
             raise ValidationError(
-                f"scan depth {depth} is above a member of level {m.level}"
+                f"scan depth {depth} is below a member of level {m.level}"
             )
     return _scan_chunks(hs, members, depth, workers)
 

@@ -19,6 +19,7 @@ same structure always agree byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -83,66 +84,59 @@ class StructureSpec:
             table = self._tables[depth] = build_vertices(self, depth)
         return table
 
-
-def _resolve_roots(parent: np.ndarray) -> np.ndarray:
-    """Full path compression by repeated squaring of the parent map."""
-    roots = parent
-    while True:
-        nxt = roots[roots]
-        if np.array_equal(nxt, roots):
-            return nxt
-        roots = nxt
+    def vertex_count(self, depth: int) -> int:
+        """|V_depth| without building the table: each level puts n copies of
+        V_{depth-1} side by side and merges one vertex per gluing pair."""
+        check_cell_cap(self.n_letters, depth)
+        cells = self.n_letters ** depth
+        return cells * self.d - len(self.gluing) * (cells - 1) // (self.n_letters - 1)
 
 
-def check_cell_cap(n_letters: int, *depths: int) -> None:
-    """Raise CapExceededError at the first depth with more than MAX_CELLS cells."""
-    for depth in depths:
-        if n_letters ** depth > MAX_CELLS:
-            raise CapExceededError(
-                f"depth {depth} needs {n_letters ** depth} cells, cap is {MAX_CELLS}"
-            )
+def check_cell_cap(n_letters: int, depth: int) -> None:
+    """Raise ValidationError for a negative depth and CapExceededError when
+    depth has more than MAX_CELLS cells.
+
+    n_letters >= 2, so a depth of MAX_CELLS.bit_length() or more is over the
+    cap and n_letters ** depth is never formed for it; a count of more than
+    20 digits is printed as a power.
+    """
+    if depth < 0:
+        raise ValidationError("depth must be nonnegative")
+    if depth < MAX_CELLS.bit_length() and n_letters ** depth <= MAX_CELLS:
+        return
+    cells = f"{n_letters}^{depth}" if depth * math.log10(n_letters) >= 20 else n_letters ** depth
+    raise CapExceededError(f"depth {depth} needs {cells} cells, cap is {MAX_CELLS}")
 
 
 def build_vertices(spec: StructureSpec, depth: int) -> VertexTable:
-    """Enumerate V_depth by recursive gluing of alphabet copies of V_{depth-1}."""
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    """Enumerate V_depth by gluing n copies of V_{depth-1}, one level at a time.
+
+    validate_structure stores each pair as ((i, p), (j, q)) with i < j and
+    never glues a slot twice, so every vertex of V_{depth-1} that the later
+    corner (j, q) lands on takes the id of the earlier corner, and every other
+    vertex gets the next id copy by copy: the first-occurrence numbering.
+    Boundary point p_k of V_depth is p_k of copy k.
+    """
     n, d = spec.n_letters, spec.d
     check_cell_cap(n, depth)
+    early, early_corner, late, late_corner = np.array(spec.gluing, dtype=np.int64).reshape(-1, 4).T
     slots = np.arange(d, dtype=np.int64)[None, :]
     boundary_ids = np.arange(d, dtype=np.int64)
     nv = d
-    for level in range(1, depth + 1):
-        base = np.concatenate([slots + i * nv for i in range(n)], axis=0)
-        parent = np.arange(n * nv, dtype=np.int64)
-        for (i, p), (j, q) in spec.gluing:
-            a = (i - 1) * nv + boundary_ids[p]
-            b = (j - 1) * nv + boundary_ids[q]
-            ra, rb = parent[a], parent[b]
-            while parent[ra] != ra:
-                ra = parent[ra]
-            while parent[rb] != rb:
-                rb = parent[rb]
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        # Ids first occur in increasing order along base and each root is the
-        # least id of its class, so sorted roots are in first-occurrence order.
-        uniq, inverse = np.unique(_resolve_roots(parent)[base.ravel()], return_inverse=True)
-        slots = inverse.reshape(base.shape)
-        nv = int(uniq.size)
-        # p_k sits at the all-k word: row (k-1) * (n^level - 1) / (n - 1).
-        run = (n ** level - 1) // (n - 1)
-        boundary_ids = np.array(
-            [slots[(k) * run, k] for k in range(d)], dtype=np.int64
-        )
+    for _ in range(depth):
+        fresh = np.ones((n, nv), dtype=bool)
+        fresh[late - 1, boundary_ids[late_corner]] = False
+        ids = np.cumsum(fresh).reshape(n, nv) - 1
+        ids[late - 1, boundary_ids[late_corner]] = ids[early - 1, boundary_ids[early_corner]]
+        # A pure advanced index keeps slots C-ordered; ids[:, slots] can come
+        # out Fortran-ordered, and einsum over values[slots] rounds differently.
+        slots = ids[np.arange(n)[:, None, None], slots].reshape(-1, d)
+        boundary_ids = ids[np.arange(d), boundary_ids]
+        nv = n * nv - late.size
     slots.setflags(write=False)
     boundary_ids.setflags(write=False)
     return VertexTable(
-        depth=depth,
-        n_letters=n,
-        num_vertices=nv,
-        slots=slots,
-        boundary_ids=boundary_ids,
+        depth=depth, n_letters=n, num_vertices=nv, slots=slots, boundary_ids=boundary_ids
     )
 
 

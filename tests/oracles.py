@@ -1,7 +1,8 @@
 """Independent recomputations the test suite checks the library against.
 
 Each oracle takes a different route than the shipped code: slots are grouped
-by quantized geometry instead of the matching-based union-find, boundary
+by quantized geometry, or glued by the definition of the gluing at every
+depth, instead of the level-by-level recurrence of the vertex tables; boundary
 forms come from dense Schur complements, cell masses from explicit per-word
 matrix products instead of the chunked scan, and big-graph energies from a
 scipy.sparse assembly.  CSV text is rebuilt one row at a time, with words
@@ -42,6 +43,41 @@ def geometric_slot_ids(realization: dict, boundary: tuple[str, ...], depth: int)
             row.append(ids.setdefault(key, len(ids)))
         rows.append(row)
     return np.array(rows, dtype=np.int64)
+
+
+def glued_slot_ids(n_letters: int, n_boundary: int, pairs, depth: int):
+    """Vertex table straight from the definition of a p.c.f. gluing.
+
+    Corner p of the boundary is fixed by letter p + 1, so the point the pair
+    ((i, p), (j, q)) glues inside cell w is corner p of the depth-``depth``
+    cell w.i.(p+1)...(p+1) and corner q of w.j.(q+1)...(q+1).  Those slots are
+    merged for every pair and every word w shorter than ``depth`` with a dict
+    union, and the classes are numbered on first sight in lex (word, corner)
+    order.  Returns (slots, boundary_ids, num_vertices).
+    """
+    parent: dict = {}
+
+    def find(slot):
+        while slot in parent:
+            slot = parent[slot]
+        return slot
+
+    letters = range(1, n_letters + 1)
+    for length in range(depth):
+        tail = depth - length - 1
+        for w in itertools.product(letters, repeat=length):
+            for (i, p), (j, q) in pairs:
+                a = find((w + (i,) + (p + 1,) * tail, p))
+                b = find((w + (j,) + (q + 1,) * tail, q))
+                if a != b:
+                    parent[a] = b
+    ids: dict = {}
+    rows = [
+        [ids.setdefault(find((w, p)), len(ids)) for p in range(n_boundary)]
+        for w in itertools.product(letters, repeat=depth)
+    ]
+    boundary = [ids[find(((k + 1,) * depth, k))] for k in range(n_boundary)]
+    return np.array(rows, dtype=np.int64), np.array(boundary, dtype=np.int64), len(ids)
 
 
 def schur_boundary_form(slots: np.ndarray, num_vertices: int, boundary_ids: np.ndarray,

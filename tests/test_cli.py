@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracform as ff
 import oracles
-from fracform import cli, emit
+from fracform import cli, emit, structure
 from fracform.cli import Polynomial, _distinct_rows, main
 from fracform.config import PIVOT_TIE_TOL
 from fracform.errors import ParseError, ValidationError
@@ -375,6 +375,77 @@ def test_exit_code_for_cell_cap(capsys):
         assert err.splitlines() == ["error: depth 14 needs 4782969 cells, cap is 4194304"]
 
 
+def _no_table_at(monkeypatch, depth):
+    """Make building the vertex table of ``depth`` fail the test."""
+    build = structure.build_vertices
+
+    def guarded(spec, m):
+        assert m != depth, f"depth-{depth} vertex table built"
+        return build(spec, m)
+
+    monkeypatch.setattr(structure, "build_vertices", guarded)
+
+
+@pytest.mark.parametrize("args,depth,cells", [
+    (("measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "10000"),
+     10000, "3^10000"),
+    (("scan", "--structure", "sg2", "--depths", "10000..10000"), 10000, "3^10000"),
+    (("embed", "--structure", "sg2", "--depth", "2", "--vertex-depth", "10000",
+      "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv"), 10000, "3^10000"),
+    (("chainrule", "--structure", "sg2", "--G", "x1^2", "--depths", "9000..9001"),
+     9000, "3^9000"),
+    (("scan", "--structure", "sg2", "--depths", "2..100000000"), 14, "4782969"),
+], ids=["measure", "scan", "embed", "chainrule", "scan-long-range"])
+def test_cell_cap_on_huge_depths(capsys, args, depth, cells):
+    # No n**depth beyond the cap is formed or printed in full, and a range
+    # stops at its first failing depth without being listed.
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert err.splitlines() == [f"error: depth {depth} needs {cells} cells, cap is 4194304"]
+
+
+@pytest.mark.parametrize("level,line", [
+    (13, "error: level 13 needs 2391486 vertex values, got shape (3,)"),
+    (100000000, "error: depth 100000000 needs 3^100000000 cells, cap is 4194304"),
+], ids=["value-count", "cell-cap"])
+def test_function_file_level_checked_without_table(tmp_path, capsys, monkeypatch, level, line):
+    _no_table_at(monkeypatch, level)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"level": level, "values": [1.0, 0.0, 0.5]}))
+    code, out, err = run(
+        capsys, "measure", "--structure", "sg2", "--depth", "1", "--f", f"file:{path}"
+    )
+    assert code == 1
+    assert err.splitlines() == [line]
+
+
+def test_embed_field_byte_budget_before_vertex_table(tmp_path, capsys, monkeypatch):
+    # 3**13 cells of 19 x 19 matrices take about 4.6 GB, over the 4 GiB cap.
+    _no_table_at(monkeypatch, 13)
+    rows = np.random.default_rng(5).standard_normal((19, 3)).tolist()
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps({"level": 0, "members": rows}))
+    code, out, err = run(
+        capsys, "embed", "--structure", "sg2", "--family", f"file:{family}",
+        "--depth", "13", "--vertices-out", str(tmp_path / "v.csv"),
+        "--cells-out", str(tmp_path / "c.csv"),
+    )
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: depth 13 density field of 19 members needs {3 ** 13 * 361 * 8} bytes, "
+        f"cap is {1 << 32}"
+    ]
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_scan_depth_below_member_level(capsys):
+    code, out, err = run(
+        capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "0..1"
+    )
+    assert code == 1
+    assert err.splitlines() == ["error: scan depth 0 is below a member of level 1"]
+
+
 def test_scan_field_byte_budget(tmp_path, capsys):
     # 3**13 cells pass the cell cap, but 50 x 50 matrices for each would
     # take about 32 GB; the scan must refuse before its first depth.
@@ -487,8 +558,12 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     ("scan", "--structure", "sg2", "--depths", "2..3", "--weights", "nan,nan"),
     ("scan", "--structure", "sg2", "--depths", "2..3", "--mass-floor", "nan"),
     ("measure", "--structure", "sg2", "--f", "nan,0,0", "--depth", "2"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--weights=-1,2"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--weights=0.3,0.3"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--mu=0.5,0.5,0.5"),
 ], ids=["workers", "tau-rank", "mass-floor", "depth", "embed-vertex-depth", "mu-nan",
-        "weights-nan", "mass-floor-nan", "function-nan"])
+        "weights-nan", "mass-floor-nan", "function-nan", "weights-negative",
+        "weights-sum", "mu-sum"])
 def test_option_range_errors_exit_2(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2

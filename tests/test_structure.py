@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import fracform as ff
 from fracform.errors import ParseError, ValidationError
+from fracform.structure import check_cell_cap
 
 import oracles
 
@@ -74,6 +75,74 @@ def test_first_occurrence_numbering(sg2):
             expected_next += 1
 
 
+@pytest.mark.parametrize("name,top", [("sg2", 9), ("vicsek", 6)])
+def test_tables_are_c_ordered_and_counted_in_closed_form(name, top):
+    # values[slots] inherits the slots layout, and einsum rounds differently
+    # on a Fortran-ordered operand.
+    spec = ff.builtin_structure(name)
+    for m in range(top + 1):
+        table = ff.build_vertices(spec, m)
+        assert table.slots.flags.c_contiguous
+        assert table.num_vertices == spec.vertex_count(m)
+
+
+def test_vertex_count_builds_no_table():
+    spec = ff.builtin_structure("sg2")
+    assert spec.vertex_count(13) == (3 ** 14 + 3) // 2
+    assert 13 not in spec._tables
+    with pytest.raises(ff.CapExceededError):
+        spec.vertex_count(14)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        spec.vertex_count(-1)
+
+
+@st.composite
+def gluing_documents(draw):
+    """Valid structure documents without a pair: a path through a shuffled
+    alphabet keeps the level-1 graph connected, extra pairs use free slots,
+    and no pair joins two fixed-point corners."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=2, max_value=n))
+    labels = [f"q{k}" for k in range(d)]
+    free = {(letter, p) for letter in range(1, n + 1) for p in range(d)}
+
+    def pair(a, b):
+        free.difference_update((a, b))
+        return (a, b) if draw(st.booleans()) else (b, a)
+
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = []
+    for left, right in zip(order, order[1:]):
+        a = draw(st.sampled_from(sorted(s for s in free if s[0] == left)))
+        b = draw(st.sampled_from(sorted(s for s in free if s[0] == right)))
+        pairs.append(pair(a, b))
+    while len({s[0] for s in free}) >= 2 and draw(st.booleans()):
+        a = draw(st.sampled_from(sorted(free)))
+        b = draw(st.sampled_from(sorted(s for s in free if s[0] != a[0])))
+        pairs.append(pair(a, b))
+    for a, b in pairs:
+        assume(not (a[0] == a[1] + 1 and b[0] == b[1] + 1))
+    doc = {
+        "alphabet_size": n,
+        "boundary": labels,
+        "fixed_points": {str(k + 1): labels[k] for k in range(d)},
+        "gluing": [[i, labels[p], j, labels[q]] for (i, p), (j, q) in pairs],
+    }
+    return doc, pairs
+
+
+@given(gluing_documents(), st.integers(min_value=0, max_value=3))
+def test_tables_match_definitional_gluing(drawn, depth):
+    doc, pairs = drawn
+    spec = ff.validate_structure(doc)
+    table = ff.build_vertices(spec, depth)
+    slots, boundary_ids, count = oracles.glued_slot_ids(spec.n_letters, spec.d, pairs, depth)
+    np.testing.assert_array_equal(table.slots, slots)
+    np.testing.assert_array_equal(table.boundary_ids, boundary_ids)
+    assert table.num_vertices == count == spec.vertex_count(depth)
+    assert table.slots.flags.c_contiguous
+
+
 def test_vertex_table_memoized(sg2):
     assert sg2.spec.vertex_table(4) is sg2.spec.vertex_table(4)
 
@@ -82,6 +151,21 @@ def test_depth_cap():
     spec = ff.builtin_structure("sg2")
     with pytest.raises(ff.CapExceededError):
         spec.vertex_table(30)
+
+
+@pytest.mark.parametrize("n,depth,cells", [
+    (3, 14, "4782969"),
+    (3, 30, "205891132094649"),
+    (10, 19, "10000000000000000000"),
+    (10, 20, "10^20"),
+    (3, 10 ** 8, "3^100000000"),
+])
+def test_cell_cap_message_forms_no_huge_power(n, depth, cells):
+    # A count of more than 20 digits prints as a power; 3 ** 10**8 alone would
+    # take minutes to form.
+    with pytest.raises(ff.CapExceededError) as info:
+        check_cell_cap(n, depth)
+    assert str(info.value) == f"depth {depth} needs {cells} cells, cap is 4194304"
 
 
 # ---------------------------------------------------------------------------
