@@ -11,20 +11,17 @@ from .errors import (
 from .structure import (
     StructureSpec,
     VertexTable,
-    Word,
     build_vertices,
     builtin_structure,
     builtin_structure_path,
     load_structure,
     validate_structure,
-    word_index,
 )
 from .harmonic import (
     EigenData,
     HarmonicStructure,
     eigen_data,
     graph_energy,
-    harmonic_extension,
     harmonic_structure,
     validate_laplacian,
 )
@@ -32,13 +29,11 @@ from .energy import (
     CellMeasureTable,
     MeanFunctional,
     PiecewiseHarmonic,
-    cell_mass,
     energy,
     lift,
     mean_functional,
     measure_table,
     normalize_xi,
-    pullback,
     scan_cell_masses,
 )
 from .dimension import (

@@ -192,7 +192,8 @@ def _build_family(
 
 def _family_run(args, depths: Sequence[int], **fields):
     """Config, structure, harmonic pair and family for scan, embed and
-    chainrule; every depth is checked against the cell cap before any work."""
+    chainrule; every depth is checked against the cell cap before any work,
+    and against the family's level once the family is built."""
     config = RunConfig(
         structure_path=args.structure,
         depths=depths,
@@ -208,7 +209,16 @@ def _family_run(args, depths: Sequence[int], **fields):
     _check_convex(config.mu, spec.n_letters, "--mu")
     hs = harmonic_structure(spec)
     mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
-    return config, spec, hs, _build_family(hs, config, mean)
+    family = _build_family(hs, config, mean)
+    # A --depths range is ascending, so its first depth is its lowest.
+    level = max(m.level for m in family.members)
+    names = ("--depth", "--vertex-depth") if args.command == "embed" else ("depth",)
+    for name, depth in zip(names, config.depths):
+        if depth < level:
+            raise ValidationError(
+                f"{args.command} {name} {depth} is below a member of level {level}"
+            )
+    return config, spec, hs, family
 
 
 # ---------------------------------------------------------------------------

@@ -43,28 +43,6 @@ from .energy import (
     scan_cell_masses,
 )
 
-__all__ = [
-    "FunctionFamily",
-    "harmonic_family",
-    "level1_family",
-    "family_from_values",
-    "DensityMatrixField",
-    "check_field_bytes",
-    "density_matrices",
-    "verify_field_invariants",
-    "ZetaField",
-    "zeta_factors",
-    "RankProfile",
-    "rank_statistics",
-    "RepresentingField",
-    "representing_field",
-    "cell_run_mass",
-    "run_mass_limit",
-    "write_cells_csv",
-    "write_profile_csv",
-]
-
-
 # ---------------------------------------------------------------------------
 # families
 

@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "WordColumn", "write_table"]
-
 # Larger blocks buy little speed and show up in peak memory on deep tables.
 BLOCK_ROWS = 4096
 

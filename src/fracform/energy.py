@@ -30,21 +30,7 @@ from .config import CHUNK_CELLS, CONSISTENCY_TOL, MEAN_RESIDUAL_TOL
 from .errors import NumericalError, ValidationError
 from .harmonic import HarmonicStructure, graph_energy
 from .emit import WordColumn, write_table
-from .structure import Word, check_cell_cap, word_index
-
-__all__ = [
-    "PiecewiseHarmonic",
-    "lift",
-    "pullback",
-    "energy",
-    "cell_mass",
-    "CellMeasureTable",
-    "measure_table",
-    "MeanFunctional",
-    "mean_functional",
-    "normalize_xi",
-    "scan_cell_masses",
-]
+from .structure import check_cell_cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,36 +104,6 @@ def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
     return PiecewiseHarmonic(hs, level, values)
 
 
-def pullback(f: PiecewiseHarmonic, word: Word) -> PiecewiseHarmonic:
-    """The composition of f with the cell map of ``word``.
-
-    Lands at level max(0, level - |word|); past the representation level the
-    result is a single harmonic function obtained by coefficient propagation.
-    """
-    word = tuple(word)
-    hs = f.structure
-    n = hs.spec.n_letters
-    for c in word:
-        if not 1 <= c <= n:
-            raise ValidationError(f"letter {c} outside alphabet 1..{n}")
-    m = len(word)
-    if m == 0:
-        return f
-    if m >= f.level:
-        coeff = f.cell_coeffs[word_index(word[: f.level], n)]
-        for letter in word[f.level :]:
-            coeff = hs.extensions[letter - 1] @ coeff
-        return PiecewiseHarmonic(hs, 0, coeff)
-    new_level = f.level - m
-    width = n ** new_level
-    lo = word_index(word, n) * width
-    block = f.cell_coeffs[lo : lo + width]
-    table = hs.spec.vertex_table(new_level)
-    values = np.empty(table.num_vertices)
-    values[table.slots.ravel()] = block.ravel()
-    return PiecewiseHarmonic(hs, new_level, values)
-
-
 def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
     """E(f, g): the network energy at the common representation level.
 
@@ -163,23 +119,6 @@ def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
     inv = _weight_products(1.0 / hs.weights, m)
     slots = hs.spec.vertex_table(m).slots
     return graph_energy(slots, inv, hs.laplacian, lift(f, m).values, lift(g, m).values)
-
-
-def cell_mass(
-    f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None, word: Word = ()
-) -> float:
-    """Mass the pair measure of (f, g) puts on the cell ``word``.
-
-    Equals 2 r_w^{-1} E(pullback(f, w), pullback(g, w)); signed when f != g.
-    """
-    if g is None:
-        g = f
-    hs = f.structure
-    return (
-        2.0
-        / hs.word_weight(word)
-        * energy(pullback(f, word), pullback(g, word))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,7 @@ from .config import (
     SYMMETRY_TOL,
 )
 from .errors import NotHarmonicError, NumericalError, ValidationError
-from .structure import StructureSpec, VertexTable, Word
-
-__all__ = [
-    "validate_laplacian",
-    "graph_energy",
-    "level_one_energy_matrix",
-    "harmonic_extension",
-    "HarmonicStructure",
-    "EigenData",
-    "eigen_data",
-    "harmonic_structure",
-]
+from .structure import StructureSpec
 
 
 def validate_laplacian(matrix: np.ndarray) -> np.ndarray:
@@ -95,52 +84,6 @@ def graph_energy(
     return total
 
 
-def level_one_energy_matrix(spec: StructureSpec, D: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, VertexTable]:
-    """Assemble the level-1 quadratic form sum_i r_i^{-1} (psi_i^* . ) on V_1."""
-    table = spec.vertex_table(1)
-    nv = table.num_vertices
-    H = np.zeros((nv, nv))
-    for i in range(spec.n_letters):
-        ids = table.slots[i]
-        H[np.ix_(ids, ids)] += (-D) / r[i]
-    return H, table
-
-
-def harmonic_extension(
-    spec: StructureSpec,
-    D: np.ndarray,
-    r: np.ndarray,
-    boundary_values: np.ndarray,
-) -> np.ndarray:
-    """Solve the level-1 interior values that minimize the network energy.
-
-    Returns the full V_1 vector (boundary entries fixed to the given values).
-    Columns of a matrix input are extended independently.
-    """
-    H, table = level_one_energy_matrix(spec, D, r)
-    nv = table.num_vertices
-    boundary = table.boundary_ids
-    interior = np.setdiff1d(np.arange(nv), boundary)
-    vals = np.asarray(boundary_values, dtype=float)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    if vals.shape[0] != boundary.size:
-        raise ValidationError(
-            f"expected {boundary.size} boundary values, got {vals.shape[0]}"
-        )
-    full = np.zeros((nv, vals.shape[1]))
-    full[boundary] = vals
-    if interior.size:
-        A = H[np.ix_(interior, interior)]
-        b = -H[np.ix_(interior, boundary)] @ vals
-        try:
-            full[interior] = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("interior system is singular") from exc
-    return full[:, 0] if squeeze else full
-
-
 @dataclass(frozen=True, eq=False)
 class HarmonicStructure:
     """A validated harmonic pair (D, r) with its letter extension matrices.
@@ -166,10 +109,6 @@ class HarmonicStructure:
     @property
     def d(self) -> int:
         return self.laplacian.shape[0]
-
-    def word_weight(self, word: Word) -> float:
-        """Product of the letter weights along ``word``."""
-        return float(np.prod(self.weights[np.array(word, dtype=int) - 1])) if word else 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,14 +212,29 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     if not np.all((r >= np.finfo(float).tiny) & (r < 1.0)):
         raise ValidationError("letter weights must be normal floats in (0, 1)")
 
+    # The level-1 form sum_i r_i^{-1} (-D) on each cell's corners, and the
+    # harmonic extension of every boundary basis vector: boundary values
+    # fixed, interior values minimizing the form.
     table = spec.vertex_table(1)
-    d = spec.d
-    full = harmonic_extension(spec, D, r, np.eye(d))
+    d, nv = spec.d, table.num_vertices
+    H = np.zeros((nv, nv))
+    for i in range(spec.n_letters):
+        ids = table.slots[i]
+        H[np.ix_(ids, ids)] += (-D) / r[i]
+    boundary = table.boundary_ids
+    interior = np.setdiff1d(np.arange(nv), boundary)
+    full = np.zeros((nv, d))
+    full[boundary] = np.eye(d)
+    try:
+        full[interior] = np.linalg.solve(
+            H[np.ix_(interior, interior)], -H[np.ix_(interior, boundary)]
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("interior system is singular") from exc
 
     # Boundary trace of the level-1 form on the harmonic extensions.  The
     # matrix identity trace = -D checks every bilinear pair at once, so sums
     # of basis vectors are covered by bilinearity.
-    H, _ = level_one_energy_matrix(spec, D, r)
     traced = full.T @ H @ full
     scale = float(np.abs(D).max())
     residual = float(np.abs(traced + D).max()) / scale

@@ -29,19 +29,6 @@ import numpy as np
 from .config import MAX_CELLS, REALIZATION_TOL
 from .errors import CapExceededError, ParseError, ValidationError
 
-Word = tuple[int, ...]
-
-
-def word_index(w: Word, n_letters: int) -> int:
-    """Lexicographic rank of ``w`` among words of its own length."""
-    idx = 0
-    for c in w:
-        if not 1 <= c <= n_letters:
-            raise ValidationError(f"letter {c} outside alphabet 1..{n_letters}")
-        idx = idx * n_letters + (c - 1)
-    return idx
-
-
 GluePair = tuple[tuple[int, int], tuple[int, int]]
 
 

@@ -7,7 +7,8 @@ forms come from dense Schur complements, cell masses from explicit per-word
 matrix products instead of the chunked scan, and big-graph energies from a
 scipy.sparse assembly.  CSV text is rebuilt one row at a time, with words
 spelled out by digit expansion of the lex index and printf-style formatting,
-never through the block writer or the package's word helpers.
+never through the block writer, and lex indices of words come from their
+base-n digits.
 """
 
 from __future__ import annotations
@@ -199,6 +200,12 @@ def sg2_exact_cell_masses(boundary_values, depth: int) -> list[Fraction]:
         scale * sum((u[i] - u[j]) ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
         for u in corners
     ]
+
+
+def lex_index(word: tuple[int, ...], n_letters: int) -> int:
+    """Lex index of ``word`` among words of its length: its letters, each
+    shifted down by one, are the base-n digits, most significant first."""
+    return sum((letter - 1) * n_letters ** k for k, letter in enumerate(reversed(word)))
 
 
 def reference_word(index: int, depth: int, n_letters: int) -> str:

@@ -438,12 +438,23 @@ def test_embed_field_byte_budget_before_vertex_table(tmp_path, capsys, monkeypat
     assert not (tmp_path / "v.csv").exists()
 
 
-def test_scan_depth_below_member_level(capsys):
+@pytest.mark.parametrize("command,depths,message", [
+    ("scan", ["--depths", "0..1"], "scan depth 0"),
+    ("chainrule", ["--G", "x1", "--depths", "0..1"], "chainrule depth 0"),
+    ("embed", ["--depth", "0", "--vertex-depth", "1"], "embed --depth 0"),
+    ("embed", ["--depth", "1", "--vertex-depth", "0"], "embed --vertex-depth 0"),
+], ids=["scan", "chainrule", "embed-depth", "embed-vertex-depth"])
+def test_depth_below_member_level(tmp_path, capsys, command, depths, message):
+    outs = []
+    if command == "embed":
+        outs = ["--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv")]
     code, out, err = run(
-        capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "0..1"
+        capsys, command, "--structure", "vicsek", "--family", "level1", *depths, *outs
     )
     assert code == 1
-    assert err.splitlines() == ["error: scan depth 0 is below a member of level 1"]
+    assert out == ""
+    assert err.splitlines() == [f"error: {message} is below a member of level 1"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_scan_field_byte_budget(tmp_path, capsys):

@@ -35,10 +35,9 @@ def test_cell_energies_of_first_corner_function(sg2):
 
 def test_cell_masses_of_first_corner_function(sg2):
     f = harmonic_fn(sg2, [1.0, 0.0, 0.0])
-    assert ff.cell_mass(f) == pytest.approx(4.0, abs=1e-14)
-    assert ff.cell_mass(f, word=(1,)) == pytest.approx(2.4, abs=1e-14)
-    assert ff.cell_mass(f, word=(2,)) == pytest.approx(0.8, abs=1e-14)
-    assert ff.cell_mass(f, word=(3,)) == pytest.approx(0.8, abs=1e-14)
+    assert ff.measure_table(f).total == pytest.approx(4.0, abs=1e-14)
+    masses = ff.measure_table(f, depth=1).masses
+    assert masses == pytest.approx([2.4, 0.8, 0.8], abs=1e-14)
 
 
 def test_measure_table_matches_exact_rationals(sg2):
@@ -69,7 +68,7 @@ def test_lift_preserves_energy_and_values(name, rng):
         for cell in range(n):
             for corner in range(hs.spec.d):
                 word = (cell + 1,) + (corner + 1,) * (level - 1)
-                deep_id = deep.slots[ff.word_index(word, n), corner]
+                deep_id = deep.slots[oracles.lex_index(word, n), corner]
                 assert lifted.values[deep_id] == pytest.approx(
                     f.values[shallow.slots[cell, corner]], abs=1e-13
                 )
@@ -81,32 +80,22 @@ def test_lift_below_level_raises(sg2, rng):
         ff.lift(f, 1)
 
 
-def test_pullback_matches_brute_coefficients(sg2, rng):
-    f = random_piecewise_harmonic(sg2, 1, rng)
-    for word in [(1,), (3, 2), (2, 1, 3)]:
-        pulled = ff.pullback(f, word)
-        expected = oracles.word_pullback_coefficients(
-            sg2.extensions, f.cell_coeffs, word
-        )
-        np.testing.assert_allclose(pulled.values, expected, atol=1e-14)
-
-
-def test_pullback_shallow_word_keeps_detail(sg2, rng):
-    f = random_piecewise_harmonic(sg2, 2, rng)
-    pulled = ff.pullback(f, (2,))
-    assert pulled.level == 1
-    np.testing.assert_allclose(
-        pulled.cell_coeffs,
-        f.cell_coeffs[3:6],
-        atol=0,
-    )
+def cell_restriction(f, letter):
+    """f composed with the letter's cell map: one level down, with the
+    letter's block of f's cell coefficients as its own."""
+    hs = f.structure
+    width = hs.spec.n_letters ** (f.level - 1)
+    table = hs.spec.vertex_table(f.level - 1)
+    values = np.empty(table.num_vertices)
+    values[table.slots] = f.cell_coeffs[(letter - 1) * width : letter * width]
+    return ff.PiecewiseHarmonic(hs, f.level - 1, values)
 
 
 def test_self_similar_energy_decomposition(sg2, rng):
     f = random_piecewise_harmonic(sg2, 1, rng)
     total = ff.energy(f)
     parts = [
-        ff.energy(ff.pullback(f, (i,))) / 0.6 for i in (1, 2, 3)
+        ff.energy(cell_restriction(f, i)) / 0.6 for i in (1, 2, 3)
     ]
     assert sum(parts) == pytest.approx(total, rel=1e-13)
 
@@ -152,7 +141,7 @@ def test_measure_against_brute_masses(sg2, rng):
         brute = oracles.brute_mass_matrix(
             sg2.extensions, sg2.laplacian, np.full(3, 0.6), [f.cell_coeffs], word
         )[0, 0]
-        assert table.masses[ff.word_index(word, 3)] == pytest.approx(brute, rel=1e-12)
+        assert table.masses[oracles.lex_index(word, 3)] == pytest.approx(brute, rel=1e-12)
 
 
 def test_coarsen_equals_independent_scan(vicsek, rng):
@@ -277,10 +266,10 @@ def test_weighted_mean_functional(sg2, rng):
     assert mean.residual < 1e-12
     const = harmonic_fn(sg2, [2.0, 2.0, 2.0])
     assert mean.integrate(const) == pytest.approx(2.0, rel=1e-13)
-    # self-similarity: integral = sum of weighted cell pullback integrals
+    # self-similarity: integral = sum of weighted cell restriction integrals
     f = random_piecewise_harmonic(sg2, 2, rng)
     parts = [
-        mu[i - 1] * mean.integrate(ff.pullback(f, (i,))) for i in (1, 2, 3)
+        mu[i - 1] * mean.integrate(cell_restriction(f, i)) for i in (1, 2, 3)
     ]
     assert mean.integrate(f) == pytest.approx(sum(parts), rel=1e-12)
 

@@ -12,6 +12,11 @@ import oracles
 SG2_A1 = np.array([[1.0, 0.0, 0.0], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4]])
 
 
+def level_one_extension(hs, boundary):
+    """V_1 values of the harmonic function with the given boundary values."""
+    return ff.lift(ff.PiecewiseHarmonic(hs, 0, boundary), 1).values
+
+
 @pytest.mark.parametrize("name", ["sg2", "vicsek"])
 def test_fixed_point_residual(name):
     hs = ff.harmonic_structure(ff.builtin_structure(name))
@@ -70,17 +75,8 @@ def test_extension_against_sparse_solve(name):
     rng = np.random.default_rng(5)
     boundary = rng.standard_normal(spec.d)
     values = oracles.sparse_harmonic_extension(form, table.boundary_ids, boundary)
-    direct = ff.harmonic_extension(spec, hs.laplacian, hs.weights, boundary)
+    direct = level_one_extension(hs, boundary)
     np.testing.assert_allclose(direct, values, atol=1e-12)
-
-
-def test_pullback_matrix_reverses_letters(sg2):
-    word = (2, 1, 3)
-    u = np.array([0.3, -1.0, 0.7])
-    expected = sg2.extensions[2] @ sg2.extensions[0] @ sg2.extensions[1] @ u
-    pulled = ff.pullback(ff.PiecewiseHarmonic(sg2, 0, u), word)
-    np.testing.assert_allclose(pulled.values, expected, rtol=0, atol=1e-15)
-    assert sg2.word_weight(word) == pytest.approx(0.6 ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def test_harmonic_extension_minimizes_energy(boundary, salt):
     spec = ff.builtin_structure("sg2")
     hs = ff.harmonic_structure(spec)
     table = spec.vertex_table(1)
-    values = ff.harmonic_extension(spec, hs.laplacian, hs.weights, np.asarray(boundary))
+    values = level_one_extension(hs, boundary)
     bump = np.zeros(table.num_vertices)
     interior = np.setdiff1d(np.arange(table.num_vertices), table.boundary_ids)
     bump[interior] = np.random.default_rng(salt).standard_normal(interior.size)
@@ -178,7 +174,7 @@ def test_level_one_energy_matches_boundary_form(boundary):
     hs = ff.harmonic_structure(spec)
     table = spec.vertex_table(1)
     u = np.asarray(boundary)
-    values = ff.harmonic_extension(spec, hs.laplacian, hs.weights, u)
+    values = level_one_extension(hs, u)
     level1 = ff.graph_energy(table.slots, 1.0 / hs.weights, hs.laplacian, values)
     level0 = float(u @ (-hs.laplacian) @ u)
     assert level1 == pytest.approx(level0, abs=1e-10 * max(1.0, level0))

@@ -16,22 +16,6 @@ def load_raw(name):
 
 
 # ---------------------------------------------------------------------------
-# words
-
-words = st.lists(st.integers(min_value=1, max_value=5), max_size=10).map(tuple)
-
-
-@given(words, st.integers(min_value=5, max_value=9))
-def test_word_index_round_trip(w, n):
-    assert ff.word_index(w, n) == int("0" + "".join(str(c - 1) for c in w), n)
-
-
-def test_word_edge_cases():
-    with pytest.raises(ValidationError):
-        ff.word_index((4,), 3)
-
-
-# ---------------------------------------------------------------------------
 # vertex tables
 
 def test_vertex_counts_closed_form():
