@@ -88,8 +88,8 @@ class RunConfig:
             raise ParseError("depths must be nonnegative")
         if not 0.0 < self.tau_rank < 1.0:
             raise ParseError("--tau-rank must lie strictly between 0 and 1")
-        if not self.mass_floor > 0.0:
-            raise ParseError("--mass-floor must be positive")
+        if not 0.0 < self.mass_floor < 1.0:
+            raise ParseError("--mass-floor must lie strictly between 0 and 1")
         if self.workers < 1:
             raise ParseError("--workers must be at least 1")
 
@@ -471,9 +471,8 @@ def cmd_chainrule(args) -> int:
         rep_points = coords[reps]
         grad_values = np.column_stack([g(rep_points) for g in grads])
         rhs_parts = []
-        for start, gram in scan_cell_masses(hs, family.members, depth, config.workers):
-            stop = start + gram.shape[0]
-            gv = grad_values[start:stop]
+        for cells, gram in scan_cell_masses(hs, family.members, depth, config.workers):
+            gv = grad_values[cells]
             rhs_parts.append(
                 0.5 * float(np.sum(np.einsum("ci,cij,cj->c", gv, gram, gv, optimize=False)))
             )

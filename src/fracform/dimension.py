@@ -209,8 +209,8 @@ def density_matrices(
 ) -> DensityMatrixField:
     """Build Z and its spectra for every cell whose mass clears the floor.
 
-    The floor is mass_floor times the total combined mass; cells below it
-    have no meaningful density and are only counted.
+    The floor is mass_floor times the total combined mass.  A cell below it
+    has no meaningful density and is not refined; skipped counts its subtree.
     """
     hs = family.structure
     n = hs.spec.n_letters
@@ -230,24 +230,19 @@ def density_matrices(
     idx_parts: list[np.ndarray] = []
     lam_parts: list[np.ndarray] = []
     z_parts: list[np.ndarray] = []
-    skipped = 0
-    for start, gram in scan_cell_masses(hs, family.members, depth, workers):
+    for rows, gram in scan_cell_masses(hs, family.members, depth, workers, weights=a, floor=floor):
         lam = np.einsum("cii,i->c", gram, a, optimize=False)
         keep = lam >= floor
         kept = gram[keep]
         del gram  # free the block before the scan computes the next wave
-        skipped += int(np.sum(~keep))
-        if not np.any(keep):
-            continue
-        idx_parts.append(start + np.nonzero(keep)[0])
-        lam_kept = lam[keep]
-        lam_parts.append(lam_kept)
-        z_parts.append(kept / lam_kept[:, None, None])
-    if not idx_parts:
-        raise ValidationError(
-            f"every depth-{depth} cell fell below the mass floor {floor:.3g}"
-        )
+        idx_parts.append(rows[keep])
+        lam_parts.append(lam[keep])
+        z_parts.append(kept / lam_parts[-1][:, None, None])
     indices = np.concatenate(idx_parts)
+    if not indices.size:
+        raise ValidationError(
+            f"every depth-{depth} cell fell below the mass floor {floor!r}"
+        )
     lam = np.concatenate(lam_parts)
     matrices = np.concatenate(z_parts)
     scale = np.sqrt(a)
@@ -263,7 +258,7 @@ def density_matrices(
         lam=lam,
         matrices=matrices,
         eigenvalues=eigenvalues,
-        skipped=skipped,
+        skipped=n ** depth - indices.size,
         total_mass=total,
         floor=floor,
     )

@@ -12,9 +12,10 @@ every member once into the pair's energy basis, where a cell's energy is a
 squared norm, stacks the members into one block, refines it one level at a
 time by the pair's energy letter matrices in fixed-size lexicographic chunks,
 and hands back Gram blocks of pair masses (exactly symmetric and positive
-semidefinite in floating point).  The chunk layout depends only on the
-requested depth, never on the worker count, and all reductions run in
-lexicographic order, so outputs are bitwise reproducible.
+semidefinite in floating point).  Given a mass floor, it does not refine a
+cell below it, since masses are additive and nonnegative.  The chunk layout
+depends only on the requested depth, never on the worker count, and all
+reductions run in lexicographic order, so outputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -137,13 +138,17 @@ def scan_cell_masses(
     members: Sequence[PiecewiseHarmonic],
     depth: int,
     workers: int = 1,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, mass_block) over depth-``depth`` cells in lex order.
+    weights: np.ndarray | None = None,
+    floor: float | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (rows, mass_block) over depth-``depth`` cells in lex order.
 
     mass_block[c, i, j] is the pair mass 2 r_w^{-1} E(pullbacks of members i
-    and j) for the cell at lex index start_index + c.  Requires depth at or
-    above every member's level.  The chunk layout is a fixed function of the
-    depth, so results do not depend on ``workers``.
+    and j) for the cell at lex index rows[c].  Requires depth at or above
+    every member's level.  With a floor, a cell whose mass weighted by
+    ``weights`` falls below it is not refined and none of its descendants is
+    yielded; without one, every cell is.  The chunk layout is a fixed
+    function of the depth, so results do not depend on ``workers``.
 
     Validation (including the cell cap) happens at call time, not on the
     first ``next``, so callers may size buffers after calling this.
@@ -156,7 +161,9 @@ def scan_cell_masses(
             raise ValidationError(
                 f"scan depth {depth} is below a member of level {m.level}"
             )
-    return _scan_chunks(hs, members, depth, workers)
+    if floor is not None and np.shape(weights) != (len(members),):
+        raise ValidationError(f"a floor needs one weight per member, got {np.shape(weights)}")
+    return _scan_chunks(hs, members, depth, workers, weights, floor)
 
 
 def _scan_chunks(
@@ -164,7 +171,9 @@ def _scan_chunks(
     members: Sequence[PiecewiseHarmonic],
     depth: int,
     workers: int,
-) -> Iterator[tuple[int, np.ndarray]]:
+    weights: np.ndarray | None,
+    floor: float | None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     n = hs.spec.n_letters
     t = _chunk_prefix_depth(n, depth)
     inv_letter = 1.0 / hs.weights
@@ -179,13 +188,28 @@ def _scan_chunks(
     block = np.concatenate(
         [_refine(letters, m.cell_coeffs @ hs.energy_basis.T, top - m.level) for m in members]
     ).reshape(k, n**t, -1, hs.d - 1)
+    # Inverse weight products of each pruned level's cells under a chunk root.
+    pruned = range(top, depth) if floor is not None else ()
+    inv_levels = [_weight_products(inv_letter, level - t) for level in pruned]
+    row_sum = np.ones(hs.d - 1)
 
-    def one_chunk(chunk: int) -> tuple[int, np.ndarray]:
-        rooted = _refine(letters, block[:, chunk].reshape(-1, hs.d - 1), depth - top)
-        rooted = rooted.reshape(k, width, hs.d - 1)
-        gram = np.einsum("ica,jca->cij", rooted, rooted, optimize=False)
-        gram *= (2.0 * inv_prefix[chunk]) * inv_tail[:, None, None]
-        return chunk * width, gram
+    def one_chunk(chunk: int) -> tuple[np.ndarray, np.ndarray]:
+        # rows: in-chunk lex indices of the live cells; None while all live.
+        x, rows = np.ascontiguousarray(block[:, chunk]), None
+        for level in range(top, depth):
+            if floor is not None:
+                inv = inv_levels[level - top] if rows is None else inv_levels[level - top][rows]
+                mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, hs.d - 1) @ row_sum
+                live = (2.0 * inv_prefix[chunk]) * inv * mass >= floor
+                if not live.all():
+                    x, rows = x[:, live], (np.flatnonzero(live) if rows is None else rows[live])
+            x = _refine(letters, x.reshape(-1, hs.d - 1), 1).reshape(k, -1, hs.d - 1)
+            rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
+        tail = inv_tail if rows is None else inv_tail[rows]
+        rows = np.arange(width) if rows is None else rows
+        gram = np.einsum("ica,jca->cij", x, x, optimize=False)
+        gram *= (2.0 * inv_prefix[chunk]) * tail[:, None, None]
+        return chunk * width + rows, gram
 
     chunks = range(n ** t)
     if workers <= 1:
@@ -250,8 +274,8 @@ def measure_table(
     blocks = scan_cell_masses(hs, members, scan_depth, workers)
     per_cell = np.empty(n ** scan_depth)
     col = (0, 0) if same else (0, 1)
-    for start, gram in blocks:
-        per_cell[start : start + gram.shape[0]] = gram[:, col[0], col[1]]
+    for rows, gram in blocks:
+        per_cell[rows] = gram[:, col[0], col[1]]
     if scan_depth > depth:
         masses = per_cell.reshape(n ** depth, -1).sum(axis=1)
     else:

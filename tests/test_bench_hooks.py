@@ -63,6 +63,23 @@ def test_replay_trace_records_scan_and_pair_spans(tmp_path):
     assert {"energy.scan", "harmonic.pair"} <= {span[0] for span in spans}
 
 
+def test_replay_trace_counts_the_pruned_scan(tmp_path):
+    # Depths 2..8 cover 488,275 cells; the descent stops below the floor, so
+    # far fewer mass blocks are formed, while the skip counts stay those of a
+    # full scan.  The counters come from the scan_cell_masses wrapper, so this
+    # also fails if density_matrices stops calling that name.
+    inputs = json.dumps(seed_zero_inputs()["scan-vicsek-level1"])
+    done = run_child(
+        "replay.py", "trace", "--workload", "scan-vicsek-level1", "--inputs", inputs,
+        "--outdir", str(tmp_path),
+    )
+    assert done.returncode == 0, done.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert "energy.scan" in {span[0] for span in trace["spans"]}
+    assert trace["counters"]["energy.cells_scanned"] < 488_275
+    assert trace["counters"]["dimension.cells_skipped"] == 455_520
+
+
 def test_replay_scaling_times_both_worker_counts():
     inputs = json.dumps(seed_zero_inputs()["chainrule-sg2"])
     done = run_child("replay.py", "scaling", "--workload", "chainrule-sg2", "--inputs", inputs)

@@ -572,14 +572,26 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     ("scan", "--structure", "sg2", "--depths", "2..3", "--weights=-1,2"),
     ("scan", "--structure", "sg2", "--depths", "2..3", "--weights=0.3,0.3"),
     ("scan", "--structure", "sg2", "--depths", "2..3", "--mu=0.5,0.5,0.5"),
+    ("scan", "--structure", "sg2", "--depths", "2..3", "--mass-floor", "inf"),
+    ("embed", "--structure", "sg2", "--depth", "2", "--mass-floor", "1",
+     "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv"),
 ], ids=["workers", "tau-rank", "mass-floor", "depth", "embed-vertex-depth", "mu-nan",
         "weights-nan", "mass-floor-nan", "function-nan", "weights-negative",
-        "weights-sum", "mu-sum"])
+        "weights-sum", "mu-sum", "mass-floor-inf", "mass-floor-one"])
 def test_option_range_errors_exit_2(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_mass_floor_printed_in_full(capsys):
+    code, out, err = run(
+        capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "2..2",
+        "--mass-floor", "0.9999",
+    )
+    assert code == 1
+    assert err.splitlines() == ["error: every depth-2 cell fell below the mass floor 0.9999"]
 
 
 def test_embed_vertex_depth_cap_checked_before_family(capsys, monkeypatch):

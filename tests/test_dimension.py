@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,60 @@ def test_all_cells_skipped_raises(sg2):
     fam = ff.harmonic_family(sg2)
     with pytest.raises(ValidationError):
         ff.density_matrices(fam, 2, mass_floor=10.0)
+
+
+@functools.lru_cache(maxsize=4)
+def unpruned_scan(name, build, depth):
+    """Family, total mass, and the mass blocks of every depth-``depth`` cell
+    in lex order, from the scan without a floor."""
+    hs = ff.harmonic_structure(ff.builtin_structure(name))
+    fam = getattr(ff, f"{build}_family")(hs)
+    total = float(np.sum(fam.weights * [2.0 * ff.energy(m) for m in fam.members]))
+    parts = list(ff.scan_cell_masses(hs, fam.members, depth))
+    rows = np.concatenate([rows for rows, _ in parts])
+    gram = np.concatenate([gram for _, gram in parts])
+    assert np.array_equal(rows, np.arange(hs.spec.n_letters ** depth))
+    return fam, total, gram
+
+
+@pytest.mark.parametrize("name,build,depth", [
+    ("vicsek", "level1", 5), ("vicsek", "harmonic", 6),
+    ("sg2", "level1", 6), ("sg2", "harmonic", 7),
+])
+@pytest.mark.parametrize("floor", [1e-14, 1e-10, 1e-6, "above-smallest", "above-median"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_field_equals_full_field(name, build, depth, floor, workers):
+    """A scan that stops refining cells below the floor builds the very field
+    that filtering every cell's mass block by the floor builds."""
+    fam, total, gram = unpruned_scan(name, build, depth)
+    a = fam.weights
+    lam = np.einsum("cii,i->c", gram, a, optimize=False)
+    if isinstance(floor, str):
+        # Just above a real cell's mass, so that cell and its equals drop out.
+        live = np.sort(lam[lam >= 1e-14 * total])
+        cell = live[0] if floor == "above-smallest" else live[live.size // 2]
+        floor = float(np.nextafter(cell, np.inf)) / total
+    keep = lam >= floor * total
+    matrices = gram[keep] / lam[keep][:, None, None]
+    field = ff.density_matrices(fam, depth, workers=workers, mass_floor=floor)
+    assert np.array_equal(field.indices, np.flatnonzero(keep))
+    assert np.array_equal(field.lam, lam[keep])
+    assert np.array_equal(field.matrices, matrices)
+    weighted = matrices * np.outer(np.sqrt(a), np.sqrt(a))[None, :, :]
+    assert np.array_equal(field.eigenvalues, np.linalg.eigvalsh(weighted)[:, ::-1])
+    assert field.skipped == gram.shape[0] - int(np.sum(keep))
+    assert 0 < field.size
+
+
+def test_pruned_scan_refines_only_live_cells(vicsek):
+    # The level-1 family on vicsek leaves 94% of the depth-8 cells below the
+    # floor; the descent refines only the 7,285 cells retained at depth 7.
+    fam = ff.level1_family(vicsek)
+    field = ff.density_matrices(fam, 8)
+    assert (field.size, field.skipped) == (21_865, 368_760)
+    assert ff.density_matrices(fam, 7).size == 7_285
+    blocks = ff.scan_cell_masses(vicsek, fam.members, 8, weights=fam.weights, floor=field.floor)
+    assert sum(gram.shape[0] for _, gram in blocks) == 36_425 == 5 * 7_285
 
 
 def test_family_energy_normalization_checked(sg2):

@@ -221,6 +221,8 @@ def test_scan_validates_at_call_time(sg2):
         ff.scan_cell_masses(sg2, [f], 19)
     with pytest.raises(ff.CapExceededError):
         ff.measure_table(f, depth=19)
+    with pytest.raises(ValidationError, match="one weight per member"):
+        ff.scan_cell_masses(sg2, [f], 3, floor=1e-14)
 
 
 # ---------------------------------------------------------------------------
