@@ -471,10 +471,11 @@ def cmd_chainrule(args) -> int:
         rep_points = coords[reps]
         grad_values = np.column_stack([g(rep_points) for g in grads])
         rhs_parts = []
-        for cells, gram in scan_cell_masses(hs, family.members, depth, config.workers):
-            gv = grad_values[cells]
+        for cells, x, scale in scan_cell_masses(hs, family.members, depth, config.workers):
+            # sum_ij dG_i dG_j m_ij = scale * |sum_i dG_i x_i|^2 per cell
+            v = np.einsum("ci,cia->ca", grad_values[cells], x, optimize=False)
             rhs_parts.append(
-                0.5 * float(np.sum(np.einsum("ci,cij,cj->c", gv, gram, gv, optimize=False)))
+                0.5 * float(np.sum(scale * np.einsum("ca,ca->c", v, v, optimize=False)))
             )
         rhs = float(np.sum(np.asarray(rhs_parts)))
         if rhs <= 0.0:

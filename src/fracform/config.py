@@ -12,6 +12,8 @@ MAX_CELLS = 1 << 22
 
 # A density field of n**depth cells and k members is refused when its k x k
 # float64 matrices, counted over every cell, would take more bytes than this.
+# The scan forms no such matrix; this bounds the ones DensityMatrixField.matrices
+# forms on demand, as embed does.
 MAX_FIELD_BYTES = 1 << 32
 
 # Fixed subtree chunk size for the deep table builders.  The chunk layout is a

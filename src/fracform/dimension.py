@@ -2,11 +2,14 @@
 
 Given a finite family of normalized piecewise harmonic functions with convex
 weights, the combined measure assigns each word cell a mass, and each cell
-carries the matrix of pair masses divided by that cell mass.  Deeper cells
-concentrate these matrices toward rank one; the statistics here quantify that
-concentration: second eigenvalues of the trace-one weighted matrices, the
-rank-one factorization residuals, and a weighted eigenvalue-count estimate of
-the effective dimension.
+carries the matrix of pair masses divided by that cell mass.  The scan hands
+out each cell's k x (d - 1) block of energy coordinates rather than that
+k x k matrix, so the field keeps the factor Y with Z = Y Y^T, of rank at most
+d - 1, and takes spectra from the (d - 1) x (d - 1) weighted Gram of Y.
+Deeper cells concentrate these matrices toward rank one; the statistics here
+quantify that concentration: second eigenvalues of the trace-one weighted
+matrices, the rank-one factorization residuals, and a weighted
+eigenvalue-count estimate of the effective dimension.
 
 The module also provides the scaled masses of constant-letter cells and
 their closed-form limits, which drive the run-word analysis.
@@ -15,12 +18,14 @@ their closed-form limits, which drive the run-word analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .config import (
+    CHUNK_CELLS,
     CONSISTENCY_TOL,
     FAMILY_NORM_TOL,
     MASS_FLOOR,
@@ -164,10 +169,11 @@ class DensityMatrixField:
     """Density matrices of all retained cells at one depth.
 
     Retained means the cell's combined mass stayed at or above the floor;
-    rows are in lexicographic cell order throughout.  matrices[c] is the Z of
-    the cell, exactly symmetric because the scan forms each Gram block from
-    one array of energy coordinates; eigenvalues[c] is the descending
-    spectrum of the trace-one weighted form M = [sqrt(a_i a_j) Z_ij].
+    rows are in lexicographic cell order throughout.  factors[c] is the
+    k x (d - 1) factor Y of the cell's density matrix Z = Y Y^T, and
+    eigenvalues[c] the descending spectrum of the trace-one weighted form
+    M = [sqrt(a_i a_j) Z_ij]: its top min(k, d - 1) values, from the weighted
+    Gram Y^T diag(a) Y, then exact zeros, since rank Z <= d - 1.
     """
 
     depth: int
@@ -175,7 +181,7 @@ class DensityMatrixField:
     weights: np.ndarray
     indices: np.ndarray
     lam: np.ndarray
-    matrices: np.ndarray
+    factors: np.ndarray
     eigenvalues: np.ndarray
     skipped: int
     total_mass: float
@@ -189,10 +195,21 @@ class DensityMatrixField:
     def family_size(self) -> int:
         return int(self.weights.size)
 
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """Z = Y Y^T per cell, k x k, formed on first read (exactly symmetric)
+        from a cells-first copy of Y, so its bits do not depend on Y's layout."""
+        y = np.ascontiguousarray(self.factors)
+        z = np.einsum("cia,cja->cij", y, y, optimize=False)
+        z.setflags(write=False)
+        return z
+
 
 def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
     """Raise CapExceededError when the depth's k x k float64 matrices, one per
-    cell, would exceed MAX_FIELD_BYTES."""
+    cell, would exceed MAX_FIELD_BYTES.  The scan itself forms no such matrix;
+    the bound is on the matrices that ``DensityMatrixField.matrices`` forms
+    when read, as ``embed`` does."""
     need = n_letters ** depth * family_size * family_size * 8
     if need > MAX_FIELD_BYTES:
         raise CapExceededError(
@@ -201,16 +218,42 @@ def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
         )
 
 
+def _density_chunk(
+    a: np.ndarray, floor: float, rows: np.ndarray, x: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Retained cells of one scan chunk: indices, masses, factors, spectra.
+
+    The mass is lambda = scale * sum_i a_i |x_i|^2, the factor
+    Y = sqrt(scale / lambda) x, and the spectrum that of the
+    (d - 1) x (d - 1) weighted Gram Y^T diag(a) Y, cut to min(k, d - 1)
+    values and padded with zeros to k."""
+    lam = scale * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
+    keep = lam >= floor
+    lam = lam[keep]
+    # compress along the last axis of the (k, d - 1, cells) view stores Y
+    # cells-last, so the per-cell contractions here and in zeta_factors run
+    # along the cells axis instead of over tiny matrices one at a time.
+    kept = np.compress(keep, x.transpose(1, 2, 0), axis=2)
+    factors = (kept * np.sqrt(scale[keep] / lam)).transpose(2, 0, 1)
+    gram = np.einsum("cia,i,cib->cab", factors, a, factors, optimize=False)
+    top = min(x.shape[1:])
+    eigenvalues = np.zeros(factors.shape[:2])
+    eigenvalues[:, :top] = np.linalg.eigvalsh(gram)[:, ::-1][:, :top]
+    return rows[keep], lam, factors, eigenvalues
+
+
 def density_matrices(
     family: FunctionFamily,
     depth: int,
     workers: int = 1,
     mass_floor: float = MASS_FLOOR,
 ) -> DensityMatrixField:
-    """Build Z and its spectra for every cell whose mass clears the floor.
+    """Build the factors of Z and its spectra for every cell whose mass
+    clears the floor.
 
     The floor is mass_floor times the total combined mass.  A cell below it
     has no meaningful density and is not refined; skipped counts its subtree.
+    Each chunk is reduced on the scan worker that formed it.
     """
     hs = family.structure
     n = hs.spec.n_letters
@@ -227,28 +270,16 @@ def density_matrices(
     total = float(np.sum(a * np.asarray(twice_energies)))
     floor = mass_floor * total
 
-    idx_parts: list[np.ndarray] = []
-    lam_parts: list[np.ndarray] = []
-    z_parts: list[np.ndarray] = []
-    for rows, gram in scan_cell_masses(hs, family.members, depth, workers, weights=a, floor=floor):
-        lam = np.einsum("cii,i->c", gram, a, optimize=False)
-        keep = lam >= floor
-        kept = gram[keep]
-        del gram  # free the block before the scan computes the next wave
-        idx_parts.append(rows[keep])
-        lam_parts.append(lam[keep])
-        z_parts.append(kept / lam_parts[-1][:, None, None])
-    indices = np.concatenate(idx_parts)
+    reduce = partial(_density_chunk, a, floor)
+    chunks = scan_cell_masses(hs, family.members, depth, workers, a, floor, reduce)
+    indices, lam, factors, eigenvalues = (
+        np.concatenate(parts) for parts in zip(*(item[-1] for item in chunks))
+    )
     if not indices.size:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
-    lam = np.concatenate(lam_parts)
-    matrices = np.concatenate(z_parts)
-    scale = np.sqrt(a)
-    weighted = matrices * np.outer(scale, scale)[None, :, :]
-    eigenvalues = np.linalg.eigvalsh(weighted)[:, ::-1]
-    for arr in (indices, lam, matrices, eigenvalues):
+    for arr in (indices, lam, factors, eigenvalues):
         arr.setflags(write=False)
     return DensityMatrixField(
         depth=depth,
@@ -256,7 +287,7 @@ def density_matrices(
         weights=a,
         indices=indices,
         lam=lam,
-        matrices=matrices,
+        factors=factors,
         eigenvalues=eigenvalues,
         skipped=n ** depth - indices.size,
         total_mass=total,
@@ -267,17 +298,19 @@ def density_matrices(
 def verify_field_invariants(field: DensityMatrixField) -> None:
     """Raise unless every retained cell satisfies the Gram and trace identities.
 
-    Checks: min eigenvalue of the trace-one form at or above -PSD_TOL, and
-    the weighted diagonal of Z summing to 1 within TRACE_IDENTITY_TOL.
+    Checks: min computed eigenvalue of the trace-one form (the last of the
+    top min(k, d - 1), not the zero padding) at or above -PSD_TOL, and the
+    weighted diagonal of Z, sum_i a_i |Y_i|^2, summing to 1 within
+    TRACE_IDENTITY_TOL.
     """
     if field.size == 0:
         raise ValidationError("empty field: all cells were skipped")
-    min_eig = float(field.eigenvalues[:, -1].min())
+    min_eig = float(field.eigenvalues[:, min(field.factors.shape[1:]) - 1].min())
     if not min_eig >= -PSD_TOL:  # NaN fails too
         raise ValidationError(
             f"density matrix lost positivity: min eigenvalue {min_eig:.3g}"
         )
-    diag = np.einsum("cii,i->c", field.matrices, field.weights, optimize=False)
+    diag = np.einsum("cia,cia,i->c", field.factors, field.factors, field.weights, optimize=False)
     worst = float(np.abs(diag - 1.0).max())
     if not worst <= TRACE_IDENTITY_TOL:
         raise ValidationError(
@@ -306,24 +339,43 @@ class ZetaField:
 
 
 def zeta_factors(field: DensityMatrixField) -> ZetaField:
-    z = field.matrices
-    diag = np.einsum("cii->ci", z)
-    weighted = field.weights[None, :] * diag
-    # The first index within PIVOT_TIE_TOL of the row maximum, not rounding, wins.
-    tied = weighted >= (1.0 - PIVOT_TIE_TOL) * weighted.max(axis=1, keepdims=True)
-    alpha = np.argmax(tied, axis=1)
-    rows = np.arange(z.shape[0])
-    pivot = diag[rows, alpha]
-    if z.shape[0] and float(pivot.min()) <= 0.0:
-        raise NumericalError("retained cell with nonpositive pivot diagonal entry")
-    zeta = z[rows, :, alpha] / np.sqrt(pivot)[:, None]
-    gap = z - zeta[:, :, None] * zeta[:, None, :]
-    num = np.sqrt(np.einsum("cij,cij->c", gap, gap, optimize=False))
-    den = np.sqrt(np.einsum("cij,cij->c", z, z, optimize=False))
-    residuals = num / den
+    """Rank-one factors from the field's factors Y, Z = Y Y^T, in blocks of
+    CHUNK_CELLS cells to bound the temporaries (one empty block if no cells).
+
+    zeta = Y Y_alpha^T / |Y_alpha| for the pivot row Y_alpha.  With u the
+    unit pivot row, Z - zeta zeta^T = Y Q Y^T for Q = I - u u^T, so the
+    residual is |Q H Q|_F / |H|_F with H = Y^T Y, all (d - 1) x (d - 1).
+    """
+    starts = range(0, max(field.size, 1), CHUNK_CELLS)
+    parts = [_zeta_block(field.factors[lo : lo + CHUNK_CELLS], field.weights) for lo in starts]
+    alpha, zeta, residuals = (np.concatenate(p) for p in zip(*parts))
     for arr in (alpha, zeta, residuals):
         arr.setflags(write=False)
     return ZetaField(depth=field.depth, alpha=alpha, zeta=zeta, residuals=residuals)
+
+
+def _zeta_block(
+    y: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    diag = np.einsum("cia,cia->ci", y, y, optimize=False)
+    weighted = weights[None, :] * diag
+    # The first index within PIVOT_TIE_TOL of the row maximum, not rounding, wins.
+    tied = weighted >= (1.0 - PIVOT_TIE_TOL) * weighted.max(axis=1, keepdims=True)
+    alpha = np.argmax(tied, axis=1)
+    pivot = np.take_along_axis(diag, alpha[:, None], axis=1)[:, 0]
+    if y.shape[0] and float(pivot.min()) <= 0.0:
+        raise NumericalError("retained cell with nonpositive pivot diagonal entry")
+    # The pivot rows, taken so that they keep the factors' cells-last layout.
+    pivot_rows = np.take_along_axis(y.transpose(1, 2, 0), alpha[None, None, :], axis=0)[0].T
+    root = np.sqrt(pivot)[:, None]
+    zeta = np.einsum("cia,ca->ci", y, pivot_rows, optimize=False) / root
+    u = pivot_rows / root
+    h = np.einsum("cia,cib->cab", y, y, optimize=False)
+    q = np.eye(y.shape[2]) - u[:, :, None] * u[:, None, :]
+    gap = np.einsum("cab,cbd,cde->cae", q, h, q, optimize=False)
+    num = np.sqrt(np.einsum("cab,cab->c", gap, gap, optimize=False))
+    den = np.sqrt(np.einsum("cab,cab->c", h, h, optimize=False))
+    return alpha, zeta, num / den
 
 
 @dataclass(frozen=True)

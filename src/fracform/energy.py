@@ -11,11 +11,13 @@ The cell scan at the bottom of this module is the shared engine.  It maps
 every member once into the pair's energy basis, where a cell's energy is a
 squared norm, stacks the members into one block, refines it one level at a
 time by the pair's energy letter matrices in fixed-size lexicographic chunks,
-and hands back Gram blocks of pair masses (exactly symmetric and positive
-semidefinite in floating point).  Given a mass floor, it does not refine a
-cell below it, since masses are additive and nonnegative.  The chunk layout
-depends only on the requested depth, never on the worker count, and all
-reductions run in lexicographic order, so outputs are bitwise reproducible.
+and hands back each cell's k x (d - 1) block of energy coordinates with the
+cell's scale 2 r_w^{-1}: the pair mass of members i and j is the scale times
+the dot product of rows i and j, so no k x k product is formed.  Given a mass
+floor, it does not refine a cell below it, since masses are additive and
+nonnegative.  The chunk layout depends only on the requested depth, never on
+the worker count, and all reductions run in lexicographic order, so outputs
+are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -140,15 +142,20 @@ def scan_cell_masses(
     workers: int = 1,
     weights: np.ndarray | None = None,
     floor: float | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (rows, mass_block) over depth-``depth`` cells in lex order.
+    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray], object] | None = None,
+) -> Iterator[tuple]:
+    """Yield (rows, coords, scale) over depth-``depth`` cells in lex order.
 
-    mass_block[c, i, j] is the pair mass 2 r_w^{-1} E(pullbacks of members i
-    and j) for the cell at lex index rows[c].  Requires depth at or above
+    coords[c] is the k x (d - 1) block of the members' energy coordinates on
+    the cell at lex index rows[c], and scale[c] its 2 r_w^{-1}, so the pair
+    mass 2 r_w^{-1} E(pullbacks of members i and j) is
+    scale[c] * coords[c, i] @ coords[c, j].  Requires depth at or above
     every member's level.  With a floor, a cell whose mass weighted by
     ``weights`` falls below it is not refined and none of its descendants is
-    yielded; without one, every cell is.  The chunk layout is a fixed
-    function of the depth, so results do not depend on ``workers``.
+    yielded; without one, every cell is.  With ``reduce``, each item also
+    carries ``reduce(rows, coords, scale)``, computed on the worker that
+    scanned the chunk.  The chunk layout is a fixed function of the depth, so
+    results do not depend on ``workers``.
 
     Validation (including the cell cap) happens at call time, not on the
     first ``next``, so callers may size buffers after calling this.
@@ -163,7 +170,7 @@ def scan_cell_masses(
             )
     if floor is not None and np.shape(weights) != (len(members),):
         raise ValidationError(f"a floor needs one weight per member, got {np.shape(weights)}")
-    return _scan_chunks(hs, members, depth, workers, weights, floor)
+    return _scan_chunks(hs, members, depth, workers, weights, floor, reduce)
 
 
 def _scan_chunks(
@@ -173,7 +180,8 @@ def _scan_chunks(
     workers: int,
     weights: np.ndarray | None,
     floor: float | None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray], object] | None,
+) -> Iterator[tuple]:
     n = hs.spec.n_letters
     t = _chunk_prefix_depth(n, depth)
     inv_letter = 1.0 / hs.weights
@@ -193,7 +201,7 @@ def _scan_chunks(
     inv_levels = [_weight_products(inv_letter, level - t) for level in pruned]
     row_sum = np.ones(hs.d - 1)
 
-    def one_chunk(chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    def one_chunk(chunk: int) -> tuple:
         # rows: in-chunk lex indices of the live cells; None while all live.
         x, rows = np.ascontiguousarray(block[:, chunk]), None
         for level in range(top, depth):
@@ -207,9 +215,8 @@ def _scan_chunks(
             rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
         tail = inv_tail if rows is None else inv_tail[rows]
         rows = np.arange(width) if rows is None else rows
-        gram = np.einsum("ica,jca->cij", x, x, optimize=False)
-        gram *= (2.0 * inv_prefix[chunk]) * tail[:, None, None]
-        return chunk * width + rows, gram
+        item = (chunk * width + rows, x.transpose(1, 0, 2), (2.0 * inv_prefix[chunk]) * tail)
+        return item if reduce is None else item + (reduce(*item),)
 
     chunks = range(n ** t)
     if workers <= 1:
@@ -217,7 +224,7 @@ def _scan_chunks(
             yield one_chunk(chunk)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Submit in bounded waves so at most ``workers`` Gram blocks are alive.
+        # Submit in bounded waves so at most ``workers`` chunks are alive.
         for lo in range(0, len(chunks), workers):
             yield from pool.map(one_chunk, chunks[lo : lo + workers])
 
@@ -274,8 +281,8 @@ def measure_table(
     blocks = scan_cell_masses(hs, members, scan_depth, workers)
     per_cell = np.empty(n ** scan_depth)
     col = (0, 0) if same else (0, 1)
-    for rows, gram in blocks:
-        per_cell[rows] = gram[:, col[0], col[1]]
+    for rows, x, scale in blocks:
+        per_cell[rows] = scale * np.einsum("ca,ca->c", x[:, col[0]], x[:, col[1]], optimize=False)
     if scan_depth > depth:
         masses = per_cell.reshape(n ** depth, -1).sum(axis=1)
     else:

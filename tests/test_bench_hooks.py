@@ -76,8 +76,12 @@ def test_replay_trace_counts_the_pruned_scan(tmp_path):
     assert done.returncode == 0, done.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert "energy.scan" in {span[0] for span in trace["spans"]}
-    assert trace["counters"]["energy.cells_scanned"] < 488_275
-    assert trace["counters"]["dimension.cells_skipped"] == 455_520
+    counters = trace["counters"]
+    assert counters["energy.cells_scanned"] < 488_275
+    assert counters["dimension.cells_skipped"] == 455_520
+    # The scan hands out one 15 x 3 block of energy coordinates per formed
+    # cell, cell-major, and never a 15 x 15 Gram block.
+    assert counters["energy.gram_bytes"] == counters["energy.cells_scanned"] * 15 * 3 * 8
 
 
 def test_replay_scaling_times_both_worker_counts():

@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 import fracform as ff
-from fracform.dimension import check_field_bytes
+from fracform.dimension import _density_chunk, check_field_bytes
 from fracform.errors import CapExceededError, ValidationError
 
 import oracles
@@ -80,7 +81,7 @@ def test_field_invariants(name):
 @pytest.mark.parametrize("name,depth", [("sg2", 7), ("vicsek", 5)])
 @pytest.mark.parametrize("build", [ff.harmonic_family, ff.level1_family])
 def test_field_matrices_exactly_symmetric(name, depth, build):
-    # No symmetrizing pass follows the scan, so this rests on the Gram kernel.
+    # No symmetrizing pass follows, so this rests on the einsum forming Z = Y Y^T.
     hs = ff.harmonic_structure(ff.builtin_structure(name))
     field = ff.density_matrices(build(hs), depth)
     assert np.array_equal(field.matrices, field.matrices.transpose(0, 2, 1))
@@ -117,17 +118,18 @@ def test_all_cells_skipped_raises(sg2):
 
 
 @functools.lru_cache(maxsize=4)
-def unpruned_scan(name, build, depth):
-    """Family, total mass, and the mass blocks of every depth-``depth`` cell
-    in lex order, from the scan without a floor."""
+def unpruned_field(name, build, depth):
+    """Family, total mass, and the mass, factor and spectrum of every
+    depth-``depth`` cell in lex order: the scan without a floor, each chunk
+    reduced as density_matrices reduces it, with a zero floor."""
     hs = ff.harmonic_structure(ff.builtin_structure(name))
     fam = getattr(ff, f"{build}_family")(hs)
     total = float(np.sum(fam.weights * [2.0 * ff.energy(m) for m in fam.members]))
-    parts = list(ff.scan_cell_masses(hs, fam.members, depth))
-    rows = np.concatenate([rows for rows, _ in parts])
-    gram = np.concatenate([gram for _, gram in parts])
+    reduce = functools.partial(_density_chunk, fam.weights, 0.0)
+    parts = [item[-1] for item in ff.scan_cell_masses(hs, fam.members, depth, reduce=reduce)]
+    rows, lam, factors, eigenvalues = (np.concatenate(p) for p in zip(*parts))
     assert np.array_equal(rows, np.arange(hs.spec.n_letters ** depth))
-    return fam, total, gram
+    return fam, total, lam, factors, eigenvalues
 
 
 @pytest.mark.parametrize("name,build,depth", [
@@ -138,24 +140,22 @@ def unpruned_scan(name, build, depth):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_field_equals_full_field(name, build, depth, floor, workers):
     """A scan that stops refining cells below the floor builds the very field
-    that filtering every cell's mass block by the floor builds."""
-    fam, total, gram = unpruned_scan(name, build, depth)
-    a = fam.weights
-    lam = np.einsum("cii,i->c", gram, a, optimize=False)
+    that filtering the factor field of every cell by the floor builds."""
+    fam, total, lam, factors, eigenvalues = unpruned_field(name, build, depth)
     if isinstance(floor, str):
         # Just above a real cell's mass, so that cell and its equals drop out.
         live = np.sort(lam[lam >= 1e-14 * total])
         cell = live[0] if floor == "above-smallest" else live[live.size // 2]
         floor = float(np.nextafter(cell, np.inf)) / total
     keep = lam >= floor * total
-    matrices = gram[keep] / lam[keep][:, None, None]
     field = ff.density_matrices(fam, depth, workers=workers, mass_floor=floor)
     assert np.array_equal(field.indices, np.flatnonzero(keep))
     assert np.array_equal(field.lam, lam[keep])
-    assert np.array_equal(field.matrices, matrices)
-    weighted = matrices * np.outer(np.sqrt(a), np.sqrt(a))[None, :, :]
-    assert np.array_equal(field.eigenvalues, np.linalg.eigvalsh(weighted)[:, ::-1])
-    assert field.skipped == gram.shape[0] - int(np.sum(keep))
+    assert np.array_equal(field.factors, factors[keep])
+    assert np.array_equal(field.eigenvalues, eigenvalues[keep])
+    kept = factors[keep]
+    assert np.array_equal(field.matrices, np.einsum("cia,cja->cij", kept, kept, optimize=False))
+    assert field.skipped == lam.size - int(np.sum(keep))
     assert 0 < field.size
 
 
@@ -167,7 +167,46 @@ def test_pruned_scan_refines_only_live_cells(vicsek):
     assert (field.size, field.skipped) == (21_865, 368_760)
     assert ff.density_matrices(fam, 7).size == 7_285
     blocks = ff.scan_cell_masses(vicsek, fam.members, 8, weights=fam.weights, floor=field.floor)
-    assert sum(gram.shape[0] for _, gram in blocks) == 36_425 == 5 * 7_285
+    assert sum(x.shape[0] for _, x, _ in blocks) == 36_425 == 5 * 7_285
+
+
+def _weighted_spectra(field):
+    """Descending eigenvalues of the k x k trace-one forms sqrt(a_i a_j) Z_ij."""
+    root = np.sqrt(field.weights)
+    return np.linalg.eigvalsh(field.matrices * np.outer(root, root))[:, ::-1]
+
+
+@pytest.mark.parametrize("name,depth", [("vicsek", 6), ("sg2", 8)])
+def test_factored_spectrum_matches_full_spectrum(name, depth):
+    # k = 15 against d - 1 = 3 on vicsek, k = 5 against d - 1 = 2 on sg2.
+    hs = ff.harmonic_structure(ff.builtin_structure(name))
+    field = ff.density_matrices(ff.level1_family(hs), depth)
+    top = hs.d - 1
+    assert field.factors.shape[1:] == (field.family_size, top) and top < field.family_size
+    reference = _weighted_spectra(field)
+    np.testing.assert_allclose(field.eigenvalues[:, :top], reference[:, :top], rtol=0, atol=1e-14)
+    assert np.all(field.eigenvalues[:, top:] == 0.0)
+
+
+def test_factored_spectrum_with_fewer_members_than_rank(vicsek):
+    # Two members against d - 1 = 3: both spectrum columns are computed.
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -0.5]]
+    field = ff.density_matrices(ff.family_from_values(vicsek, 0, rows), 5)
+    assert field.eigenvalues.shape == (field.size, 2)
+    assert field.factors.shape[1:] == (2, 3)
+    np.testing.assert_allclose(field.eigenvalues, _weighted_spectra(field), rtol=0, atol=1e-14)
+    ff.verify_field_invariants(field)
+
+
+@pytest.mark.parametrize("bad", [-1e-9, np.nan])
+def test_psd_check_reads_computed_columns(vicsek, bad):
+    # The zero padding past min(k, d - 1) must not stand in for the smallest
+    # computed eigenvalue (column d - 2 here), or the check could never fail.
+    field = ff.density_matrices(ff.level1_family(vicsek), 3)
+    eigenvalues = field.eigenvalues.copy()
+    eigenvalues[field.size // 2, vicsek.d - 2] = bad
+    with pytest.raises(ValidationError, match="positivity"):
+        ff.verify_field_invariants(dataclasses.replace(field, eigenvalues=eigenvalues))
 
 
 def test_family_energy_normalization_checked(sg2):
