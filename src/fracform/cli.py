@@ -370,8 +370,9 @@ def cmd_scan(args) -> int:
     )
     check_field_bytes(spec.n_letters, config.depths[-1], family.size)
     profiles = []
-    last = None
     for depth in config.depths:
+        # Only the deepest field is written; let the previous one go first.
+        fld = zeta = None
         fld = density_matrices(
             family, depth, workers=config.workers, mass_floor=config.mass_floor
         )
@@ -379,7 +380,6 @@ def cmd_scan(args) -> int:
         zeta = zeta_factors(fld)
         profile = rank_statistics(fld, config.tau_rank, zeta)
         profiles.append(profile)
-        last = (fld, zeta, profile)
         print(
             f"depth {depth}: mean_lambda2 = {profile.mean_lambda2:.6e}, "
             f"mean_residual = {profile.mean_residual:.6e}, "
@@ -388,7 +388,6 @@ def cmd_scan(args) -> int:
             file=sys.stderr,
         )
     write_profile_csv(profiles, args.out)
-    fld, zeta, profile = last
     if args.cells_out:
         write_cells_csv(fld, zeta, args.cells_out)
     rounded = int(round(profile.dim_estimate))

@@ -5,7 +5,8 @@ weights, the combined measure assigns each word cell a mass, and each cell
 carries the matrix of pair masses divided by that cell mass.  The scan hands
 out each cell's k x (d - 1) block of energy coordinates rather than that
 k x k matrix, so the field keeps the factor Y with Z = Y Y^T, of rank at most
-d - 1, and takes spectra from the (d - 1) x (d - 1) weighted Gram of Y.
+d - 1, and takes spectra from the (d - 1) x (d - 1) weighted Gram of Y: in
+closed form on a three-point boundary (d - 1 = 2), by eigvalsh otherwise.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -173,7 +174,10 @@ class DensityMatrixField:
     k x (d - 1) factor Y of the cell's density matrix Z = Y Y^T, and
     eigenvalues[c] the descending spectrum of the trace-one weighted form
     M = [sqrt(a_i a_j) Z_ij]: its top min(k, d - 1) values, from the weighted
-    Gram Y^T diag(a) Y, then exact zeros, since rank Z <= d - 1.
+    Gram Y^T diag(a) Y, then exact zeros, since rank Z <= d - 1.  With
+    d - 1 = 2 the two values are in closed form, lambda_2 from a Schur
+    complement, so it is nonnegative and keeps its relative accuracy on
+    nearly rank-one cells; other shapes take eigvalsh of the Gram.
     """
 
     depth: int
@@ -225,8 +229,10 @@ def _density_chunk(
 
     The mass is lambda = scale * sum_i a_i |x_i|^2, the factor
     Y = sqrt(scale / lambda) x, and the spectrum that of the
-    (d - 1) x (d - 1) weighted Gram Y^T diag(a) Y, cut to min(k, d - 1)
-    values and padded with zeros to k."""
+    (d - 1) x (d - 1) weighted Gram G = Y^T diag(a) Y, cut to min(k, d - 1)
+    values and padded with zeros to k.  With d - 1 = 2 the spectrum is in
+    closed form (_two_column_spectrum); every other shape takes eigvalsh of G.
+    """
     lam = scale * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
     keep = lam >= floor
     lam = lam[keep]
@@ -234,12 +240,47 @@ def _density_chunk(
     # cells-last, so the per-cell contractions here and in zeta_factors run
     # along the cells axis instead of over tiny matrices one at a time.
     kept = np.compress(keep, x.transpose(1, 2, 0), axis=2)
-    factors = (kept * np.sqrt(scale[keep] / lam)).transpose(2, 0, 1)
-    gram = np.einsum("cia,i,cib->cab", factors, a, factors, optimize=False)
+    kept *= np.sqrt(scale[keep] / lam)
+    factors = kept.transpose(2, 0, 1)
     top = min(x.shape[1:])
     eigenvalues = np.zeros(factors.shape[:2])
-    eigenvalues[:, :top] = np.linalg.eigvalsh(gram)[:, ::-1][:, :top]
+    if x.shape[2] == 2:
+        spectrum = _two_column_spectrum(a, kept[:, 0], kept[:, 1])
+    else:
+        gram = np.einsum("cia,i,cib->cab", factors, a, factors, optimize=False)
+        spectrum = np.linalg.eigvalsh(gram)[:, ::-1]
+    eigenvalues[:, :top] = spectrum[:, :top]
     return rows[keep], lam, factors, eigenvalues
+
+
+def _two_column_spectrum(a: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues (cells x 2) of G = Y^T diag(a) Y for the columns
+    y0, y1 of Y, each k x cells.
+
+    lambda_1 = (g00 + g11 + hypot(g00 - g11, 2 g01)) / 2, the hypot as a
+    plain square root, since every g is at most the trace, 1.
+    lambda_2 = det G / lambda_1 with det G = g_pp s, where p is the column
+    with the larger diagonal entry and s = sum_i a_i r_i^2 the weighted Schur
+    complement of r = y_q - (g_pq / g_pp) y_p.  s is a sum of squares, so
+    lambda_2 >= 0, and it avoids the cancellation of g00 g11 - g01^2:
+    lambda_2 keeps about eps / sqrt(lambda_2) relative accuracy.
+    """
+    g00 = np.einsum("ic,ic,i->c", y0, y0, a, optimize=False)
+    g11 = np.einsum("ic,ic,i->c", y1, y1, a, optimize=False)
+    g01 = np.einsum("ic,ic,i->c", y0, y1, a, optimize=False)
+    gap = g00 - g11
+    lam1 = 0.5 * (g00 + g11 + np.sqrt(gap * gap + 4.0 * g01 * g01))
+    gpp = np.maximum(g00, g11)
+    t = g01 / gpp
+    # r = c0 y0 + c1 y1 with (c0, c1) = (-t, 1) where p = 0 and (1, -t) where
+    # p = 1, picked by a 0/1 mask: each product with 0 or 1 is exact, and
+    # arithmetic avoids the branches np.where takes on every cell.
+    p0 = (gap >= 0.0).astype(float)
+    p1 = 1.0 - p0
+    r = (p1 - p0 * t) * y0
+    r += (p0 - p1 * t) * y1
+    s = np.einsum("ic,ic,i->c", r, r, a, optimize=False)
+    return np.stack((lam1, gpp * s / lam1), axis=1)
 
 
 def density_matrices(
@@ -271,10 +312,18 @@ def density_matrices(
     floor = mass_floor * total
 
     reduce = partial(_density_chunk, a, floor)
-    chunks = scan_cell_masses(hs, family.members, depth, workers, a, floor, reduce)
-    indices, lam, factors, eigenvalues = (
-        np.concatenate(parts) for parts in zip(*(item[-1] for item in chunks))
-    )
+    parts = [list(item[-1]) for item in scan_cell_masses(
+        hs, family.members, depth, workers, a, floor, reduce
+    )]
+    # One array kind at a time, largest first, each kind's chunk parts dropped
+    # once joined: the stage peaks at the parts plus the factors, not twice
+    # the field.
+    joined = [None] * 4
+    for kind in (2, 3, 1, 0):
+        joined[kind] = np.concatenate([p[kind] for p in parts])
+        for p in parts:
+            p[kind] = None
+    indices, lam, factors, eigenvalues = joined
     if not indices.size:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"

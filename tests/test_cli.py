@@ -267,6 +267,20 @@ def test_scan_workers_bytes_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_scan_closed_form_spectra_bytes_identical_across_workers(tmp_path, capsys):
+    # sg2 has d - 1 = 2, so its spectra take the closed form, not eigvalsh.
+    outputs = []
+    for workers in (1, 2, 3):
+        profile, cells = tmp_path / f"p{workers}.csv", tmp_path / f"c{workers}.csv"
+        code, _, _ = run(
+            capsys, "scan", "--structure", "sg2", "--depths", "2..9",
+            "--workers", str(workers), "--out", str(profile), "--cells-out", str(cells),
+        )
+        assert code == 0
+        outputs.append((profile.read_bytes(), cells.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_scan_level1_family(capsys):
     code, out, err = run(
         capsys, "scan", "--structure", "vicsek", "--family", "level1",

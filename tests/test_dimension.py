@@ -198,6 +198,82 @@ def test_factored_spectrum_with_fewer_members_than_rank(vicsek):
     ff.verify_field_invariants(field)
 
 
+def _weighted_gram(field):
+    return np.einsum("cia,i,cib->cab", field.factors, field.weights, field.factors, optimize=False)
+
+
+def test_closed_form_lambda2_matches_mpmath(sg2):
+    # Nearly rank-one cells: eigvalsh of the 2 x 2 Gram finds lambda_2 only to
+    # about eps * lambda_1 (3.9e-7 relative here); the Schur complement keeps it.
+    mpmath = pytest.importorskip("mpmath")
+    field = ff.density_matrices(ff.harmonic_family(sg2), 11)
+    lam2 = field.eigenvalues[:, 1]
+    picks = np.concatenate([
+        np.argsort(lam2)[:5], np.random.default_rng(11).choice(field.size, 5, replace=False)
+    ])
+    a = [mpmath.mpf(float(w)) for w in field.weights]
+    with mpmath.workdps(50):
+        for c in picks:
+            y = [[mpmath.mpf(float(v)) for v in row] for row in field.factors[c]]
+            g = [[sum(a[i] * y[i][p] * y[i][q] for i in range(len(a))) for q in (0, 1)]
+                 for p in (0, 1)]
+            trace, det = g[0][0] + g[1][1], g[0][0] * g[1][1] - g[0][1] ** 2
+            exact = (trace - mpmath.sqrt(trace ** 2 - 4 * det)) / 2
+            assert abs(lam2[c] - exact) <= 1e-9 * exact, (c, lam2[c], exact)
+
+
+@pytest.mark.parametrize("build,depth", [
+    (ff.level1_family, 8), (lambda hs: ff.family_from_values(hs, 0, [[1.0, 0.0, 0.5]]), 6),
+])
+def test_closed_form_spectrum_agrees_with_eigvalsh(sg2, build, depth):
+    # k = 5 and k = 1 members against d - 1 = 2 columns: top = 2 and top = 1.
+    field = ff.density_matrices(build(sg2), depth)
+    top = min(field.factors.shape[1:])
+    gram = _weighted_gram(field)
+    computed = field.eigenvalues[:, :top]
+    reference = np.linalg.eigvalsh(gram)[:, ::-1][:, :top]
+    np.testing.assert_allclose(computed, reference, rtol=0, atol=1e-13 * computed[:, 0].max())
+    assert np.all(np.abs(computed - reference) <= 1e-13 * computed[:, :1])
+    np.testing.assert_allclose(
+        computed.sum(axis=1), np.einsum("caa->c", gram), rtol=0, atol=1e-14
+    )
+    assert np.all(field.eigenvalues >= 0.0)
+    assert np.all(field.eigenvalues[:, top:] == 0.0)
+
+
+def test_spectrum_past_two_columns_is_eigvalsh(vicsek):
+    # d - 1 = 3 keeps eigvalsh of the einsum Gram, bit for bit.
+    field = ff.density_matrices(ff.level1_family(vicsek), 5)
+    reference = np.linalg.eigvalsh(_weighted_gram(field))[:, ::-1]
+    assert np.array_equal(field.eigenvalues[:, :3], reference)
+
+
+@pytest.mark.parametrize("build", [ff.harmonic_family, ff.level1_family])
+def test_two_column_spectrum_calls_no_eigvalsh(sg2, monkeypatch, build):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a d - 1 = 2 field")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    field = ff.density_matrices(build(sg2), 6, workers=2)
+    assert field.size == 3 ** 6
+
+
+def test_density_stage_peak_memory(sg2):
+    # The chunk parts are joined one array kind at a time, so the stage holds
+    # the parts plus one joined kind, not the parts plus the whole field.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    fam = ff.harmonic_family(sg2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = ff.density_matrices(fam, 12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(arr.nbytes for arr in (field.indices, field.lam, field.factors, field.eigenvalues))
+    assert peak <= 1.75 * nbytes, peak / nbytes
+
+
 @pytest.mark.parametrize("bad", [-1e-9, np.nan])
 def test_psd_check_reads_computed_columns(vicsek, bad):
     # The zero padding past min(k, d - 1) must not stand in for the smallest
