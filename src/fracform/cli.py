@@ -43,7 +43,6 @@ from .harmonic import HarmonicStructure, eigen_data, graph_energy, harmonic_stru
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
-    _weight_products,
     energy,
     lift,
     mean_functional,
@@ -261,9 +260,14 @@ class Polynomial:
                     powers[idx - 1] += int(m.group(2) or 1)
                     continue
                 try:
-                    coeff *= float(factor)
+                    value = float(factor)
                 except ValueError as exc:
                     raise ParseError(f"bad polynomial factor {factor!r}") from exc
+                if not np.isfinite(value):
+                    raise ParseError(f"polynomial factor {factor!r} is not finite")
+                coeff *= value
+            if not np.isfinite(coeff):
+                raise ParseError(f"coefficient of polynomial term {chunk!r} is not finite")
             terms.append((coeff, tuple(powers)))
             coeff = 1.0
         return cls(nvars=nvars, terms=tuple(terms))
@@ -463,8 +467,7 @@ def cmd_chainrule(args) -> int:
         table = spec.vertex_table(depth)
         coords = np.column_stack([lift(m, depth).values for m in family.members])
         g_values = poly(coords)
-        inv = _weight_products(1.0 / hs.weights, depth)
-        lhs = graph_energy(table.slots, inv, hs.laplacian, g_values)
+        lhs = graph_energy(hs, depth, g_values)
 
         reps = table.slots.min(axis=1)
         rep_points = coords[reps]

@@ -42,7 +42,6 @@ from .emit import WordColumn, write_table
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
-    _weight_products,
     energy,
     mean_functional,
     normalize_xi,
@@ -98,16 +97,14 @@ def _orthonormalize(
     candidates share one structure and level, so the sweep runs on their
     vertex-value arrays."""
     hs, level = candidates[0].structure, candidates[0].level
-    slots = hs.spec.vertex_table(level).slots
-    inv = _weight_products(1.0 / hs.weights, level)
     out: list[np.ndarray] = []
     for cand in candidates:
         g = normalize_xi(cand, mean).values
         if float(np.ptp(g)) == 0.0:
             continue
         for member in out:
-            g = g - (2.0 * graph_energy(slots, inv, hs.laplacian, g, member)) * member
-        twice = 2.0 * graph_energy(slots, inv, hs.laplacian, g)
+            g = g - (2.0 * graph_energy(hs, level, g, member)) * member
+        twice = 2.0 * graph_energy(hs, level, g)
         if twice <= FAMILY_NORM_TOL:
             continue
         out.append(g / np.sqrt(twice))

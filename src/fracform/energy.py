@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import CHUNK_CELLS, CONSISTENCY_TOL, MEAN_RESIDUAL_TOL
 from .errors import NumericalError, ValidationError
-from .harmonic import HarmonicStructure, graph_energy
+from .harmonic import HarmonicStructure, _weight_products, graph_energy
 from .emit import WordColumn, write_table
 from .structure import check_cell_cap
 
@@ -51,18 +51,14 @@ class PiecewiseHarmonic:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         count = self.structure.spec.vertex_count(self.level)
         if vals.shape != (count,):
             raise ValidationError(
                 f"level {self.level} needs {count} vertex values, got shape {vals.shape}"
             )
-        if not vals.flags.writeable:
-            object.__setattr__(self, "values", vals)
-        else:
-            vals = vals.copy()
-            vals.setflags(write=False)
-            object.__setattr__(self, "values", vals)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @cached_property
     def cell_coeffs(self) -> np.ndarray:
@@ -81,14 +77,6 @@ def _refine(extensions: np.ndarray, block: np.ndarray, levels: int) -> np.ndarra
         out = np.einsum("ipq,cq->cip", extensions, block, optimize=False)
         block = out.reshape(-1, block.shape[1])
     return block
-
-
-def _weight_products(weights: np.ndarray, depth: int) -> np.ndarray:
-    """Per-word products of letter weights at the given depth, in lex order."""
-    out = np.ones(1)
-    for _ in range(depth):
-        out = np.kron(out, weights)
-    return out
 
 
 def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
@@ -117,11 +105,8 @@ def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
         g = f
     if g.structure is not f.structure:
         raise ValidationError("cannot pair functions on different structures")
-    hs = f.structure
     m = max(f.level, g.level)
-    inv = _weight_products(1.0 / hs.weights, m)
-    slots = hs.spec.vertex_table(m).slots
-    return graph_energy(slots, inv, hs.laplacian, lift(f, m).values, lift(g, m).values)
+    return graph_energy(f.structure, m, lift(f, m).values, lift(g, m).values)
 
 
 # ---------------------------------------------------------------------------

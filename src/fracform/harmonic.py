@@ -60,30 +60,6 @@ def validate_laplacian(matrix: np.ndarray) -> np.ndarray:
     return D
 
 
-def graph_energy(
-    slots: np.ndarray,
-    inv_r: np.ndarray,
-    D: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray | None = None,
-) -> float:
-    """Bilinear network energy sum_w (1 / r_w) * (-D u|_w, v|_w).
-
-    slots is the (cells x d) vertex-id table, inv_r the per-cell resistance
-    reciprocal, and u, v vertex vectors.  With v omitted this is the quadratic
-    form of u.
-    """
-    if v is None:
-        v = u
-    uu = np.asarray(u, dtype=float)[slots]
-    vv = np.asarray(v, dtype=float)[slots]
-    per_cell = -np.einsum("cp,pq,cq->c", uu, D, vv, optimize=False)
-    total = float(np.sum(per_cell * inv_r))
-    if not np.isfinite(total):  # einsum overflows without a floating-point error
-        raise NumericalError(f"network energy {total!r} is not finite")
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class HarmonicStructure:
     """A validated harmonic pair (D, r) with its letter extension matrices.
@@ -109,6 +85,34 @@ class HarmonicStructure:
     @property
     def d(self) -> int:
         return self.laplacian.shape[0]
+
+
+def _weight_products(weights: np.ndarray, depth: int) -> np.ndarray:
+    """Per-word products of letter weights at the given depth, in lex order."""
+    out = np.ones(1)
+    for _ in range(depth):
+        out = np.multiply.outer(out, weights).ravel()
+    return out
+
+
+def graph_energy(
+    hs: HarmonicStructure, level: int, u: np.ndarray, v: np.ndarray | None = None
+) -> float:
+    """Bilinear level-``level`` network energy sum_w (1 / r_w) * (-D u|_w, v|_w).
+
+    u and v are vectors on the level's vertex ids; with v omitted this is the
+    quadratic form of u.
+    """
+    if v is None:
+        v = u
+    slots = hs.spec.vertex_table(level).slots
+    uu = np.asarray(u, dtype=float)[slots]
+    vv = np.asarray(v, dtype=float)[slots]
+    per_cell = -np.einsum("cp,pq,cq->c", uu, hs.laplacian, vv, optimize=False)
+    total = float(np.sum(per_cell * _weight_products(1.0 / hs.weights, level)))
+    if not np.isfinite(total):  # einsum overflows without a floating-point error
+        raise NumericalError(f"network energy {total!r} is not finite")
+    return total
 
 
 @dataclass(frozen=True, eq=False)

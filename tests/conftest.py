@@ -14,6 +14,20 @@ def vicsek():
     return ff.harmonic_structure(ff.builtin_structure("vicsek"))
 
 
+# A two-letter interval with unequal resistances, so each cell's resistance
+# product depends on its word; every built-in has uniform weights.
+INTERVAL = {
+    "name": "interval", "alphabet_size": 2, "boundary": ["p1", "p2"],
+    "fixed_points": {"1": "p1", "2": "p2"}, "gluing": [[1, "p2", 2, "p1"]],
+    "laplacian": [[-1.0, 1.0], [1.0, -1.0]], "weights": [0.3, 0.7],
+}
+
+
+@pytest.fixture(scope="session")
+def interval():
+    return ff.harmonic_structure(ff.validate_structure(INTERVAL))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260817)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracform as ff
 import oracles
+from conftest import INTERVAL
 from fracform import cli, emit, structure
 from fracform.cli import Polynomial, _distinct_rows, main
 from fracform.config import PIVOT_TIE_TOL
@@ -357,8 +358,34 @@ def test_chainrule_linear_exact(capsys):
         assert gap < 1e-10
 
 
+@pytest.mark.parametrize("args", [
+    ("scan", "--depths", "2..5"),
+    ("scan", "--family", "level1", "--depths", "2..5"),
+    ("chainrule", "--G", "x1^2", "--depths", "2..5"),
+    ("embed", "--depth", "4", "--vertices-out", "v.csv", "--cells-out", "c.csv"),
+], ids=["scan", "scan-level1", "chainrule", "embed"])
+def test_unequal_resistances_run(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "interval.json").write_text(json.dumps(INTERVAL))
+    code, out, err = run(capsys, args[0], "--structure", "./interval.json", *args[1:])
+    assert code == 0, err
+
+
 # ---------------------------------------------------------------------------
 # failure modes
+
+@pytest.mark.parametrize("G", ["nan*x1", "inf*x1", "1e400*x1", "1e200*1e200*x1"])
+def test_non_finite_polynomial_coefficient_is_a_parse_error(tmp_path, capsys, G):
+    out_path = tmp_path / "gaps.csv"
+    code, out, err = run(
+        capsys, "chainrule", "--structure", "sg2", "--G", G,
+        "--depths", "3..4", "--out", str(out_path),
+    )
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0]
+
 
 def test_exit_code_for_missing_file(capsys):
     code, out, err = run(capsys, "validate", "--structure", "/no/such/file.json")

@@ -50,6 +50,32 @@ def test_measure_table_matches_exact_rationals(sg2):
 
 
 # ---------------------------------------------------------------------------
+# unequal resistances
+
+
+def test_graph_energy_weights_each_cell_by_its_word(interval, rng):
+    """Cell w of the interval carries (u_a - u_b)^2 / r_w, with r_w the
+    product of its letters' weights."""
+    table = interval.spec.vertex_table(3)
+    u = rng.standard_normal(table.num_vertices)
+    expected = 0.0
+    for c, word in enumerate(itertools.product((0.3, 0.7), repeat=3)):
+        a, b = table.slots[c]
+        expected += (u[a] - u[b]) ** 2 / np.prod(word)
+    assert ff.graph_energy(interval, 3, u) == pytest.approx(expected, rel=1e-13)
+
+
+def test_boundary_function_masses_follow_cell_resistances(interval):
+    """The harmonic function with boundary values (0, 1) drops by r_w across
+    cell w, so the cell's mass is 2 r_w^{-1} r_w^2 = 2 r_w."""
+    f = harmonic_fn(interval, [0.0, 1.0])
+    masses = ff.measure_table(f, depth=3).masses
+    expected = [2.0 * np.prod(word) for word in itertools.product((0.3, 0.7), repeat=3)]
+    np.testing.assert_allclose(masses, expected, rtol=1e-13)
+    assert (masses[0], masses[-1]) == pytest.approx((0.054, 0.686))
+
+
+# ---------------------------------------------------------------------------
 # representation plumbing
 
 @pytest.mark.parametrize("name", ["sg2", "vicsek"])

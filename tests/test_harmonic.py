@@ -160,9 +160,8 @@ def test_harmonic_extension_minimizes_energy(boundary, salt):
     bump = np.zeros(table.num_vertices)
     interior = np.setdiff1d(np.arange(table.num_vertices), table.boundary_ids)
     bump[interior] = np.random.default_rng(salt).standard_normal(interior.size)
-    inv_r = 1.0 / hs.weights
-    base = ff.graph_energy(table.slots, inv_r, hs.laplacian, values)
-    perturbed = ff.graph_energy(table.slots, inv_r, hs.laplacian, values + bump)
+    base = ff.graph_energy(hs, 1, values)
+    perturbed = ff.graph_energy(hs, 1, values + bump)
     assert perturbed >= base - 1e-10 * max(1.0, abs(base))
 
 
@@ -172,9 +171,8 @@ def test_level_one_energy_matches_boundary_form(boundary):
     """E^(1) of the extension equals the boundary quadratic form of -D."""
     spec = ff.builtin_structure("sg2")
     hs = ff.harmonic_structure(spec)
-    table = spec.vertex_table(1)
     u = np.asarray(boundary)
     values = level_one_extension(hs, u)
-    level1 = ff.graph_energy(table.slots, 1.0 / hs.weights, hs.laplacian, values)
+    level1 = ff.graph_energy(hs, 1, values)
     level0 = float(u @ (-hs.laplacian) @ u)
     assert level1 == pytest.approx(level0, abs=1e-10 * max(1.0, level0))
