@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import COINCIDENCE_DECIMALS, CONSISTENCY_TOL, FIXED_POINT_TOL, MASS_FLOOR
+from .config import COINCIDENCE_DECIMALS, CONSISTENCY_TOL, FIXED_POINT_TOL, MASS_FLOOR, TAU_RANK
 from .errors import (
     FracformError,
     NumericalError,
@@ -37,6 +37,7 @@ from .structure import (
     boundary_deletion_connected,
     builtin_structure_path,
     check_cell_cap,
+    convex_weights,
     load_structure,
 )
 from .harmonic import HarmonicStructure, eigen_data, graph_energy, harmonic_structure
@@ -73,7 +74,7 @@ class RunConfig:
     family: str = "harmonic"
     weights: tuple[float, ...] | None = None
     mu: tuple[float, ...] | None = None
-    tau_rank: float = 0.05
+    tau_rank: float = TAU_RANK
     mass_floor: float = MASS_FLOOR
     workers: int = 1
 
@@ -113,17 +114,6 @@ def _parse_depths(depths: str) -> range:
     if hi < lo:
         raise ParseError(f"--depths range is empty: {depths!r}")
     return range(lo, hi + 1)
-
-
-def _check_convex(values, count: int, option: str) -> None:
-    """Weights of the right count must be positive and sum to 1 (exit 2); a
-    wrong count is a mismatch the library refuses (exit 1)."""
-    if values is None or len(values) != count:
-        return
-    if not all(v > 0.0 for v in values):
-        raise ParseError(f"{option} must be positive")
-    if not abs(float(np.sum(values)) - 1.0) <= CONSISTENCY_TOL:
-        raise ParseError(f"{option} must sum to 1")
 
 
 def resolve_structure(token: str) -> StructureSpec:
@@ -185,8 +175,10 @@ def _build_family(
         raise ParseError(
             f"unknown family {config.family!r}; use harmonic, level1, or file:PATH"
         )
-    _check_convex(config.weights, family.size, "--weights")
-    return FunctionFamily(family.members, config.weights)
+    if config.weights is None:
+        return family
+    weights = convex_weights(config.weights, family.size, "--weights", ParseError)
+    return FunctionFamily(family.members, weights)
 
 
 def _family_run(args, depths: Sequence[int], **fields):
@@ -205,9 +197,9 @@ def _family_run(args, depths: Sequence[int], **fields):
     spec = resolve_structure(args.structure)
     for depth in config.depths:
         check_cell_cap(spec.n_letters, depth)
-    _check_convex(config.mu, spec.n_letters, "--mu")
+    mu = convex_weights(config.mu, spec.n_letters, "--mu", ParseError) if config.mu else None
     hs = harmonic_structure(spec)
-    mean = mean_functional(hs, np.asarray(config.mu) if config.mu else None)
+    mean = mean_functional(hs, mu)
     family = _build_family(hs, config, mean)
     # A --depths range is ascending, so its first depth is its lowest.
     level = max(m.level for m in family.members)
@@ -349,7 +341,7 @@ def cmd_measure(args) -> int:
     g = _load_function(hs, args.g) if args.g else None
     depth = config.depths[0]
     table = measure_table(f, g, depth, workers=config.workers)
-    twice = 2.0 * energy(f, g if g is not None else f)
+    twice = 2.0 * energy(f, g)
     scale = max(1.0, abs(twice))
     if not abs(table.total - twice) <= CONSISTENCY_TOL * scale:  # NaN fails too
         raise ValidationError(
@@ -439,7 +431,11 @@ def cmd_embed(args) -> int:
     if not np.all(np.isfinite(metric)):
         raise NumericalError("per-cell metric contains non-finite values")
     zeta = zeta_factors(fld).zeta
-    direction = zeta / np.linalg.norm(zeta, axis=1, keepdims=True)
+    # Summed member by member, so the norm does not depend on zeta's layout.
+    square = np.zeros(fld.size)
+    for column in zeta.T:
+        square += column * column
+    direction = zeta / np.sqrt(square)[:, None]
 
     phis = [f"phi{j + 1}" for j in range(k)]
     write_table(args.vertices_out, ["vertex", *phis], (np.arange(table.num_vertices), coords))
@@ -533,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scan", help="rank diagnostics over a depth range")
     _add_common(p)
     p.add_argument("--depths", required=True, help="inclusive range A..B")
-    p.add_argument("--tau-rank", type=float, default=0.05, dest="tau_rank")
+    p.add_argument("--tau-rank", type=float, default=TAU_RANK, dest="tau_rank")
     p.add_argument("--mass-floor", type=float,
                    default=MASS_FLOOR, dest="mass_floor")
     p.add_argument("--seed", type=int, default=0)

@@ -2,9 +2,12 @@
 
 Every tolerance used by a validation or invariant check is a named module
 constant here, so no check hides a magic number.  The checks read them
-directly; only the cell skip threshold can be overridden, through the
-``mass_floor`` argument of ``density_matrices`` (``--mass-floor``).  The scan
-does not refine a cell below it, so a skip covers the cell's whole subtree.
+directly.  Two run parameters have their defaults here and can be
+overridden: the cell skip threshold, through the ``mass_floor`` argument of
+``density_matrices`` (``--mass-floor``), and the eigenvalue cutoff of the
+dimension count, through the ``tau_rank`` argument of ``rank_statistics``
+(``--tau-rank``).  The scan does not refine a cell below the floor, so a skip
+covers the cell's whole subtree.
 """
 
 # Operations refuse to materialize more word cells than this.
@@ -35,6 +38,7 @@ PSD_TOL = 1e-10             # PSD slack, scaled by the matrix trace
 PIVOT_TIE_TOL = 1e-9        # weighted diagonals this close (relative) tie for alpha
 REPRESENTING_TOL = 1e-10    # representing-field range and pairing checks
 MASS_FLOOR = 1e-14          # skip, and stop refining, cells below this fraction of total mass
+TAU_RANK = 0.05             # eigenvalues above this count toward the dimension estimate
 FAMILY_NORM_TOL = 1e-8      # |2 E(e_i) - 1| allowed for family members
 REALIZATION_TOL = 1e-9      # realization fixed-point and gluing gaps, relative
 COINCIDENCE_DECIMALS = 12   # embed: vertex coordinates equal at this rounding coincide

@@ -27,13 +27,13 @@ import numpy as np
 
 from .config import (
     CHUNK_CELLS,
-    CONSISTENCY_TOL,
     FAMILY_NORM_TOL,
     MASS_FLOOR,
     MAX_FIELD_BYTES,
     PIVOT_TIE_TOL,
     PSD_TOL,
     REPRESENTING_TOL,
+    TAU_RANK,
     TRACE_IDENTITY_TOL,
 )
 from .errors import CapExceededError, NumericalError, ValidationError
@@ -47,6 +47,7 @@ from .energy import (
     normalize_xi,
     scan_cell_masses,
 )
+from .structure import convex_weights
 
 # ---------------------------------------------------------------------------
 # families
@@ -67,14 +68,8 @@ class FunctionFamily:
         k = len(self.members)
         if k == 0:
             raise ValidationError("family needs at least one member")
-        w = np.full(k, 1.0 / k) if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w.shape != (k,):
-            raise ValidationError(f"{k} members need {k} weights, got shape {w.shape}")
-        if not np.all(w > 0.0):
-            raise ValidationError("family weights must be positive")
-        if not abs(float(w.sum()) - 1.0) <= CONSISTENCY_TOL:
-            raise ValidationError("family weights must sum to 1")
-        w = w.copy()
+        w = np.full(k, 1.0 / k) if self.weights is None else self.weights
+        w = convex_weights(w, k, "family weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", tuple(self.members))
@@ -438,7 +433,7 @@ class RankProfile:
 
 def rank_statistics(
     field: DensityMatrixField,
-    tau_rank: float = 0.05,
+    tau_rank: float = TAU_RANK,
     zeta: ZetaField | None = None,
 ) -> RankProfile:
     """Aggregate second eigenvalues, residuals, and eigenvalue counts.

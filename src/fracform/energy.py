@@ -29,11 +29,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .config import CHUNK_CELLS, CONSISTENCY_TOL, MEAN_RESIDUAL_TOL
+from .config import CHUNK_CELLS, MEAN_RESIDUAL_TOL
 from .errors import NumericalError, ValidationError
 from .harmonic import HarmonicStructure, _weight_products, graph_energy
 from .emit import WordColumn, write_table
-from .structure import check_cell_cap
+from .structure import check_cell_cap, convex_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,16 +307,8 @@ def mean_functional(hs: HarmonicStructure, mu_weights=None) -> MeanFunctional:
     with the given letter weights (uniform by default).
     """
     n, d = hs.spec.n_letters, hs.d
-    if mu_weights is None:
-        mu = np.full(n, 1.0 / n)
-    else:
-        mu = np.asarray(mu_weights, dtype=float)
-        if mu.shape != (n,):
-            raise ValidationError(f"need one measure weight per letter, got {mu.shape}")
-        if not np.all(mu > 0.0):
-            raise ValidationError("measure weights must be positive")
-        if not abs(float(mu.sum()) - 1.0) <= CONSISTENCY_TOL:
-            raise ValidationError("measure weights must sum to 1")
+    mu = np.full(n, 1.0 / n) if mu_weights is None else mu_weights
+    mu = convex_weights(mu, n, "measure weights")
     transfer = np.einsum("i,ipq->qp", mu, hs.extensions, optimize=False)
     system = np.vstack([transfer - np.eye(d), np.ones((1, d))])
     rhs = np.zeros(d + 1)

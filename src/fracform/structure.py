@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import MAX_CELLS, REALIZATION_TOL
-from .errors import CapExceededError, ParseError, ValidationError
+from .config import CONSISTENCY_TOL, MAX_CELLS, REALIZATION_TOL
+from .errors import CapExceededError, FracformError, ParseError, ValidationError
 
 GluePair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -164,6 +164,26 @@ def _floats(raw, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{what} must hold finite numbers")
     return arr
+
+
+def convex_weights(
+    values, count: int, what: str, error: type[FracformError] = ValidationError
+) -> np.ndarray:
+    """A fresh float copy of ``count`` convex weights: positive and summing
+    to 1 within CONSISTENCY_TOL.
+
+    A wrong count is a mismatch with the structure or family and raises
+    ValidationError; an entry or sum out of range raises ``error``, so an
+    option can report it as a parse failure.
+    """
+    w = np.array(values, dtype=float)
+    if w.shape != (count,):
+        raise ValidationError(f"{what}: need {count} values, got shape {w.shape}")
+    if not np.all(w > 0.0):
+        raise error(f"{what} must be positive")
+    if not abs(float(w.sum()) - 1.0) <= CONSISTENCY_TOL:
+        raise error(f"{what} must sum to 1")
+    return w
 
 
 def _parse_realization(raw, n: int, boundary: Sequence[str]) -> dict:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 
@@ -310,6 +311,26 @@ def test_embed_outputs(tmp_path, capsys):
     assert len(crows) == 27
     nu = sum(float(row["nu"]) for row in crows)
     assert nu == pytest.approx(1.0, rel=1e-10)
+
+
+def test_embed_dir_does_not_depend_on_zeta_layout(tmp_path, capsys, monkeypatch):
+    """The dir columns are the same whether the rank-one factors come
+    C-ordered or Fortran-ordered."""
+    def cells(layout):
+        def laid_out(field):
+            zeta = ff.zeta_factors(field)
+            return dataclasses.replace(zeta, zeta=layout(zeta.zeta))
+
+        monkeypatch.setattr(cli, "zeta_factors", laid_out)
+        path = tmp_path / f"{layout.__name__}.csv"
+        code, out, err = run(
+            capsys, "embed", "--structure", "vicsek", "--family", "level1", "--depth", "5",
+            "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(path),
+        )
+        assert code == 0
+        return path.read_bytes()
+
+    assert cells(np.ascontiguousarray) == cells(np.asfortranarray)
 
 
 def test_distinct_rows_matches_tuple_set(rng):
@@ -678,6 +699,31 @@ def test_exit_code_for_bad_weights(capsys):
         "--weights", "0.5,oops",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("option,values,count", [
+    ("--weights", "0.5,0.5,0.5", 2), ("--mu", "0.5,0.5", 3),
+])
+def test_weight_count_mismatch_names_the_option(capsys, option, values, count):
+    code, out, err = run(
+        capsys, "scan", "--structure", "sg2", "--depths", "2..3", f"{option}={values}",
+    )
+    assert code == 1 and out == ""
+    shape = (len(values.split(",")),)
+    assert err.splitlines() == [f"error: {option}: need {count} values, got shape {shape}"]
+
+
+@pytest.mark.parametrize("values,exit_code", [("0.5,0.5", 1), ("0.5,0.5,0.5", 2)])
+def test_mu_checked_before_harmonic_pair(capsys, monkeypatch, values, exit_code):
+    def no_pair(spec):
+        raise AssertionError("harmonic pair built before --mu was checked")
+
+    monkeypatch.setattr(cli, "harmonic_structure", no_pair)
+    code, out, err = run(
+        capsys, "scan", "--structure", "sg2", "--depths", "2..3", f"--mu={values}",
+    )
+    assert code == exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("error: --mu")
 
 
 def test_argparse_usage_error():

@@ -43,8 +43,13 @@ def test_family_from_values_rejects_constants(sg2):
 
 def test_family_weights_validated(sg2):
     members = ff.harmonic_family(sg2).members
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^family weights must sum to 1$"):
         ff.FunctionFamily(members=members, weights=np.array([0.9, 0.2]))
+    with pytest.raises(ValidationError, match="^family weights must be positive$"):
+        ff.FunctionFamily(members=members, weights=[0.0, 1.0])
+    count = r"^family weights: need 2 values, got shape \(3,\)$"
+    with pytest.raises(ValidationError, match=count):
+        ff.FunctionFamily(members=members, weights=[0.2, 0.3, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,23 @@ def test_weighted_mean_functional(sg2, rng):
     assert mean.integrate(f) == pytest.approx(sum(parts), rel=1e-12)
 
 
+def test_mean_functional_leaves_caller_weights_writeable(sg2):
+    mu = np.array([0.5, 0.3, 0.2])
+    mean = ff.mean_functional(sg2, mu)
+    assert mu.flags.writeable
+    assert not mean.measure_weights.flags.writeable
+
+
+@pytest.mark.parametrize("mu,message", [
+    ([0.5, 0.5, 0.0], "measure weights must be positive"),
+    ([0.5, 0.3, 0.3], "measure weights must sum to 1"),
+    ([0.5, 0.5], r"measure weights: need 3 values, got shape \(2,\)"),
+], ids=["non-positive", "sum", "count"])
+def test_mean_functional_refuses_bad_weights(sg2, mu, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ff.mean_functional(sg2, mu)
+
+
 def test_normalize_xi(sg2, rng):
     mean = ff.mean_functional(sg2)
     f = random_piecewise_harmonic(sg2, 1, rng)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import fracform as ff
 from fracform.errors import ParseError, ValidationError
-from fracform.structure import check_cell_cap
+from fracform.structure import check_cell_cap, convex_weights
 
 import oracles
 
@@ -225,3 +225,19 @@ def test_structure_without_optional_parts_loads():
     spec = ff.validate_structure(raw)
     assert spec.laplacian is None
     assert spec.vertex_table(2).num_vertices == 15
+
+
+# ---------------------------------------------------------------------------
+# convex weights
+
+def test_convex_weights_copies_and_splits_error_types():
+    values = np.array([0.25, 0.75])
+    w = convex_weights(values, 2, "w", ParseError)
+    assert w.tolist() == [0.25, 0.75] and not np.shares_memory(w, values)
+    with pytest.raises(ParseError, match="^w must be positive$"):
+        convex_weights([1.5, -0.5], 2, "w", error=ParseError)
+    with pytest.raises(ParseError, match="^w must sum to 1$"):
+        convex_weights([0.3, 0.3], 2, "w", error=ParseError)
+    # A wrong count is a mismatch, never a parse failure.
+    with pytest.raises(ValidationError, match=r"^w: need 2 values, got shape \(3,\)$"):
+        convex_weights([0.2, 0.3, 0.5], 2, "w", error=ParseError)
