@@ -367,14 +367,11 @@ def cmd_scan(args) -> int:
     check_field_bytes(spec.n_letters, config.depths[-1], family.size)
     profiles = []
     for depth in config.depths:
-        # Only the deepest field is written; let the previous one go first.
-        fld = zeta = None
         fld = density_matrices(
             family, depth, workers=config.workers, mass_floor=config.mass_floor
         )
         verify_field_invariants(fld)
-        zeta = zeta_factors(fld)
-        profile = rank_statistics(fld, config.tau_rank, zeta)
+        profile = rank_statistics(fld, config.tau_rank)
         profiles.append(profile)
         print(
             f"depth {depth}: mean_lambda2 = {profile.mean_lambda2:.6e}, "
@@ -385,7 +382,7 @@ def cmd_scan(args) -> int:
         )
     write_profile_csv(profiles, args.out)
     if args.cells_out:
-        write_cells_csv(fld, zeta, args.cells_out)
+        write_cells_csv(fld, args.cells_out)
     rounded = int(round(profile.dim_estimate))
     print(
         f"dimension estimate at depth {profile.depth}: {rounded} "

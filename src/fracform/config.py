@@ -15,13 +15,16 @@ MAX_CELLS = 1 << 22
 
 # A density field of n**depth cells and k members is refused when its k x k
 # float64 matrices, counted over every cell, would take more bytes than this.
-# The scan forms no such matrix; this bounds the ones DensityMatrixField.matrices
-# forms on demand, as embed does.
+# The scan forms no such matrix, and a field holds no factor; this bounds the
+# matrices DensityMatrixField.matrices forms when read, as embed does.
 MAX_FIELD_BYTES = 1 << 32
 
-# Fixed subtree chunk size for the deep table builders.  The chunk layout is a
-# function of the requested depth alone, never of the worker count, so results
-# are byte-for-byte reproducible no matter how work is scheduled.
+# Fixed subtree chunk size of the cell scan, which measure tables, density
+# fields and the chain-rule check all read.  Each density-field chunk is
+# reduced to its per-cell quantities on the worker that scanned it.  The chunk
+# layout is a function of the requested depth alone, never of the worker
+# count, so results are byte-for-byte reproducible no matter how work is
+# scheduled.
 CHUNK_CELLS = 1 << 15
 
 SYMMETRY_TOL = 1e-12        # |D - D^T| relative to max|D|

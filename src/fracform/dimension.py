@@ -4,9 +4,13 @@ Given a finite family of normalized piecewise harmonic functions with convex
 weights, the combined measure assigns each word cell a mass, and each cell
 carries the matrix of pair masses divided by that cell mass.  The scan hands
 out each cell's k x (d - 1) block of energy coordinates rather than that
-k x k matrix, so the field keeps the factor Y with Z = Y Y^T, of rank at most
-d - 1, and takes spectra from the (d - 1) x (d - 1) weighted Gram of Y: in
-closed form on a three-point boundary (d - 1 = 2), by eigvalsh otherwise.
+k x k matrix, which gives the factor Y with Z = Y Y^T, of rank at most d - 1.
+One reduction per scan chunk, run on the worker that scanned it, computes
+every per-cell quantity from the chunk's own Y: the mass, the spectrum of the
+(d - 1) x (d - 1) weighted Gram of Y (in closed form on a three-point
+boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot and residual,
+and the weighted-trace gap.  The density field keeps only those columns; Y
+and the rank-one factors are formed when read, by running the scan again.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -21,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import (
-    CHUNK_CELLS,
     FAMILY_NORM_TOL,
     MASS_FLOOR,
     MAX_FIELD_BYTES,
@@ -159,17 +162,26 @@ def family_from_values(
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrixField:
-    """Density matrices of all retained cells at one depth.
+    """Per-cell columns of the density matrices of all retained cells at one
+    depth.
 
     Retained means the cell's combined mass stayed at or above the floor;
-    rows are in lexicographic cell order throughout.  factors[c] is the
-    k x (d - 1) factor Y of the cell's density matrix Z = Y Y^T, and
-    eigenvalues[c] the descending spectrum of the trace-one weighted form
-    M = [sqrt(a_i a_j) Z_ij]: its top min(k, d - 1) values, from the weighted
-    Gram Y^T diag(a) Y, then exact zeros, since rank Z <= d - 1.  With
-    d - 1 = 2 the two values are in closed form, lambda_2 from a Schur
-    complement, so it is nonnegative and keeps its relative accuracy on
-    nearly rank-one cells; other shapes take eigvalsh of the Gram.
+    rows are in lexicographic cell order throughout.  Every column comes from
+    one reduction of each scan chunk (_density_chunk) over the chunk's own
+    cells-last factor Y, k x (d - 1) per cell with Z = Y Y^T, so its bits do
+    not depend on how the chunks are joined.  eigenvalues[c] is the
+    descending spectrum of the trace-one weighted form M = [sqrt(a_i a_j) Z_ij]:
+    its top min(k, d - 1) values, from the weighted Gram Y^T diag(a) Y, then
+    exact zeros, since rank Z <= d - 1.  With d - 1 = 2 the two values are in
+    closed form, lambda_2 from a Schur complement, so it is nonnegative and
+    keeps its relative accuracy on nearly rank-one cells; other shapes take
+    eigvalsh of the Gram.  alpha and residuals are the rank-one pivot and
+    residual (ZetaField), and worst_trace_gap the largest
+    |sum_i a_i |Y_i|^2 - 1| over the retained cells.
+
+    The field holds no factor.  ``factors`` (Y) and ``zeta`` (the rank-one
+    factor) are formed on first read by running ``scan``, the deterministic
+    scan that built the field, again; ``matrices`` (Z) from ``factors``.
     """
 
     depth: int
@@ -177,11 +189,14 @@ class DensityMatrixField:
     weights: np.ndarray
     indices: np.ndarray
     lam: np.ndarray
-    factors: np.ndarray
     eigenvalues: np.ndarray
+    alpha: np.ndarray
+    residuals: np.ndarray
+    worst_trace_gap: float
     skipped: int
     total_mass: float
     floor: float
+    scan: Callable[[], Iterator[tuple]]
 
     @property
     def size(self) -> int:
@@ -190,6 +205,33 @@ class DensityMatrixField:
     @property
     def family_size(self) -> int:
         return int(self.weights.size)
+
+    @staticmethod
+    def _join(scan: Iterator[tuple], kinds: Sequence[int]) -> list[np.ndarray]:
+        """The listed kinds of each chunk's _density_chunk parts, each joined
+        in lexicographic cell order (read-only); other parts drop as they
+        arrive."""
+        columns = list(zip(*([item[-1][kind] for kind in kinds] for item in scan)))
+        # Each kind's parts drop once joined: the join peaks at the parts plus
+        # one joined kind, not twice the columns.
+        joined = [np.concatenate(columns.pop(0)) for _ in kinds]
+        for arr in joined:
+            arr.setflags(write=False)
+        return joined
+
+    @cached_property
+    def _rescanned(self) -> list[np.ndarray]:
+        return self._join(self.scan(), (2, 5))  # _density_chunk's factors and zeta
+
+    @property
+    def factors(self) -> np.ndarray:
+        """Y per cell, k x (d - 1), formed on first read."""
+        return self._rescanned[0]
+
+    @property
+    def zeta(self) -> np.ndarray:
+        """The rank-one factor per cell, length k, formed on first read."""
+        return self._rescanned[1]
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -216,20 +258,24 @@ def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
 
 def _density_chunk(
     a: np.ndarray, floor: float, rows: np.ndarray, x: np.ndarray, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Retained cells of one scan chunk: indices, masses, factors, spectra.
+) -> tuple[np.ndarray, ...]:
+    """Every per-cell quantity of one scan chunk's retained cells: indices,
+    masses, factors, spectra, then _zeta_block's pivots, rank-one factors and
+    residuals, and last the chunk's worst weighted-trace gap as a length-1
+    array (0 when the chunk retains no cell).
 
     The mass is lambda = scale * sum_i a_i |x_i|^2, the factor
     Y = sqrt(scale / lambda) x, and the spectrum that of the
     (d - 1) x (d - 1) weighted Gram G = Y^T diag(a) Y, cut to min(k, d - 1)
     values and padded with zeros to k.  With d - 1 = 2 the spectrum is in
     closed form (_two_column_spectrum); every other shape takes eigvalsh of G.
+    The trace gap is |sum_i a_i |Y_i|^2 - 1|, 0 in exact arithmetic.
     """
     lam = scale * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
     keep = lam >= floor
     lam = lam[keep]
     # compress along the last axis of the (k, d - 1, cells) view stores Y
-    # cells-last, so the per-cell contractions here and in zeta_factors run
+    # cells-last, so the per-cell contractions here and in _zeta_block run
     # along the cells axis instead of over tiny matrices one at a time.
     kept = np.compress(keep, x.transpose(1, 2, 0), axis=2)
     kept *= np.sqrt(scale[keep] / lam)
@@ -242,7 +288,9 @@ def _density_chunk(
         gram = np.einsum("cia,i,cib->cab", factors, a, factors, optimize=False)
         spectrum = np.linalg.eigvalsh(gram)[:, ::-1]
     eigenvalues[:, :top] = spectrum[:, :top]
-    return rows[keep], lam, factors, eigenvalues
+    trace = np.einsum("iac,iac,i->c", kept, kept, a, optimize=False)
+    gap = np.abs(trace - 1.0).max(initial=0.0, keepdims=True)
+    return (rows[keep], lam, factors, eigenvalues, *_zeta_block(factors, a), gap)
 
 
 def _two_column_spectrum(a: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
@@ -281,12 +329,13 @@ def density_matrices(
     workers: int = 1,
     mass_floor: float = MASS_FLOOR,
 ) -> DensityMatrixField:
-    """Build the factors of Z and its spectra for every cell whose mass
+    """Spectra, rank-one pivots and residuals of every cell whose mass
     clears the floor.
 
     The floor is mass_floor times the total combined mass.  A cell below it
     has no meaningful density and is not refined; skipped counts its subtree.
-    Each chunk is reduced on the scan worker that formed it.
+    Each chunk is reduced on the scan worker that formed it, and its factor
+    and rank-one parts are dropped as it arrives.
     """
     hs = family.structure
     n = hs.spec.n_letters
@@ -304,58 +353,50 @@ def density_matrices(
     floor = mass_floor * total
 
     reduce = partial(_density_chunk, a, floor)
-    parts = [list(item[-1]) for item in scan_cell_masses(
-        hs, family.members, depth, workers, a, floor, reduce
-    )]
-    # One array kind at a time, largest first, each kind's chunk parts dropped
-    # once joined: the stage peaks at the parts plus the factors, not twice
-    # the field.
-    joined = [None] * 4
-    for kind in (2, 3, 1, 0):
-        joined[kind] = np.concatenate([p[kind] for p in parts])
-        for p in parts:
-            p[kind] = None
-    indices, lam, factors, eigenvalues = joined
+    scan = partial(scan_cell_masses, hs, family.members, depth, workers, a, floor, reduce)
+    indices, lam, eigenvalues, alpha, residuals, gaps = DensityMatrixField._join(
+        scan(), (0, 1, 3, 4, 6, 7)
+    )
     if not indices.size:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
-    for arr in (indices, lam, factors, eigenvalues):
-        arr.setflags(write=False)
     return DensityMatrixField(
         depth=depth,
         n_letters=n,
         weights=a,
         indices=indices,
         lam=lam,
-        factors=factors,
         eigenvalues=eigenvalues,
+        alpha=alpha,
+        residuals=residuals,
+        worst_trace_gap=float(gaps.max()),
         skipped=n ** depth - indices.size,
         total_mass=total,
         floor=floor,
+        scan=scan,
     )
 
 
 def verify_field_invariants(field: DensityMatrixField) -> None:
     """Raise unless every retained cell satisfies the Gram and trace identities.
 
-    Checks: min computed eigenvalue of the trace-one form (the last of the
-    top min(k, d - 1), not the zero padding) at or above -PSD_TOL, and the
+    Checks: min eigenvalue of the trace-one form at or above -PSD_TOL (the
+    zero padding past the top min(k, d - 1) is exact, so the min is a
+    computed value whenever the check fails), and the
     weighted diagonal of Z, sum_i a_i |Y_i|^2, summing to 1 within
-    TRACE_IDENTITY_TOL.
+    TRACE_IDENTITY_TOL on every cell (the field's worst_trace_gap).
     """
     if field.size == 0:
         raise ValidationError("empty field: all cells were skipped")
-    min_eig = float(field.eigenvalues[:, min(field.factors.shape[1:]) - 1].min())
+    min_eig = float(field.eigenvalues.min())
     if not min_eig >= -PSD_TOL:  # NaN fails too
         raise ValidationError(
             f"density matrix lost positivity: min eigenvalue {min_eig:.3g}"
         )
-    diag = np.einsum("cia,cia,i->c", field.factors, field.factors, field.weights, optimize=False)
-    worst = float(np.abs(diag - 1.0).max())
-    if not worst <= TRACE_IDENTITY_TOL:
+    if not field.worst_trace_gap <= TRACE_IDENTITY_TOL:  # NaN fails too
         raise ValidationError(
-            f"weighted trace identity violated by {worst:.3g} on a retained cell"
+            f"weighted trace identity violated by {field.worst_trace_gap:.3g} on a retained cell"
         )
 
 
@@ -380,24 +421,21 @@ class ZetaField:
 
 
 def zeta_factors(field: DensityMatrixField) -> ZetaField:
-    """Rank-one factors from the field's factors Y, Z = Y Y^T, in blocks of
-    CHUNK_CELLS cells to bound the temporaries (one empty block if no cells).
-
-    zeta = Y Y_alpha^T / |Y_alpha| for the pivot row Y_alpha.  With u the
-    unit pivot row, Z - zeta zeta^T = Y Q Y^T for Q = I - u u^T, so the
-    residual is |Q H Q|_F / |H|_F with H = Y^T Y, all (d - 1) x (d - 1).
-    """
-    starts = range(0, max(field.size, 1), CHUNK_CELLS)
-    parts = [_zeta_block(field.factors[lo : lo + CHUNK_CELLS], field.weights) for lo in starts]
-    alpha, zeta, residuals = (np.concatenate(p) for p in zip(*parts))
-    for arr in (alpha, zeta, residuals):
-        arr.setflags(write=False)
-    return ZetaField(depth=field.depth, alpha=alpha, zeta=zeta, residuals=residuals)
+    """The field's rank-one columns; reading zeta forms the field's factors."""
+    return ZetaField(field.depth, field.alpha, field.zeta, field.residuals)
 
 
 def _zeta_block(
     y: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivots, rank-one factors and residuals of the factors y (cells x k x
+    (d - 1)), Z = Y Y^T.
+
+    zeta = Y Y_alpha^T / |Y_alpha| for the pivot row Y_alpha.  With u the
+    unit pivot row, Z - zeta zeta^T = Y Q Y^T for Q = I - u u^T, so the
+    residual is |Q H Q|_F / |H|_F with H = Y^T Y, all (d - 1) x (d - 1).
+    The einsum reductions follow y's memory layout, so the bits do too.
+    """
     diag = np.einsum("cia,cia->ci", y, y, optimize=False)
     weighted = weights[None, :] * diag
     # The first index within PIVOT_TIE_TOL of the row maximum, not rounding, wins.
@@ -431,11 +469,7 @@ class RankProfile:
     retained_cells: int
 
 
-def rank_statistics(
-    field: DensityMatrixField,
-    tau_rank: float = TAU_RANK,
-    zeta: ZetaField | None = None,
-) -> RankProfile:
+def rank_statistics(field: DensityMatrixField, tau_rank: float = TAU_RANK) -> RankProfile:
     """Aggregate second eigenvalues, residuals, and eigenvalue counts.
 
     All means are weighted by cell mass and summed in lexicographic cell
@@ -446,8 +480,6 @@ def rank_statistics(
         raise ValidationError("empty field: all cells were skipped")
     if not 0.0 < tau_rank < 1.0:
         raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
-    if zeta is None:
-        zeta = zeta_factors(field)
     lam = field.lam
     weight_sum = float(np.sum(lam))
     if field.family_size > 1:
@@ -455,7 +487,7 @@ def rank_statistics(
         mean_lambda2 = float(np.sum(lam * lam2)) / weight_sum
     else:
         mean_lambda2 = 0.0
-    mean_residual = float(np.sum(lam * zeta.residuals)) / weight_sum
+    mean_residual = float(np.sum(lam * field.residuals)) / weight_sum
     counts = np.sum(field.eigenvalues > tau_rank, axis=1)
     dim_estimate = float(np.sum(lam * counts)) / weight_sum
     return RankProfile(
@@ -536,14 +568,12 @@ def run_mass_limit(hs: HarmonicStructure, data: EigenData, u) -> float:
 # CSV emission
 
 
-def write_cells_csv(
-    field: DensityMatrixField, zeta: ZetaField, path: str | Path
-) -> None:
+def write_cells_csv(field: DensityMatrixField, path: str | Path) -> None:
     """Per-cell rows: word, weight, descending eigenvalues, residual, alpha."""
     k = field.family_size
     header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(k)] + ["residual", "alpha"]
     words = WordColumn(field.indices, field.depth, field.n_letters)
-    columns = (words, field.lam, field.eigenvalues, zeta.residuals, zeta.alpha + 1)
+    columns = (words, field.lam, field.eigenvalues, field.residuals, field.alpha + 1)
     write_table(path, header, columns)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fracform as ff
 import oracles
 from conftest import INTERVAL
-from fracform import cli, emit, structure
+from fracform import cli, dimension, emit, structure
 from fracform.cli import Polynomial, _distinct_rows, main
 from fracform.config import PIVOT_TIE_TOL
 from fracform.errors import ParseError, ValidationError
@@ -281,6 +281,24 @@ def test_scan_closed_form_spectra_bytes_identical_across_workers(tmp_path, capsy
         assert code == 0
         outputs.append((profile.read_bytes(), cells.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_scan_runs_one_scan_per_depth(tmp_path, capsys, monkeypatch):
+    # The deepest field is written with --cells-out; writing it must not scan
+    # the depth again to form factors.
+    scan, depths = dimension.scan_cell_masses, []
+
+    def counted(hs, members, depth, *args, **kwargs):
+        depths.append(depth)
+        return scan(hs, members, depth, *args, **kwargs)
+
+    monkeypatch.setattr(dimension, "scan_cell_masses", counted)
+    code, out, err = run(
+        capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "2..4",
+        "--workers", "2", "--out", str(tmp_path / "p.csv"), "--cells-out", str(tmp_path / "c.csv"),
+    )
+    assert code == 0
+    assert depths == [2, 3, 4]
 
 
 def test_scan_level1_family(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fracform as ff
-from fracform.dimension import _density_chunk, check_field_bytes
+from fracform.dimension import _density_chunk, _zeta_block, check_field_bytes
 from fracform.errors import CapExceededError, ValidationError
 
 import oracles
@@ -124,17 +124,19 @@ def test_all_cells_skipped_raises(sg2):
 
 @functools.lru_cache(maxsize=4)
 def unpruned_field(name, build, depth):
-    """Family, total mass, and the mass, factor and spectrum of every
-    depth-``depth`` cell in lex order: the scan without a floor, each chunk
-    reduced as density_matrices reduces it, with a zero floor."""
+    """Family, total mass, and the mass, factor, spectrum, pivot and residual
+    of every depth-``depth`` cell in lex order: the scan without a floor, each
+    chunk reduced as density_matrices reduces it, with a zero floor."""
     hs = ff.harmonic_structure(ff.builtin_structure(name))
     fam = getattr(ff, f"{build}_family")(hs)
     total = float(np.sum(fam.weights * [2.0 * ff.energy(m) for m in fam.members]))
     reduce = functools.partial(_density_chunk, fam.weights, 0.0)
     parts = [item[-1] for item in ff.scan_cell_masses(hs, fam.members, depth, reduce=reduce)]
-    rows, lam, factors, eigenvalues = (np.concatenate(p) for p in zip(*parts))
+    rows, lam, factors, eigenvalues, alpha, _, residuals, _ = (
+        np.concatenate(p) for p in zip(*parts)
+    )
     assert np.array_equal(rows, np.arange(hs.spec.n_letters ** depth))
-    return fam, total, lam, factors, eigenvalues
+    return fam, total, lam, factors, eigenvalues, alpha, residuals
 
 
 @pytest.mark.parametrize("name,build,depth", [
@@ -146,7 +148,7 @@ def unpruned_field(name, build, depth):
 def test_pruned_field_equals_full_field(name, build, depth, floor, workers):
     """A scan that stops refining cells below the floor builds the very field
     that filtering the factor field of every cell by the floor builds."""
-    fam, total, lam, factors, eigenvalues = unpruned_field(name, build, depth)
+    fam, total, lam, factors, eigenvalues, alpha, residuals = unpruned_field(name, build, depth)
     if isinstance(floor, str):
         # Just above a real cell's mass, so that cell and its equals drop out.
         live = np.sort(lam[lam >= 1e-14 * total])
@@ -158,6 +160,8 @@ def test_pruned_field_equals_full_field(name, build, depth, floor, workers):
     assert np.array_equal(field.lam, lam[keep])
     assert np.array_equal(field.factors, factors[keep])
     assert np.array_equal(field.eigenvalues, eigenvalues[keep])
+    assert np.array_equal(field.alpha, alpha[keep])
+    assert np.array_equal(field.residuals, residuals[keep])
     kept = factors[keep]
     assert np.array_equal(field.matrices, np.einsum("cia,cja->cij", kept, kept, optimize=False))
     assert field.skipped == lam.size - int(np.sum(keep))
@@ -264,7 +268,8 @@ def test_two_column_spectrum_calls_no_eigvalsh(sg2, monkeypatch, build):
 
 
 def test_density_stage_peak_memory(sg2):
-    # The chunk parts are joined one array kind at a time, so the stage holds
+    # Each chunk's factor and rank-one parts are dropped as it arrives, and
+    # the other parts are joined one array kind at a time, so the stage holds
     # the parts plus one joined kind, not the parts plus the whole field.
     tracemalloc = pytest.importorskip("tracemalloc")
     fam = ff.harmonic_family(sg2)
@@ -275,7 +280,8 @@ def test_density_stage_peak_memory(sg2):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    nbytes = sum(arr.nbytes for arr in (field.indices, field.lam, field.factors, field.eigenvalues))
+    held = (field.indices, field.lam, field.eigenvalues, field.alpha, field.residuals)
+    nbytes = sum(arr.nbytes for arr in held)
     assert peak <= 1.75 * nbytes, peak / nbytes
 
 
@@ -288,6 +294,19 @@ def test_psd_check_reads_computed_columns(vicsek, bad):
     eigenvalues[field.size // 2, vicsek.d - 2] = bad
     with pytest.raises(ValidationError, match="positivity"):
         ff.verify_field_invariants(dataclasses.replace(field, eigenvalues=eigenvalues))
+
+
+@pytest.mark.parametrize("bad", [1e-9, np.nan])
+def test_trace_check_reads_worst_gap(vicsek, bad):
+    # The gate reads the gap the scan chunks computed from their own
+    # cells-last factors; a copy in that layout gives the same bits.
+    field = ff.density_matrices(ff.level1_family(vicsek), 3)
+    y = np.ascontiguousarray(field.factors.transpose(1, 2, 0))
+    trace = np.einsum("iac,iac,i->c", y, y, field.weights, optimize=False)
+    assert field.worst_trace_gap == np.abs(trace - 1.0).max()
+    ff.verify_field_invariants(field)
+    with pytest.raises(ValidationError, match="weighted trace identity violated"):
+        ff.verify_field_invariants(dataclasses.replace(field, worst_trace_gap=bad))
 
 
 def test_family_energy_normalization_checked(sg2):
@@ -315,6 +334,20 @@ def test_zeta_reconstructs_pivot(sg2):
         assert zeta.residuals[c] == pytest.approx(expected, abs=1e-12)
 
 
+def test_rank_one_columns_do_not_depend_on_join_layout(vicsek):
+    # Some depth-8 chunks retain no cell, and joining their empty parts makes
+    # the factor array C-ordered.  The rank-one columns still carry the bits
+    # of each chunk's own cells-last factor.
+    field = ff.density_matrices(ff.harmonic_family(vicsek), 8)
+    assert field.factors.flags.c_contiguous
+    zeta = ff.zeta_factors(field)
+    cells_last = np.ascontiguousarray(field.factors.transpose(1, 2, 0)).transpose(2, 0, 1)
+    alpha, z, residuals = _zeta_block(cells_last, field.weights)
+    assert np.array_equal(zeta.alpha, alpha)
+    assert np.array_equal(zeta.residuals, residuals)
+    assert np.array_equal(zeta.zeta, z)
+
+
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_zeta_alpha_is_smallest_tied_index(vicsek, depth):
     # Symmetric cells of the level-1 family have weighted diagonals that tie
@@ -329,15 +362,16 @@ def test_zeta_alpha_is_smallest_tied_index(vicsek, depth):
 
 def test_rank_statistics_recomputed(sg2):
     field = ff.density_matrices(ff.harmonic_family(sg2), 5)
-    zeta = ff.zeta_factors(field)
-    prof = ff.rank_statistics(field, tau_rank=0.05, zeta=zeta)
+    prof = ff.rank_statistics(field, tau_rank=0.05)
     lam = field.lam
     expect_l2 = float(np.sum(lam * field.eigenvalues[:, 1]) / np.sum(lam))
+    expect_res = float(np.sum(lam * field.residuals) / np.sum(lam))
     expect_dim = float(
         np.sum(lam * np.sum(field.eigenvalues > 0.05, axis=1)) / np.sum(lam)
     )
     assert prof.mean_lambda2 == pytest.approx(expect_l2, rel=1e-13)
     assert prof.dim_estimate == pytest.approx(expect_dim, rel=1e-13)
+    assert prof.mean_residual == pytest.approx(expect_res, rel=1e-13)
     assert prof.retained_cells == field.size
     with pytest.raises(ValidationError):
         ff.rank_statistics(field, tau_rank=1.5)
