@@ -367,6 +367,7 @@ def cmd_scan(args) -> int:
     check_field_bytes(spec.n_letters, config.depths[-1], family.size)
     profiles = []
     for depth in config.depths:
+        fld = None  # the previous depth's field is freed before the next is built
         fld = density_matrices(
             family, depth, workers=config.workers, mass_floor=config.mass_floor
         )

@@ -9,8 +9,10 @@ One reduction per scan chunk, run on the worker that scanned it, computes
 every per-cell quantity from the chunk's own Y: the mass, the spectrum of the
 (d - 1) x (d - 1) weighted Gram of Y (in closed form on a three-point
 boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot and residual,
-and the weighted-trace gap.  The density field keeps only those columns; Y
-and the rank-one factors are formed when read, by running the scan again.
+and the weighted-trace gap.  The density field keeps only those columns,
+each written into place in one preallocated array as its chunk arrives, so
+the field costs one copy of its columns plus the chunks in flight; Y and the
+rank-one factors are formed when read, by running the scan again.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -169,8 +171,10 @@ class DensityMatrixField:
     rows are in lexicographic cell order throughout.  Every column comes from
     one reduction of each scan chunk (_density_chunk) over the chunk's own
     cells-last factor Y, k x (d - 1) per cell with Z = Y Y^T, so its bits do
-    not depend on how the chunks are joined.  eigenvalues[c] is the
-    descending spectrum of the trace-one weighted form M = [sqrt(a_i a_j) Z_ij]:
+    not depend on how the columns are assembled: each is one C-ordered,
+    read-only array, filled in place chunk by chunk and cut to the retained
+    rows (_fill).  eigenvalues[c] is the descending spectrum of the
+    trace-one weighted form M = [sqrt(a_i a_j) Z_ij]:
     its top min(k, d - 1) values, from the weighted Gram Y^T diag(a) Y, then
     exact zeros, since rank Z <= d - 1.  With d - 1 = 2 the two values are in
     closed form, lambda_2 from a Schur complement, so it is nonnegative and
@@ -206,22 +210,10 @@ class DensityMatrixField:
     def family_size(self) -> int:
         return int(self.weights.size)
 
-    @staticmethod
-    def _join(scan: Iterator[tuple], kinds: Sequence[int]) -> list[np.ndarray]:
-        """The listed kinds of each chunk's _density_chunk parts, each joined
-        in lexicographic cell order (read-only); other parts drop as they
-        arrive."""
-        columns = list(zip(*([item[-1][kind] for kind in kinds] for item in scan)))
-        # Each kind's parts drop once joined: the join peaks at the parts plus
-        # one joined kind, not twice the columns.
-        joined = [np.concatenate(columns.pop(0)) for _ in kinds]
-        for arr in joined:
-            arr.setflags(write=False)
-        return joined
-
     @cached_property
     def _rescanned(self) -> list[np.ndarray]:
-        return self._join(self.scan(), (2, 5))  # _density_chunk's factors and zeta
+        # _density_chunk's factors and zeta
+        return _fill(self.scan(), (2, 5), self.n_letters ** self.depth)[0]
 
     @property
     def factors(self) -> np.ndarray:
@@ -254,6 +246,37 @@ def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
             f"depth {depth} density field of {family_size} members needs {need} bytes, "
             f"cap is {MAX_FIELD_BYTES}"
         )
+
+
+def _fill(
+    scan: Iterator[tuple], kinds: Sequence[int], rows: int
+) -> tuple[list[np.ndarray], float]:
+    """The listed kinds of each chunk's _density_chunk parts, each written in
+    lexicographic cell order into one C-ordered, read-only array, and the
+    worst weighted-trace gap over the chunks.
+
+    Each array gets ``rows`` rows when the first chunk arrives, and every
+    chunk's rows are copied into the next slots as it arrives, so no part
+    outlives its chunk; pages never written are never resident.  Once the
+    scan ends, each array shrinks to the rows written by a realloc in place,
+    so a pruned field holds no spare capacity.  The gap is a running
+    np.maximum, which keeps a NaN from any chunk.
+    """
+    columns, size, worst = [], 0, np.zeros(1)
+    for *_, parts in scan:
+        if not columns:
+            columns = [np.empty((rows, *parts[i].shape[1:]), parts[i].dtype) for i in kinds]
+        count = parts[0].size
+        for column, kind in zip(columns, kinds):
+            column[size : size + count] = parts[kind]
+        size += count
+        np.maximum(worst, parts[-1], out=worst)
+    # No view of a column outlives its slice assignment above, so the
+    # resize may skip numpy's reference check.
+    for column in columns:
+        column.resize((size, *column.shape[1:]), refcheck=False)
+        column.setflags(write=False)
+    return columns, float(worst[0])
 
 
 def _density_chunk(
@@ -334,8 +357,9 @@ def density_matrices(
 
     The floor is mass_floor times the total combined mass.  A cell below it
     has no meaningful density and is not refined; skipped counts its subtree.
-    Each chunk is reduced on the scan worker that formed it, and its factor
-    and rank-one parts are dropped as it arrives.
+    Each chunk is reduced on the scan worker that formed it; as it arrives
+    its columns are copied into the field's arrays, and its factor and
+    rank-one parts drop with it.
     """
     hs = family.structure
     n = hs.spec.n_letters
@@ -354,9 +378,8 @@ def density_matrices(
 
     reduce = partial(_density_chunk, a, floor)
     scan = partial(scan_cell_masses, hs, family.members, depth, workers, a, floor, reduce)
-    indices, lam, eigenvalues, alpha, residuals, gaps = DensityMatrixField._join(
-        scan(), (0, 1, 3, 4, 6, 7)
-    )
+    columns, worst_gap = _fill(scan(), (0, 1, 3, 4, 6), n ** depth)
+    indices, lam, eigenvalues, alpha, residuals = columns
     if not indices.size:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
@@ -370,7 +393,7 @@ def density_matrices(
         eigenvalues=eigenvalues,
         alpha=alpha,
         residuals=residuals,
-        worst_trace_gap=float(gaps.max()),
+        worst_trace_gap=worst_gap,
         skipped=n ** depth - indices.size,
         total_mass=total,
         floor=floor,
@@ -482,14 +505,16 @@ def rank_statistics(field: DensityMatrixField, tau_rank: float = TAU_RANK) -> Ra
         raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
     lam = field.lam
     weight_sum = float(np.sum(lam))
+    # Each weighted product in turn takes one lam-sized buffer; the counts are
+    # small integers, so summing them into it as floats is exact.
+    buf = np.empty_like(lam)
+    mean_lambda2 = 0.0
     if field.family_size > 1:
-        lam2 = field.eigenvalues[:, 1]
-        mean_lambda2 = float(np.sum(lam * lam2)) / weight_sum
-    else:
-        mean_lambda2 = 0.0
-    mean_residual = float(np.sum(lam * field.residuals)) / weight_sum
-    counts = np.sum(field.eigenvalues > tau_rank, axis=1)
-    dim_estimate = float(np.sum(lam * counts)) / weight_sum
+        np.multiply(lam, field.eigenvalues[:, 1], out=buf)
+        mean_lambda2 = float(np.sum(buf)) / weight_sum
+    mean_residual = float(np.sum(np.multiply(lam, field.residuals, out=buf))) / weight_sum
+    np.sum(field.eigenvalues > tau_rank, axis=1, out=buf)
+    dim_estimate = float(np.sum(np.multiply(lam, buf, out=buf))) / weight_sum
     return RankProfile(
         depth=field.depth,
         mean_lambda2=mean_lambda2,

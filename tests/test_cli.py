@@ -3,6 +3,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +304,63 @@ def test_scan_runs_one_scan_per_depth(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert depths == [2, 3, 4]
+
+
+def test_scan_frees_each_field_before_building_the_next(capsys, monkeypatch):
+    build, earlier = cli.density_matrices, []
+
+    def checked(*args, **kwargs):
+        assert all(ref() is None for ref in earlier), "an earlier depth's field is alive"
+        field = build(*args, **kwargs)
+        earlier.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(cli, "density_matrices", checked)
+    code, out, err = run(
+        capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "2..4",
+    )
+    assert code == 0
+    assert len(earlier) == 3
+
+
+# Runs argv[1:] and prints its exit code and its peak RSS (KiB) from os.wait4.
+# A child's ru_maxrss includes what it shares with its parent before exec, so
+# the CLI is started from this small interpreter, not from the test process.
+PEAK_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
+    reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
+)
+def test_dense_scan_peak_rss_is_about_one_field():
+    # The columns are written in place as chunks arrive and the previous
+    # depth's field is freed first, so what a depth-13 scan adds over a
+    # depth-2 one is about one copy of its columns, 48 B per cell, plus a
+    # wave of chunks.
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def peak_bytes(depths):
+        probe = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "fracform.cli",
+             "scan", "--structure", "sg2", "--depths", depths, "--workers", "2"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, kib = map(int, probe.stdout.split())
+        assert code == 0
+        return kib * 1024
+
+    columns = 3**13 * 48
+    growth = peak_bytes("2..13") - peak_bytes("2..2")
+    assert growth <= 2 * columns, growth / columns
 
 
 def test_scan_level1_family(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracform as ff
+from fracform import dimension
 from fracform.dimension import _density_chunk, _zeta_block, check_field_bytes
 from fracform.errors import CapExceededError, ValidationError
 
@@ -283,6 +284,43 @@ def test_density_stage_peak_memory(sg2):
     held = (field.indices, field.lam, field.eigenvalues, field.alpha, field.residuals)
     nbytes = sum(arr.nbytes for arr in held)
     assert peak <= 1.75 * nbytes, peak / nbytes
+
+
+def test_pruned_field_holds_no_spare_capacity(vicsek):
+    # Each column is allocated n^depth rows long and shrunk in place to the
+    # retained rows; a view of the long buffers would keep all of it traced.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    fam = ff.level1_family(vicsek)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = ff.density_matrices(fam, 8)
+        current = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert field.skipped > 10 * field.size
+    held = (field.indices, field.lam, field.eigenvalues, field.alpha, field.residuals)
+    nbytes = sum(arr.nbytes for arr in held)
+    assert current <= 1.05 * nbytes, current / nbytes
+
+
+@pytest.mark.parametrize("bad_chunk", [0, 4, 8])
+def test_nan_gap_from_any_chunk_fails_the_trace_check(sg2, monkeypatch, bad_chunk):
+    # The worst gap is kept across chunks by a NaN-aware maximum; Python's
+    # max(0.0, nan) is 0.0, which would let a NaN after the first chunk pass.
+    reduce, width, seen = dimension._density_chunk, 3**9, []
+
+    def one_nan_gap(a, floor, rows, x, scale):
+        parts = reduce(a, floor, rows, x, scale)
+        chunk = int(rows[0]) // width
+        seen.append(chunk)
+        return parts[:-1] + (np.array([np.nan]),) if chunk == bad_chunk else parts
+
+    monkeypatch.setattr(dimension, "_density_chunk", one_nan_gap)
+    field = ff.density_matrices(ff.harmonic_family(sg2), 11)
+    assert sorted(seen) == list(range(9))  # sg2 depth 11 scans 9 chunks of 3^9 cells
+    with pytest.raises(ValidationError, match="weighted trace identity violated"):
+        ff.verify_field_invariants(field)
 
 
 @pytest.mark.parametrize("bad", [-1e-9, np.nan])
