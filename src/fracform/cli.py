@@ -562,8 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Overflow, NaN and division by zero stop the run instead of flowing
-        # into the output.  errstate is per thread: scan pool threads keep
-        # numpy's defaults.
+        # into the output.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ParseError, OSError) as exc:

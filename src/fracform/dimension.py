@@ -227,9 +227,8 @@ class DensityMatrixField:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """Z = Y Y^T per cell, k x k, formed on first read (exactly symmetric)
-        from a cells-first copy of Y, so its bits do not depend on Y's layout."""
-        y = np.ascontiguousarray(self.factors)
+        """Z = Y Y^T per cell, k x k, formed on first read (exactly symmetric)."""
+        y = self.factors
         z = np.einsum("cia,cja->cij", y, y, optimize=False)
         z.setflags(write=False)
         return z

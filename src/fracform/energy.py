@@ -139,8 +139,10 @@ def scan_cell_masses(
     ``weights`` falls below it is not refined and none of its descendants is
     yielded; without one, every cell is.  With ``reduce``, each item also
     carries ``reduce(rows, coords, scale)``, computed on the worker that
-    scanned the chunk.  The chunk layout is a fixed function of the depth, so
-    results do not depend on ``workers``.
+    scanned the chunk.  The chunk layout is a fixed function of the depth,
+    and every chunk runs under the floating-point policy (np.geterr) of the
+    thread that iterates the scan, so neither the results nor the
+    floating-point errors depend on ``workers``.
 
     Validation (including the cell cap) happens at call time, not on the
     first ``next``, so callers may size buffers after calling this.
@@ -171,7 +173,6 @@ def _scan_chunks(
     t = _chunk_prefix_depth(n, depth)
     inv_letter = 1.0 / hs.weights
     inv_prefix = _weight_products(inv_letter, t)
-    inv_tail = _weight_products(inv_letter, depth - t)
     letters, k = hs.energy_letters, len(members)
     width = n ** (depth - t)
     # Every member's energy coordinates at depth ``top``, member-major, with
@@ -181,37 +182,39 @@ def _scan_chunks(
     block = np.concatenate(
         [_refine(letters, m.cell_coeffs @ hs.energy_basis.T, top - m.level) for m in members]
     ).reshape(k, n**t, -1, hs.d - 1)
-    # Inverse weight products of each pruned level's cells under a chunk root.
-    pruned = range(top, depth) if floor is not None else ()
-    inv_levels = [_weight_products(inv_letter, level - t) for level in pruned]
+    # Inverse weight products of each level's cells under a chunk root, from
+    # ``top`` to ``depth``; the last entry scales the yielded cells.
+    inv_levels = [_weight_products(inv_letter, level - t) for level in range(top, depth + 1)]
     row_sum = np.ones(hs.d - 1)
+    # Every chunk runs under the floating-point policy of the thread that
+    # iterates the scan, whichever thread computes it.
+    errors = np.geterr()
 
     def one_chunk(chunk: int) -> tuple:
-        # rows: in-chunk lex indices of the live cells; None while all live.
-        x, rows = np.ascontiguousarray(block[:, chunk]), None
-        for level in range(top, depth):
-            if floor is not None:
-                inv = inv_levels[level - top] if rows is None else inv_levels[level - top][rows]
-                mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, hs.d - 1) @ row_sum
-                live = (2.0 * inv_prefix[chunk]) * inv * mass >= floor
-                if not live.all():
-                    x, rows = x[:, live], (np.flatnonzero(live) if rows is None else rows[live])
-            x = _refine(letters, x.reshape(-1, hs.d - 1), 1).reshape(k, -1, hs.d - 1)
-            rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
-        tail = inv_tail if rows is None else inv_tail[rows]
-        rows = np.arange(width) if rows is None else rows
-        item = (chunk * width + rows, x.transpose(1, 0, 2), (2.0 * inv_prefix[chunk]) * tail)
-        return item if reduce is None else item + (reduce(*item),)
+        with np.errstate(**errors):
+            # rows: in-chunk lex indices of the live cells; None while all live.
+            x, rows = np.ascontiguousarray(block[:, chunk]), None
+            for level in range(top, depth):
+                if floor is not None:
+                    inv = inv_levels[level - top]
+                    inv = inv if rows is None else inv[rows]
+                    mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, hs.d - 1) @ row_sum
+                    live = (2.0 * inv_prefix[chunk]) * inv * mass >= floor
+                    if not live.all():
+                        x = x[:, live]
+                        rows = np.flatnonzero(live) if rows is None else rows[live]
+                x = _refine(letters, x.reshape(-1, hs.d - 1), 1).reshape(k, -1, hs.d - 1)
+                rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
+            tail = inv_levels[-1] if rows is None else inv_levels[-1][rows]
+            rows = np.arange(width) if rows is None else rows
+            item = (chunk * width + rows, x.transpose(1, 0, 2), (2.0 * inv_prefix[chunk]) * tail)
+            return item if reduce is None else item + (reduce(*item),)
 
-    chunks = range(n ** t)
-    if workers <= 1:
-        for chunk in chunks:
-            yield one_chunk(chunk)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Submit in bounded waves so at most ``workers`` chunks are alive.
-        for lo in range(0, len(chunks), workers):
-            yield from pool.map(one_chunk, chunks[lo : lo + workers])
+    chunks, wave = range(n ** t), max(workers, 1)
+    with ThreadPoolExecutor(max_workers=wave) as pool:
+        # Submit in bounded waves so at most ``wave`` chunks are alive.
+        for lo in range(0, len(chunks), wave):
+            yield from pool.map(one_chunk, chunks[lo : lo + wave])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ INTERVAL = {
     "laplacian": [[-1.0, 1.0], [1.0, -1.0]], "weights": [0.3, 0.7],
 }
 
+# The same interval with one letter's resistance near zero, so the inverse
+# resistance products of deep cells overflow.
+THIN_INTERVAL = {**INTERVAL, "weights": [1e-15, 1 - 1e-15]}
+
 
 @pytest.fixture(scope="session")
 def interval():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracform as ff
 import oracles
-from conftest import INTERVAL
+from conftest import INTERVAL, THIN_INTERVAL
 from fracform import cli, dimension, emit, structure
 from fracform.cli import Polynomial, _distinct_rows, main
 from fracform.config import PIVOT_TIE_TOL
@@ -372,6 +372,39 @@ def test_scan_level1_family(capsys):
     assert "dimension estimate at depth 3" in out
 
 
+def test_scan_uniform_weights_match_the_default(tmp_path, capsys):
+    runs = []
+    for extra in ((), ("--weights", "0.5,0.5")):
+        profile = tmp_path / f"p{len(runs)}.csv"
+        code, out, err = run(
+            capsys, "scan", "--structure", "sg2", "--depths", "2..6",
+            "--out", str(profile), *extra,
+        )
+        assert code == 0, err
+        runs.append((out, err, profile.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_scan_weights_match_the_library(tmp_path, sg2, capsys):
+    profile = tmp_path / "p.csv"
+    code, _, err = run(
+        capsys, "scan", "--structure", "sg2", "--depths", "2..5",
+        "--weights", "0.3,0.7", "--out", str(profile),
+    )
+    assert code == 0, err
+    family = ff.FunctionFamily(
+        ff.harmonic_family(sg2, ff.mean_functional(sg2)).members, [0.3, 0.7]
+    )
+    with profile.open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [int(row["depth"]) for row in rows] == [2, 3, 4, 5]
+    for row in rows:
+        expected = ff.rank_statistics(ff.density_matrices(family, int(row["depth"])))
+        for name in ("mean_lambda2", "mean_residual", "dim_estimate"):
+            assert float(row[name]) == getattr(expected, name), name
+        assert int(row["skipped_cells"]) == expected.skipped_cells
+
+
 def test_embed_outputs(tmp_path, capsys):
     verts = tmp_path / "v.csv"
     cells = tmp_path / "c.csv"
@@ -486,6 +519,55 @@ def test_non_finite_polynomial_coefficient_is_a_parse_error(tmp_path, capsys, G)
     assert out == "" and not out_path.exists()
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_overflow_message_does_not_depend_on_workers(tmp_path, capsys, workers):
+    # Deep cells under the thin letter have inverse resistance products past
+    # the float range; every chunk, on whichever thread, must stop the run
+    # the same way.
+    doc, out_path = tmp_path / "thin.json", tmp_path / "m.csv"
+    doc.write_text(json.dumps(THIN_INTERVAL))
+    code, out, err = run(
+        capsys, "measure", "--structure", str(doc), "--f", "1,0", "--depth", "21",
+        "--workers", str(workers), "--out", str(out_path),
+    )
+    assert code == 1
+    assert err == "error: overflow encountered in multiply\n"
+    assert not out_path.exists()
+
+
+def test_measure_refinement_check_fails_closed(tmp_path, capsys, monkeypatch):
+    coarsen = ff.CellMeasureTable.coarsen
+
+    def perturbed(table):
+        up = coarsen(table)
+        masses = up.masses.copy()
+        masses[1] += 1e-3
+        return dataclasses.replace(up, masses=masses)
+
+    monkeypatch.setattr(ff.CellMeasureTable, "coarsen", perturbed)
+    out_path = tmp_path / "m.csv"
+    code, out, err = run(
+        capsys, "measure", "--structure", "sg2", "--f", "1,0,0",
+        "--depth", "3", "--out", str(out_path),
+    )
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: refinement sums disagree with the parent table by ")
+    assert not out_path.exists()
+
+
+def test_chainrule_constant_polynomial_is_degenerate(tmp_path, capsys):
+    out_path = tmp_path / "gaps.csv"
+    code, out, err = run(
+        capsys, "chainrule", "--structure", "sg2", "--G", "2.5",
+        "--depths", "3..4", "--out", str(out_path),
+    )
+    assert code == 1
+    assert err == "error: degenerate quadratic form at depth 3: right side is 0.0\n"
+    assert not out_path.exists()
 
 
 def test_exit_code_for_missing_file(capsys):
