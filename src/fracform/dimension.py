@@ -100,8 +100,6 @@ def _orthonormalize(
     out: list[np.ndarray] = []
     for cand in candidates:
         g = normalize_xi(cand, mean).values
-        if float(np.ptp(g)) == 0.0:
-            continue
         for member in out:
             g = g - (2.0 * graph_energy(hs, level, g, member)) * member
         twice = 2.0 * graph_energy(hs, level, g)
@@ -121,8 +119,6 @@ def _indicator_family(
         mean = mean_functional(hs)
     eye = np.eye(hs.spec.vertex_table(level).num_vertices)
     members = _orthonormalize([PiecewiseHarmonic(hs, level, row) for row in eye], mean)
-    if not members:
-        raise ValidationError("no nonconstant members found")
     return FunctionFamily(tuple(members))
 
 
@@ -147,8 +143,6 @@ def family_from_values(
     if mean is None:
         mean = mean_functional(hs)
     rows = [np.asarray(row, dtype=float) for row in value_rows]
-    if not rows:
-        raise ValidationError("family needs at least one member")
     members = []
     for idx, row in enumerate(rows):
         f = normalize_xi(PiecewiseHarmonic(hs, level, row), mean)
@@ -453,10 +447,14 @@ def _zeta_block(
     """Pivots, rank-one factors and residuals of the factors y (cells x k x
     (d - 1)), Z = Y Y^T.
 
-    zeta = Y Y_alpha^T / |Y_alpha| for the pivot row Y_alpha.  With u the
-    unit pivot row, Z - zeta zeta^T = Y Q Y^T for Q = I - u u^T, so the
-    residual is |Q H Q|_F / |H|_F with H = Y^T Y, all (d - 1) x (d - 1).
-    The einsum reductions follow y's memory layout, so the bits do too.
+    zeta = Y u for the unit pivot row u = Y_alpha / |Y_alpha|.  The part of
+    Y that the rank-one term misses, P = Y - zeta u^T = Y (I - u u^T), is
+    formed before any product, and Z - zeta zeta^T = P P^T, so the residual
+    is |P^T P|_F / |Y^T Y|_F, both (d - 1) x (d - 1).  Subtracting first
+    keeps the residual to about eps / sqrt(residual) relative accuracy, where
+    a product of Y^T Y with the projector I - u u^T cancels down to about
+    eps / residual.  The einsum reductions follow y's memory layout, so the
+    bits do too.
     """
     diag = np.einsum("cia,cia->ci", y, y, optimize=False)
     weighted = weights[None, :] * diag
@@ -472,8 +470,8 @@ def _zeta_block(
     zeta = np.einsum("cia,ca->ci", y, pivot_rows, optimize=False) / root
     u = pivot_rows / root
     h = np.einsum("cia,cib->cab", y, y, optimize=False)
-    q = np.eye(y.shape[2]) - u[:, :, None] * u[:, None, :]
-    gap = np.einsum("cab,cbd,cde->cae", q, h, q, optimize=False)
+    p = y - zeta[:, :, None] * u[:, None, :]
+    gap = np.einsum("cia,cib->cab", p, p, optimize=False)
     num = np.sqrt(np.einsum("cab,cab->c", gap, gap, optimize=False))
     den = np.sqrt(np.einsum("cab,cab->c", h, h, optimize=False))
     return alpha, zeta, num / den

@@ -782,6 +782,54 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("gluing,drop,line", [
+    # Enough pairs to pass the count, but cell 3 is an island: the walk runs.
+    ([[1, "p2", 2, "p1"], [1, "p3", 2, "p2"]], (),
+     "error: disconnected level-1 graph: cells [3] never touch cell 1's component"),
+    # Without a realization to catch it, p1 and p2 meet at level 1.
+    ([[1, "p1", 2, "p2"], [1, "p3", 3, "p1"], [2, "p3", 3, "p2"]], ("realization",),
+     "error: gluing conflict: two boundary vertices are identified"),
+], ids=["island", "boundary-identified"])
+def test_invalid_gluing_exits_1(tmp_path, capsys, gluing, drop, line):
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    raw["gluing"] = gluing
+    for key in drop:
+        del raw[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert code == 1
+    assert err.splitlines() == [line]
+
+
+def test_repeated_gluing_pair_is_accepted(tmp_path, capsys):
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    raw["gluing"].append([2, "p1", 1, "p2"])  # the first pair, spelled the other way
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(raw))
+    assert run(capsys, "validate", "--structure", str(path)) == run(
+        capsys, "validate", "--structure", "sg2"
+    )
+
+
+@pytest.mark.parametrize("option,value,code,line", [
+    ("--depths", "2-5", 2, "error: --depths expects A..B, got '2-5'"),
+    ("--family", "bogus", 2,
+     "error: unknown family 'bogus'; use harmonic, level1, or file:PATH"),
+    ("--family", "file:{dir}/family.json", 2,
+     "error: family file {dir}/family.json is not valid JSON: "
+     "Expecting value: line 1 column 1 (char 0)"),
+    ("--family", "file:{dir}/empty.json", 1, "error: family needs at least one member"),
+], ids=["depths-dash", "family-unknown", "family-not-json", "family-empty"])
+def test_scan_input_errors(tmp_path, capsys, option, value, code, line):
+    (tmp_path / "family.json").write_text("not json")
+    (tmp_path / "empty.json").write_text(json.dumps({"level": 0, "members": []}))
+    # A second --depths overrides the first.
+    got = run(capsys, "scan", "--structure", "sg2", "--depths", "2..3",
+              option, value.format(dir=tmp_path))
+    assert got == (code, "", line.format(dir=tmp_path) + "\n")
+
+
 @pytest.mark.parametrize("args", [
     ("scan", "--structure", "sg2", "--depths", "2..3", "--workers", "0"),
     ("scan", "--structure", "sg2", "--depths", "2..3", "--tau-rank", "1.5"),

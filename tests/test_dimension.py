@@ -232,6 +232,27 @@ def test_closed_form_lambda2_matches_mpmath(sg2):
             assert abs(lam2[c] - exact) <= 1e-9 * exact, (c, lam2[c], exact)
 
 
+@pytest.mark.parametrize("build,depth", [(ff.harmonic_family, 11), (ff.level1_family, 9)])
+def test_residual_matches_mpmath(sg2, build, depth):
+    # Nearly rank-one cells: any product taken before the rank-one part is
+    # subtracted from Y cancels down to about eps / residual (1.1e-6 and
+    # 3.5e-9 relative here); subtracting first keeps about eps / sqrt(residual).
+    mpmath = pytest.importorskip("mpmath")
+    field = ff.density_matrices(build(sg2), depth)
+    residuals = field.residuals
+    picks = np.concatenate([
+        np.argsort(residuals)[:5], np.random.default_rng(depth).choice(field.size, 5, replace=False)
+    ])
+    with mpmath.workdps(50):
+        for c in picks:
+            y = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in field.factors[c]])
+            z = y * y.T
+            alpha = int(field.alpha[c])
+            zeta = z[:, alpha] / mpmath.sqrt(z[alpha, alpha])
+            exact = mpmath.mnorm(z - zeta * zeta.T, "f") / mpmath.mnorm(z, "f")
+            assert abs(residuals[c] - exact) <= 1e-10 * exact, (c, residuals[c], exact)
+
+
 @pytest.mark.parametrize("build,depth", [
     (ff.level1_family, 8), (lambda hs: ff.family_from_values(hs, 0, [[1.0, 0.0, 0.5]]), 6),
 ])
@@ -269,9 +290,10 @@ def test_two_column_spectrum_calls_no_eigvalsh(sg2, monkeypatch, build):
 
 
 def test_density_stage_peak_memory(sg2):
-    # Each chunk's factor and rank-one parts are dropped as it arrives, and
-    # the other parts are joined one array kind at a time, so the stage holds
-    # the parts plus one joined kind, not the parts plus the whole field.
+    # Each column is preallocated once, and each chunk's parts are copied
+    # into place as the chunk arrives and dropped with it, so the stage holds
+    # one copy of the columns plus the chunks in flight (about 1.4x here),
+    # not every chunk's parts plus the whole field.
     tracemalloc = pytest.importorskip("tracemalloc")
     fam = ff.harmonic_family(sg2)
     tracemalloc.start()
