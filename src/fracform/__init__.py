@@ -41,7 +41,6 @@ from .dimension import (
     FunctionFamily,
     RankProfile,
     RepresentingField,
-    ZetaField,
     cell_run_mass,
     density_matrices,
     family_from_values,

@@ -6,13 +6,15 @@ carries the matrix of pair masses divided by that cell mass.  The scan hands
 out each cell's k x (d - 1) block of energy coordinates rather than that
 k x k matrix, which gives the factor Y with Z = Y Y^T, of rank at most d - 1.
 One reduction per scan chunk, run on the worker that scanned it, computes
-every per-cell quantity from the chunk's own Y: the mass, the spectrum of the
+every per-cell quantity from the chunk's own Y, as one record of named
+columns: the mass, the min(k, d - 1) computed eigenvalues of the
 (d - 1) x (d - 1) weighted Gram of Y (in closed form on a three-point
-boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot and residual,
-and the weighted-trace gap.  The density field keeps only those columns,
-each written into place in one preallocated array as its chunk arrives, so
-the field costs one copy of its columns plus the chunks in flight; Y and the
-rank-one factors are formed when read, by running the scan again.
+boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot, factor and
+residual, and the weighted-trace gap.  The density field is that record: it
+keeps the mass, spectrum, pivot and residual columns, each written into
+place in one preallocated array as its chunk arrives, so the field costs one
+copy of its columns plus the chunks in flight; Y and the rank-one factors
+are formed when read, by running the scan again.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -162,19 +164,21 @@ class DensityMatrixField:
     depth.
 
     Retained means the cell's combined mass stayed at or above the floor;
-    rows are in lexicographic cell order throughout.  Every column comes from
-    one reduction of each scan chunk (_density_chunk) over the chunk's own
-    cells-last factor Y, k x (d - 1) per cell with Z = Y Y^T, so its bits do
-    not depend on how the columns are assembled: each is one C-ordered,
-    read-only array, filled in place chunk by chunk and cut to the retained
-    rows (_fill).  eigenvalues[c] is the descending spectrum of the
-    trace-one weighted form M = [sqrt(a_i a_j) Z_ij]:
-    its top min(k, d - 1) values, from the weighted Gram Y^T diag(a) Y, then
-    exact zeros, since rank Z <= d - 1.  With d - 1 = 2 the two values are in
-    closed form, lambda_2 from a Schur complement, so it is nonnegative and
-    keeps its relative accuracy on nearly rank-one cells; other shapes take
-    eigvalsh of the Gram.  alpha and residuals are the rank-one pivot and
-    residual (ZetaField), and worst_trace_gap the largest
+    rows are in lexicographic cell order throughout.  Every column is the
+    same-named column of one reduction of each scan chunk (_density_chunk)
+    over the chunk's own cells-last factor Y, k x (d - 1) per cell with
+    Z = Y Y^T, so its bits do not depend on how the columns are assembled:
+    each is one C-ordered, read-only array, filled in place chunk by chunk and
+    cut to the retained rows (_fill).  eigenvalues[c] holds the top
+    min(k, d - 1) eigenvalues, descending, of the trace-one weighted form
+    M = [sqrt(a_i a_j) Z_ij], from the weighted Gram Y^T diag(a) Y; since
+    rank Z <= d - 1, the rest of M's spectrum is zero.  With d - 1 = 2 the
+    two values are in closed form, lambda_2 from a Schur complement, so it is
+    nonnegative and keeps its relative accuracy on nearly rank-one cells;
+    other shapes take eigvalsh of the Gram.  alpha[c] is the 0-based member
+    index with the largest weighted diagonal entry of Z (smallest index on
+    ties), residuals[c] the relative Frobenius gap between Z and its rank-one
+    surrogate zeta zeta^T, and worst_trace_gap the largest
     |sum_i a_i |Y_i|^2 - 1| over the retained cells.
 
     The field holds no factor.  ``factors`` (Y) and ``zeta`` (the rank-one
@@ -205,19 +209,18 @@ class DensityMatrixField:
         return int(self.weights.size)
 
     @cached_property
-    def _rescanned(self) -> list[np.ndarray]:
-        # _density_chunk's factors and zeta
-        return _fill(self.scan(), (2, 5), self.n_letters ** self.depth)[0]
+    def _rescanned(self) -> dict[str, np.ndarray]:
+        return _fill(self.scan(), ("factors", "zeta"), self.n_letters ** self.depth)[0]
 
     @property
     def factors(self) -> np.ndarray:
         """Y per cell, k x (d - 1), formed on first read."""
-        return self._rescanned[0]
+        return self._rescanned["factors"]
 
     @property
     def zeta(self) -> np.ndarray:
         """The rank-one factor per cell, length k, formed on first read."""
-        return self._rescanned[1]
+        return self._rescanned["zeta"]
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -242,31 +245,31 @@ def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
 
 
 def _fill(
-    scan: Iterator[tuple], kinds: Sequence[int], rows: int
-) -> tuple[list[np.ndarray], float]:
-    """The listed kinds of each chunk's _density_chunk parts, each written in
-    lexicographic cell order into one C-ordered, read-only array, and the
-    worst weighted-trace gap over the chunks.
+    scan: Iterator[tuple], names: Sequence[str], rows: int
+) -> tuple[dict[str, np.ndarray], float]:
+    """The named columns of each chunk's _density_chunk record, each written
+    in lexicographic cell order into one C-ordered, read-only array and
+    returned under its name, and the worst weighted-trace gap over the chunks.
 
     Each array gets ``rows`` rows when the first chunk arrives, and every
-    chunk's rows are copied into the next slots as it arrives, so no part
+    chunk's rows are copied into the next slots as it arrives, so no column
     outlives its chunk; pages never written are never resident.  Once the
     scan ends, each array shrinks to the rows written by a realloc in place,
     so a pruned field holds no spare capacity.  The gap is a running
     np.maximum, which keeps a NaN from any chunk.
     """
-    columns, size, worst = [], 0, np.zeros(1)
-    for *_, parts in scan:
+    columns, size, worst = {}, 0, np.zeros(1)
+    for *_, record in scan:
         if not columns:
-            columns = [np.empty((rows, *parts[i].shape[1:]), parts[i].dtype) for i in kinds]
-        count = parts[0].size
-        for column, kind in zip(columns, kinds):
-            column[size : size + count] = parts[kind]
+            columns = {k: np.empty((rows, *record[k].shape[1:]), record[k].dtype) for k in names}
+        count = record["indices"].size
+        for name, column in columns.items():
+            column[size : size + count] = record[name]
         size += count
-        np.maximum(worst, parts[-1], out=worst)
+        np.maximum(worst, record["gap"], out=worst)
     # No view of a column outlives its slice assignment above, so the
     # resize may skip numpy's reference check.
-    for column in columns:
+    for column in columns.values():
         column.resize((size, *column.shape[1:]), refcheck=False)
         column.setflags(write=False)
     return columns, float(worst[0])
@@ -274,17 +277,18 @@ def _fill(
 
 def _density_chunk(
     a: np.ndarray, floor: float, rows: np.ndarray, x: np.ndarray, scale: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Every per-cell quantity of one scan chunk's retained cells: indices,
-    masses, factors, spectra, then _zeta_block's pivots, rank-one factors and
-    residuals, and last the chunk's worst weighted-trace gap as a length-1
-    array (0 when the chunk retains no cell).
+) -> dict[str, np.ndarray]:
+    """Every per-cell quantity of one scan chunk's retained cells, by name:
+    ``indices``, the masses ``lam``, the ``factors`` Y, the spectra
+    ``eigenvalues``, _zeta_block's ``alpha``, ``zeta`` and ``residuals``, and
+    ``gap``, the chunk's worst weighted-trace gap as a length-1 array (0 when
+    the chunk retains no cell).
 
     The mass is lambda = scale * sum_i a_i |x_i|^2, the factor
     Y = sqrt(scale / lambda) x, and the spectrum that of the
-    (d - 1) x (d - 1) weighted Gram G = Y^T diag(a) Y, cut to min(k, d - 1)
-    values and padded with zeros to k.  With d - 1 = 2 the spectrum is in
-    closed form (_two_column_spectrum); every other shape takes eigvalsh of G.
+    (d - 1) x (d - 1) weighted Gram G = Y^T diag(a) Y, cut to its
+    min(k, d - 1) computed values.  With d - 1 = 2 the spectrum is in closed
+    form (_two_column_spectrum); every other shape takes eigvalsh of G.
     The trace gap is |sum_i a_i |Y_i|^2 - 1|, 0 in exact arithmetic.
     """
     lam = scale * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
@@ -296,17 +300,16 @@ def _density_chunk(
     kept = np.compress(keep, x.transpose(1, 2, 0), axis=2)
     kept *= np.sqrt(scale[keep] / lam)
     factors = kept.transpose(2, 0, 1)
-    top = min(x.shape[1:])
-    eigenvalues = np.zeros(factors.shape[:2])
     if x.shape[2] == 2:
         spectrum = _two_column_spectrum(a, kept[:, 0], kept[:, 1])
     else:
         gram = np.einsum("cia,i,cib->cab", factors, a, factors, optimize=False)
         spectrum = np.linalg.eigvalsh(gram)[:, ::-1]
-    eigenvalues[:, :top] = spectrum[:, :top]
     trace = np.einsum("iac,iac,i->c", kept, kept, a, optimize=False)
     gap = np.abs(trace - 1.0).max(initial=0.0, keepdims=True)
-    return (rows[keep], lam, factors, eigenvalues, *_zeta_block(factors, a), gap)
+    alpha, zeta, residuals = _zeta_block(factors, a)
+    return dict(indices=rows[keep], lam=lam, factors=factors, alpha=alpha, zeta=zeta,
+                eigenvalues=spectrum[:, : min(x.shape[1:])], residuals=residuals, gap=gap)
 
 
 def _two_column_spectrum(a: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
@@ -351,8 +354,8 @@ def density_matrices(
     The floor is mass_floor times the total combined mass.  A cell below it
     has no meaningful density and is not refined; skipped counts its subtree.
     Each chunk is reduced on the scan worker that formed it; as it arrives
-    its columns are copied into the field's arrays, and its factor and
-    rank-one parts drop with it.
+    its columns are copied into the field's same-named arrays, and its
+    factors and zeta drop with it.
     """
     hs = family.structure
     n = hs.spec.n_letters
@@ -371,9 +374,9 @@ def density_matrices(
 
     reduce = partial(_density_chunk, a, floor)
     scan = partial(scan_cell_masses, hs, family.members, depth, workers, a, floor, reduce)
-    columns, worst_gap = _fill(scan(), (0, 1, 3, 4, 6), n ** depth)
-    indices, lam, eigenvalues, alpha, residuals = columns
-    if not indices.size:
+    names = ("indices", "lam", "eigenvalues", "alpha", "residuals")
+    columns, worst_gap = _fill(scan(), names, n ** depth)
+    if not columns["indices"].size:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
@@ -381,13 +384,9 @@ def density_matrices(
         depth=depth,
         n_letters=n,
         weights=a,
-        indices=indices,
-        lam=lam,
-        eigenvalues=eigenvalues,
-        alpha=alpha,
-        residuals=residuals,
+        **columns,
         worst_trace_gap=worst_gap,
-        skipped=n ** depth - indices.size,
+        skipped=n ** depth - columns["indices"].size,
         total_mass=total,
         floor=floor,
         scan=scan,
@@ -397,19 +396,15 @@ def density_matrices(
 def verify_field_invariants(field: DensityMatrixField) -> None:
     """Raise unless every retained cell satisfies the Gram and trace identities.
 
-    Checks: min eigenvalue of the trace-one form at or above -PSD_TOL (the
-    zero padding past the top min(k, d - 1) is exact, so the min is a
-    computed value whenever the check fails), and the
-    weighted diagonal of Z, sum_i a_i |Y_i|^2, summing to 1 within
-    TRACE_IDENTITY_TOL on every cell (the field's worst_trace_gap).
+    Checks: min computed eigenvalue of the trace-one form at or above
+    -PSD_TOL, and the weighted diagonal of Z, sum_i a_i |Y_i|^2, summing to 1
+    within TRACE_IDENTITY_TOL on every cell (the field's worst_trace_gap).
+    density_matrices refuses a field with no retained cell, so both read at
+    least one cell.
     """
-    if field.size == 0:
-        raise ValidationError("empty field: all cells were skipped")
     min_eig = float(field.eigenvalues.min())
     if not min_eig >= -PSD_TOL:  # NaN fails too
-        raise ValidationError(
-            f"density matrix lost positivity: min eigenvalue {min_eig:.3g}"
-        )
+        raise ValidationError(f"density matrix lost positivity: min eigenvalue {min_eig:.3g}")
     if not field.worst_trace_gap <= TRACE_IDENTITY_TOL:  # NaN fails too
         raise ValidationError(
             f"weighted trace identity violated by {field.worst_trace_gap:.3g} on a retained cell"
@@ -420,25 +415,10 @@ def verify_field_invariants(field: DensityMatrixField) -> None:
 # rank-one factorization and statistics
 
 
-@dataclass(frozen=True, eq=False)
-class ZetaField:
-    """Rank-one factor per retained cell.
-
-    alpha[c] is the 0-based member index with the largest weighted diagonal
-    entry (smallest index on ties), zeta[c] the factor column scaled by the
-    square root of the pivot, residuals[c] the relative Frobenius gap between
-    Z and its rank-one surrogate.
-    """
-
-    depth: int
-    alpha: np.ndarray
-    zeta: np.ndarray
-    residuals: np.ndarray
-
-
-def zeta_factors(field: DensityMatrixField) -> ZetaField:
-    """The field's rank-one columns; reading zeta forms the field's factors."""
-    return ZetaField(field.depth, field.alpha, field.zeta, field.residuals)
+def zeta_factors(field: DensityMatrixField) -> DensityMatrixField:
+    """The field itself, whose alpha, zeta and residuals are the rank-one
+    pivot, factor and residual per cell; reading zeta forms the factors."""
+    return field
 
 
 def _zeta_block(
@@ -496,8 +476,6 @@ def rank_statistics(field: DensityMatrixField, tau_rank: float = TAU_RANK) -> Ra
     order.  tau_rank is the eigenvalue cutoff for the dimension count; the
     weighted matrices have trace one, so the cutoff is an absolute fraction.
     """
-    if field.size == 0:
-        raise ValidationError("empty field: all cells were skipped")
     if not 0.0 < tau_rank < 1.0:
         raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
     lam = field.lam
@@ -506,7 +484,7 @@ def rank_statistics(field: DensityMatrixField, tau_rank: float = TAU_RANK) -> Ra
     # small integers, so summing them into it as floats is exact.
     buf = np.empty_like(lam)
     mean_lambda2 = 0.0
-    if field.family_size > 1:
+    if field.eigenvalues.shape[1] > 1:
         np.multiply(lam, field.eigenvalues[:, 1], out=buf)
         mean_lambda2 = float(np.sum(buf)) / weight_sum
     mean_residual = float(np.sum(np.multiply(lam, field.residuals, out=buf))) / weight_sum
@@ -539,10 +517,9 @@ class RepresentingField:
 
 def representing_field(
     field: DensityMatrixField,
-    zeta: ZetaField | None = None,
+    zeta: DensityMatrixField | None = None,
 ) -> RepresentingField:
-    if zeta is None:
-        zeta = zeta_factors(field)
+    zeta = field if zeta is None else zeta
     a = field.weights
     s = np.einsum("j,cj->c", a, zeta.zeta ** 2, optimize=False)
     if field.size and float(s.min()) <= 0.0:
@@ -591,12 +568,17 @@ def run_mass_limit(hs: HarmonicStructure, data: EigenData, u) -> float:
 
 
 def write_cells_csv(field: DensityMatrixField, path: str | Path) -> None:
-    """Per-cell rows: word, weight, descending eigenvalues, residual, alpha."""
+    """Per-cell rows: word, weight, k descending eigenvalues, residual, alpha.
+
+    Past the field's min(k, d - 1) computed eigenvalues the spectrum is
+    exactly zero; those columns come from one read-only broadcast of 0.0.
+    """
     k = field.family_size
     header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(k)] + ["residual", "alpha"]
     words = WordColumn(field.indices, field.depth, field.n_letters)
-    columns = (words, field.lam, field.eigenvalues, field.residuals, field.alpha + 1)
-    write_table(path, header, columns)
+    zeros = np.broadcast_to(0.0, (field.size, k - field.eigenvalues.shape[1]))
+    spectrum = (field.eigenvalues, zeros) if zeros.shape[1] else (field.eigenvalues,)
+    write_table(path, header, (words, field.lam, *spectrum, field.residuals, field.alpha + 1))
 
 
 def write_profile_csv(profiles: Sequence[RankProfile], target) -> None:

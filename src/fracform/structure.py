@@ -214,33 +214,51 @@ def _parse_realization(raw, n: int, boundary: Sequence[str]) -> dict:
 
 
 def _check_realization_geometry(spec: StructureSpec) -> None:
-    """When coordinates are supplied, fixed points and gluings must agree with them."""
+    """When coordinates are supplied, fixed points and gluings must agree with
+    them: every declared pair coincides, and corners that coincide are glued,
+    that is, share a level-1 vertex."""
     real = spec.realization
     if not real or real["boundary_points"] is None:
         return
-    pts = real["boundary_points"]
-    maps = real["maps"]
-
-    def image(letter: int, label: str) -> np.ndarray:
-        mat, off = maps[letter]
-        return mat @ pts[label] + off
-
-    scale = max(float(np.linalg.norm(p)) for p in pts.values()) or 1.0
-    for i in range(1, spec.d + 1):
-        label = spec.boundary[i - 1]
-        err = np.linalg.norm(image(i, label) - pts[label])
-        if err > REALIZATION_TOL * scale:
+    n, d, dim = spec.n_letters, spec.d, real["dimension"]
+    pts = np.array([real["boundary_points"][label] for label in spec.boundary])
+    mats, offs = (np.array(part) for part in zip(*(real["maps"][i] for i in range(1, n + 1))))
+    # Row (i - 1) d + p of images is corner p of cell i.
+    images = (pts @ mats.transpose(0, 2, 1) + offs[:, None, :]).reshape(n * d, dim)
+    tol = REALIZATION_TOL * (float(np.linalg.norm(pts, axis=1).max()) or 1.0)
+    for i in range(1, d + 1):
+        err = np.linalg.norm(images[(i - 1) * (d + 1)] - pts[i - 1])
+        if err > tol:
             raise ValidationError(
-                f"fixed-point mismatch: map {i} does not fix {label!r} "
+                f"fixed-point mismatch: map {i} does not fix {spec.boundary[i - 1]!r} "
                 f"in the supplied realization (error {err:.3g})"
             )
     for (i, p), (j, q) in spec.gluing:
-        err = np.linalg.norm(image(i, spec.boundary[p]) - image(j, spec.boundary[q]))
-        if err > REALIZATION_TOL * scale:
+        if np.linalg.norm(images[(i - 1) * d + p] - images[(j - 1) * d + q]) > tol:
             raise ValidationError(
                 f"gluing conflict: declared identification ({i},{spec.boundary[p]}) ~ "
                 f"({j},{spec.boundary[q]}) does not hold in the realization"
             )
+    # Corners within tol project within tol onto a unit direction, so after
+    # a sort by projection each corner meets only the next few in that order.
+    # The direction's irrational slopes, (sqrt(1), ..., sqrt(dim)) normalized,
+    # keep lattice-like layouts from stacking many corners at one projection.
+    proj = images @ np.sqrt(np.arange(1, dim + 1) / (dim * (dim + 1) / 2))
+    order = np.argsort(proj, kind="stable")
+    # Sorted position s meets the ahead[s] positions after it.
+    ahead = np.searchsorted(proj[order], proj[order] + tol, side="right") - np.arange(n * d) - 1
+    near = np.repeat(np.arange(n * d), ahead)
+    far = near + 1 + np.arange(near.size) - np.repeat(np.cumsum(ahead) - ahead, ahead)
+    lo, hi = np.minimum(order[near], order[far]), np.maximum(order[near], order[far])
+    slots = spec.vertex_table(1).slots.ravel()
+    apart = (np.linalg.norm(images[lo] - images[hi], axis=1) <= tol) & (slots[lo] != slots[hi])
+    if apart.any():
+        a, b = min(zip(lo[apart], hi[apart]))
+        raise ValidationError(
+            f"gluing conflict: corners ({a // d + 1},{spec.boundary[a % d]}) and "
+            f"({b // d + 1},{spec.boundary[b % d]}) coincide in the realization "
+            "but are not glued"
+        )
 
 
 def _reachable(adj: Mapping[int, Iterable[int]], start: int) -> set[int]:

@@ -5,7 +5,8 @@ by quantized geometry, or glued by the definition of the gluing at every
 depth, instead of the level-by-level recurrence of the vertex tables; boundary
 forms come from dense Schur complements, cell masses from explicit per-word
 matrix products instead of the chunked scan, and big-graph energies from a
-scipy.sparse assembly.  CSV text is rebuilt one row at a time, with words
+scipy.sparse assembly, and vicsek's harmonic profile from an exact
+derivation in rationals.  CSV text is rebuilt one row at a time, with words
 spelled out by digit expansion of the lex index and printf-style formatting,
 never through the block writer, and lex indices of words come from their
 base-n digits.
@@ -79,6 +80,78 @@ def glued_slot_ids(n_letters: int, n_boundary: int, pairs, depth: int):
     ]
     boundary = [ids[find(((k + 1,) * depth, k))] for k in range(n_boundary)]
     return np.array(rows, dtype=np.int64), np.array(boundary, dtype=np.int64), len(ids)
+
+
+# Vicsek's level-1 gluing as ((letter, corner), (letter, corner)), corners
+# 0-based: corner cell i meets the centre cell 5 at its corner opposite p_i,
+# which is the centre cell's own corner p_i.
+VICSEK_PAIRS = (((1, 2), (5, 0)), ((2, 3), (5, 1)), ((3, 0), (5, 2)), ((4, 1), (5, 3)))
+
+
+def _row_reduce(rows) -> tuple[list[list[Fraction]], int]:
+    """Reduced row echelon form of a matrix of Fractions, and its rank."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[rank])]
+        rank += 1
+    return m, rank
+
+
+def vicsek_harmonic_laws(laplacian, r: Fraction, depths) -> dict:
+    """Exact depth-m profile of vicsek's harmonic family, for each m in depths:
+    (mean_lambda2, mean_residual squared, dim_estimate), as Fractions.
+
+    The level-1 network glues five cells by VICSEK_PAIRS through
+    glued_slot_ids, each cell carrying -laplacian / r, and A_i maps boundary
+    values to the harmonic extension's values on the corners of cell i, by
+    exact elimination of the interior.  Two premises are checked exactly:
+    every corner letter has rank A_i = 2, so its cells see the constants and
+    one direction, and the centre letter has A_5^T D A_5 = c D with
+    c = 1/9, so it scales the energy form by c.  A cell with a corner letter
+    is then rank one, and only the all-centre word 5...5 is not: it carries
+    nu = (c / r)^m of the mass, with the root's isotropic trace-one density
+    I / (d - 1).  That gives mean_lambda2 = nu / (d - 1), a squared residual
+    |I - e e^T|_F^2 / |I|_F^2 nu^2 = (d - 2) / (d - 1) nu^2, and dim_estimate
+    = 1 + (d - 2) nu, for an orthonormal family with uniform weights and an
+    eigenvalue cutoff below 1 / (d - 1).
+    """
+    d = len(laplacian)
+    slots, boundary_ids, num_vertices = glued_slot_ids(5, d, VICSEK_PAIRS, 1)
+    boundary_ids = boundary_ids.tolist()
+    form = [[Fraction(0)] * num_vertices for _ in range(num_vertices)]
+    for cell in slots.tolist():
+        for p, a in enumerate(cell):
+            for q, b in enumerate(cell):
+                form[a][b] -= Fraction(laplacian[p][q]) / r
+    interior = [v for v in range(num_vertices) if v not in boundary_ids]
+    augmented = [[form[a][b] for b in interior] + [-form[a][b] for b in boundary_ids]
+                 for a in interior]
+    solved = [row[len(interior):] for row in _row_reduce(augmented)[0]]
+    extension = {v: [Fraction(int(v == b)) for b in boundary_ids] for v in boundary_ids}
+    extension.update(zip(interior, solved))
+    a_maps = [[extension[v] for v in cell] for cell in slots.tolist()]
+    for letter in range(1, d + 1):
+        if _row_reduce(a_maps[letter - 1])[1] != 2:
+            raise ValueError(f"corner letter {letter} does not have rank 2")
+    centre = a_maps[d]
+    pulled = [[sum(centre[p][i] * Fraction(laplacian[p][q]) * centre[q][j]
+                   for p in range(d) for q in range(d)) for j in range(d)] for i in range(d)]
+    c = Fraction(1, 9)
+    if pulled != [[c * Fraction(v) for v in row] for row in laplacian]:
+        raise ValueError("the centre letter does not scale the form by 1/9")
+    laws = {}
+    for m in depths:
+        nu = (c / r) ** m
+        laws[m] = (nu / (d - 1), Fraction(d - 2, d - 1) * nu * nu, 1 + (d - 2) * nu)
+    return laws
 
 
 def schur_boundary_form(slots: np.ndarray, num_vertices: int, boundary_ids: np.ndarray,

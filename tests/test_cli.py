@@ -3,10 +3,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -431,8 +434,7 @@ def test_embed_dir_does_not_depend_on_zeta_layout(tmp_path, capsys, monkeypatch)
     C-ordered or Fortran-ordered."""
     def cells(layout):
         def laid_out(field):
-            zeta = ff.zeta_factors(field)
-            return dataclasses.replace(zeta, zeta=layout(zeta.zeta))
+            return types.SimpleNamespace(zeta=layout(ff.zeta_factors(field).zeta))
 
         monkeypatch.setattr(cli, "zeta_factors", laid_out)
         path = tmp_path / f"{layout.__name__}.csv"
@@ -789,7 +791,21 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     # Without a realization to catch it, p1 and p2 meet at level 1.
     ([[1, "p1", 2, "p2"], [1, "p3", 3, "p1"], [2, "p3", 3, "p2"]], ("realization",),
      "error: gluing conflict: two boundary vertices are identified"),
-], ids=["island", "boundary-identified"])
+    ([[1, "p2", 9, "p1"], [1, "p3", 3, "p1"], [2, "p3", 3, "p2"]], (),
+     "error: gluing letter 9 outside alphabet 1..3"),
+    ([[1, "p2", 2, "p2"], [1, "p3", 3, "p1"], [2, "p3", 3, "p2"]], (),
+     "error: gluing conflict: declared identification (1,p2) ~ (2,p2) does not hold "
+     "in the realization"),
+    # The 2~3 pair left out: the realization still puts those corners on one
+    # point, which the document must declare, with or without a harmonic pair.
+    ([[1, "p2", 2, "p1"], [1, "p3", 3, "p1"]], (),
+     "error: gluing conflict: corners (2,p3) and (3,p2) coincide in the realization "
+     "but are not glued"),
+    ([[1, "p2", 2, "p1"], [1, "p3", 3, "p1"]], ("laplacian", "weights"),
+     "error: gluing conflict: corners (2,p3) and (3,p2) coincide in the realization "
+     "but are not glued"),
+], ids=["island", "boundary-identified", "letter-outside-alphabet", "declared-pair-apart",
+        "undeclared-coincidence", "undeclared-coincidence-without-pair"])
 def test_invalid_gluing_exits_1(tmp_path, capsys, gluing, drop, line):
     raw = json.loads(ff.builtin_structure_path("sg2").read_text())
     raw["gluing"] = gluing
@@ -800,6 +816,39 @@ def test_invalid_gluing_exits_1(tmp_path, capsys, gluing, drop, line):
     code, out, err = run(capsys, "validate", "--structure", str(path))
     assert code == 1
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("fields,code,line", [
+    ({"alphabet_size": 1}, 1, "error: alphabet must have at least two letters, got 1"),
+    ({"boundary": "p1"}, 2, "error: boundary must be a list of labels"),
+    ({"boundary": ["p1", "p1", "p3"]}, 1, "error: boundary labels must be distinct"),
+    ({"boundary": ["p1"], "fixed_points": {"1": "p1"}}, 1,
+     "error: boundary needs at least two vertices"),
+    ({"boundary": ["p1", "p2", "p3", "p4"]}, 1,
+     "error: boundary has 4 vertices but only 3 letters can declare fixed points"),
+    ({"fixed_points": {"1": "p1", "2": "p2", "x": "p3"}}, 2,
+     "error: fixed_points key 'x' is not a letter"),
+    ({"fixed_points": {"1": "p1", "2": "p2", "7": "p3"}}, 1,
+     "error: fixed_points letter 7 outside alphabet 1..3"),
+    ({"gluing": {"1": [1, "p2", 2, "p1"]}}, 2,
+     "error: gluing must be a list of 4-tuples [i, p, j, q]"),
+    ({"laplacian": [[1.0] * 3] * 3}, 1,
+     "error: laplacian is not nonpositive definite (top eigenvalue 3)"),
+    ({"laplacian": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]}, 1,
+     "error: laplacian kernel is larger than the constants"),
+    (None, 2, "error: structure document must be a JSON object"),
+], ids=["alphabet-one-letter", "boundary-string", "boundary-repeated", "boundary-one-vertex",
+        "boundary-past-alphabet", "fixed-point-key-not-letter", "fixed-point-letter-outside",
+        "gluing-object", "laplacian-positive", "laplacian-wide-kernel", "document-list"])
+def test_document_error_prints_one_line(tmp_path, capsys, fields, code, line):
+    # Each field of sg2's document replaced as listed; None stands for the
+    # document [1, 2].
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    doc = [1, 2] if fields is None else {**raw, **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    got, _, err = run(capsys, "validate", "--structure", str(path))
+    assert (got, err.splitlines()) == (code, [line])
 
 
 def test_repeated_gluing_pair_is_accepted(tmp_path, capsys):
@@ -999,6 +1048,28 @@ def test_csv_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_vicsek_harmonic_profile_meets_exact_laws(tmp_path, capsys):
+    # mean_lambda2's gap grows about 3x per level (4.8e-13 relative at depth
+    # 8); the residual and the count stay at rounding level.
+    lambda2_rtol, residual_rtol, dim_atol = 1e-12, 1e-14, 1e-14
+    raw = json.loads(ff.builtin_structure_path("vicsek").read_text())
+    laws = oracles.vicsek_harmonic_laws(raw["laplacian"], Fraction(1, 3), range(2, 9))
+    path = tmp_path / "p.csv"
+    code, _, _ = run(
+        capsys, "scan", "--structure", "vicsek", "--depths", "2..8", "--out", str(path)
+    )
+    assert code == 0
+    with path.open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [int(row["depth"]) for row in rows] == list(laws)
+    for row in rows:
+        lambda2, residual_squared, dim = laws[int(row["depth"])]
+        residual = math.sqrt(residual_squared)
+        assert abs(float(row["mean_lambda2"]) - lambda2) <= lambda2_rtol * lambda2, row
+        assert abs(float(row["mean_residual"]) - residual) <= residual_rtol * residual, row
+        assert abs(float(row["dim_estimate"]) - dim) <= dim_atol, row
+
+
 def test_scan_cells_csv_bytes_sparse(tmp_path, capsys, vicsek):
     cells = tmp_path / "cells.csv"
     code, _, _ = run(
@@ -1007,13 +1078,15 @@ def test_scan_cells_csv_bytes_sparse(tmp_path, capsys, vicsek):
     )
     assert code == 0
     fld = ff.density_matrices(ff.level1_family(vicsek, ff.mean_functional(vicsek)), 3)
-    zeta = ff.zeta_factors(fld)
     assert fld.skipped > 0
-    header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(15)] + ["residual", "alpha"]
+    k = 15  # lambda columns; d - 1 = 3 of them are computed, the rest are 0.0
+    assert fld.eigenvalues.shape == (fld.size, 3)
+    header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(k)] + ["residual", "alpha"]
     rows = (
-        [oracles.reference_word(idx, 3, 5), lam, *eigs, res, int(alpha) + 1]
+        [oracles.reference_word(idx, 3, 5), lam, *eigs, *[0.0] * (k - len(eigs)), res,
+         int(alpha) + 1]
         for idx, lam, eigs, res, alpha in zip(
-            fld.indices, fld.lam, fld.eigenvalues, zeta.residuals, zeta.alpha
+            fld.indices, fld.lam, fld.eigenvalues, fld.residuals, fld.alpha
         )
     )
     assert cells.read_bytes() == oracles.reference_csv(header, rows)

@@ -132,9 +132,10 @@ def unpruned_field(name, build, depth):
     fam = getattr(ff, f"{build}_family")(hs)
     total = float(np.sum(fam.weights * [2.0 * ff.energy(m) for m in fam.members]))
     reduce = functools.partial(_density_chunk, fam.weights, 0.0)
-    parts = [item[-1] for item in ff.scan_cell_masses(hs, fam.members, depth, reduce=reduce)]
-    rows, lam, factors, eigenvalues, alpha, _, residuals, _ = (
-        np.concatenate(p) for p in zip(*parts)
+    records = [item[-1] for item in ff.scan_cell_masses(hs, fam.members, depth, reduce=reduce)]
+    names = ("indices", "lam", "factors", "eigenvalues", "alpha", "residuals")
+    rows, lam, factors, eigenvalues, alpha, residuals = (
+        np.concatenate([record[name] for record in records]) for name in names
     )
     assert np.array_equal(rows, np.arange(hs.spec.n_letters ** depth))
     return fam, total, lam, factors, eigenvalues, alpha, residuals
@@ -175,6 +176,7 @@ def test_pruned_scan_refines_only_live_cells(vicsek):
     fam = ff.level1_family(vicsek)
     field = ff.density_matrices(fam, 8)
     assert (field.size, field.skipped) == (21_865, 368_760)
+    assert field.eigenvalues.shape == (21_865, 3)  # min(k, d - 1) = min(15, 3) columns
     assert ff.density_matrices(fam, 7).size == 7_285
     blocks = ff.scan_cell_masses(vicsek, fam.members, 8, weights=fam.weights, floor=field.floor)
     assert sum(x.shape[0] for _, x, _ in blocks) == 36_425 == 5 * 7_285
@@ -194,8 +196,8 @@ def test_factored_spectrum_matches_full_spectrum(name, depth):
     top = hs.d - 1
     assert field.factors.shape[1:] == (field.family_size, top) and top < field.family_size
     reference = _weighted_spectra(field)
-    np.testing.assert_allclose(field.eigenvalues[:, :top], reference[:, :top], rtol=0, atol=1e-14)
-    assert np.all(field.eigenvalues[:, top:] == 0.0)
+    np.testing.assert_allclose(field.eigenvalues, reference[:, :top], rtol=0, atol=1e-14)
+    assert field.eigenvalues.shape == (field.size, min(field.family_size, hs.d - 1))
 
 
 def test_factored_spectrum_with_fewer_members_than_rank(vicsek):
@@ -269,7 +271,7 @@ def test_closed_form_spectrum_agrees_with_eigvalsh(sg2, build, depth):
         computed.sum(axis=1), np.einsum("caa->c", gram), rtol=0, atol=1e-14
     )
     assert np.all(field.eigenvalues >= 0.0)
-    assert np.all(field.eigenvalues[:, top:] == 0.0)
+    assert field.eigenvalues.shape == (field.size, min(field.family_size, sg2.d - 1))
 
 
 def test_spectrum_past_two_columns_is_eigvalsh(vicsek):
@@ -333,10 +335,10 @@ def test_nan_gap_from_any_chunk_fails_the_trace_check(sg2, monkeypatch, bad_chun
     reduce, width, seen = dimension._density_chunk, 3**9, []
 
     def one_nan_gap(a, floor, rows, x, scale):
-        parts = reduce(a, floor, rows, x, scale)
+        record = reduce(a, floor, rows, x, scale)
         chunk = int(rows[0]) // width
         seen.append(chunk)
-        return parts[:-1] + (np.array([np.nan]),) if chunk == bad_chunk else parts
+        return {**record, "gap": np.array([np.nan])} if chunk == bad_chunk else record
 
     monkeypatch.setattr(dimension, "_density_chunk", one_nan_gap)
     field = ff.density_matrices(ff.harmonic_family(sg2), 11)
@@ -347,8 +349,8 @@ def test_nan_gap_from_any_chunk_fails_the_trace_check(sg2, monkeypatch, bad_chun
 
 @pytest.mark.parametrize("bad", [-1e-9, np.nan])
 def test_psd_check_reads_computed_columns(vicsek, bad):
-    # The zero padding past min(k, d - 1) must not stand in for the smallest
-    # computed eigenvalue (column d - 2 here), or the check could never fail.
+    # The check reads the smallest computed eigenvalue, here in the last of
+    # the min(k, d - 1) stored columns (column d - 2).
     field = ff.density_matrices(ff.level1_family(vicsek), 3)
     eigenvalues = field.eigenvalues.copy()
     eigenvalues[field.size // 2, vicsek.d - 2] = bad
