@@ -360,11 +360,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config, spec, _, family = _family_run(
+    config, _, _, family = _family_run(
         args, _parse_depths(args.depths), tau_rank=args.tau_rank,
         mass_floor=args.mass_floor,
     )
-    check_field_bytes(spec.n_letters, config.depths[-1], family.size)
     profiles = []
     for depth in config.depths:
         fld = None  # the previous depth's field is freed before the next is built
@@ -406,7 +405,7 @@ def cmd_embed(args) -> int:
     )
     k = family.size
     cell_depth = config.depths[0]
-    check_field_bytes(spec.n_letters, cell_depth, k)
+    check_field_bytes(spec.n_letters ** cell_depth, cell_depth, k)
 
     table = spec.vertex_table(vertex_depth)
     coords = np.column_stack([lift(m, vertex_depth).values for m in family.members])
@@ -467,12 +466,10 @@ def cmd_chainrule(args) -> int:
         rep_points = coords[reps]
         grad_values = np.column_stack([g(rep_points) for g in grads])
         rhs_parts = []
-        for cells, x, scale in scan_cell_masses(hs, family.members, depth, config.workers):
-            # sum_ij dG_i dG_j m_ij = scale * |sum_i dG_i x_i|^2 per cell
+        for cells, x in scan_cell_masses(hs, family.members, depth, config.workers):
+            # sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell; rhs is half the sum
             v = np.einsum("ci,cia->ca", grad_values[cells], x, optimize=False)
-            rhs_parts.append(
-                0.5 * float(np.sum(scale * np.einsum("ca,ca->c", v, v, optimize=False)))
-            )
+            rhs_parts.append(float(np.sum(np.einsum("ca,ca->c", v, v, optimize=False))))
         rhs = float(np.sum(np.asarray(rhs_parts)))
         if rhs <= 0.0:
             raise ValidationError(

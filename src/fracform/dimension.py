@@ -224,19 +224,21 @@ class DensityMatrixField:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """Z = Y Y^T per cell, k x k, formed on first read (exactly symmetric)."""
+        """Z = Y Y^T per cell, k x k, formed on first read (exactly symmetric)
+        once check_field_bytes admits the retained cells' matrices."""
+        check_field_bytes(self.size, self.depth, self.family_size)
         y = self.factors
         z = np.einsum("cia,cja->cij", y, y, optimize=False)
         z.setflags(write=False)
         return z
 
 
-def check_field_bytes(n_letters: int, depth: int, family_size: int) -> None:
-    """Raise CapExceededError when the depth's k x k float64 matrices, one per
-    cell, would exceed MAX_FIELD_BYTES.  The scan itself forms no such matrix;
-    the bound is on the matrices that ``DensityMatrixField.matrices`` forms
-    when read, as ``embed`` does."""
-    need = n_letters ** depth * family_size * family_size * 8
+def check_field_bytes(cells: int, depth: int, family_size: int) -> None:
+    """Raise CapExceededError when k x k float64 matrices for ``cells``
+    depth-``depth`` cells would exceed MAX_FIELD_BYTES.  The scan itself forms
+    no such matrix; the bound is on the matrices that
+    ``DensityMatrixField.matrices`` forms when read, as ``embed`` does."""
+    need = cells * family_size * family_size * 8
     if need > MAX_FIELD_BYTES:
         raise CapExceededError(
             f"depth {depth} density field of {family_size} members needs {need} bytes, "
@@ -276,7 +278,7 @@ def _fill(
 
 
 def _density_chunk(
-    a: np.ndarray, floor: float, rows: np.ndarray, x: np.ndarray, scale: np.ndarray
+    a: np.ndarray, floor: float, rows: np.ndarray, x: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Every per-cell quantity of one scan chunk's retained cells, by name:
     ``indices``, the masses ``lam``, the ``factors`` Y, the spectra
@@ -284,21 +286,21 @@ def _density_chunk(
     ``gap``, the chunk's worst weighted-trace gap as a length-1 array (0 when
     the chunk retains no cell).
 
-    The mass is lambda = scale * sum_i a_i |x_i|^2, the factor
-    Y = sqrt(scale / lambda) x, and the spectrum that of the
+    The mass is lambda = 2 sum_i a_i |x_i|^2, the factor
+    Y = sqrt(2 / lambda) x, and the spectrum that of the
     (d - 1) x (d - 1) weighted Gram G = Y^T diag(a) Y, cut to its
     min(k, d - 1) computed values.  With d - 1 = 2 the spectrum is in closed
     form (_two_column_spectrum); every other shape takes eigvalsh of G.
     The trace gap is |sum_i a_i |Y_i|^2 - 1|, 0 in exact arithmetic.
     """
-    lam = scale * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
+    lam = 2.0 * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
     keep = lam >= floor
     lam = lam[keep]
     # compress along the last axis of the (k, d - 1, cells) view stores Y
     # cells-last, so the per-cell contractions here and in _zeta_block run
     # along the cells axis instead of over tiny matrices one at a time.
     kept = np.compress(keep, x.transpose(1, 2, 0), axis=2)
-    kept *= np.sqrt(scale[keep] / lam)
+    kept *= np.sqrt(2.0 / lam)
     factors = kept.transpose(2, 0, 1)
     if x.shape[2] == 2:
         spectrum = _two_column_spectrum(a, kept[:, 0], kept[:, 1])
@@ -359,7 +361,6 @@ def density_matrices(
     """
     hs = family.structure
     n = hs.spec.n_letters
-    check_field_bytes(n, depth, family.size)
     a = family.weights
     twice_energies = [2.0 * energy(member) for member in family.members]
     for i, twice in enumerate(twice_energies):
@@ -481,14 +482,17 @@ def rank_statistics(field: DensityMatrixField, tau_rank: float = TAU_RANK) -> Ra
     lam = field.lam
     weight_sum = float(np.sum(lam))
     # Each weighted product in turn takes one lam-sized buffer; the counts are
-    # small integers, so summing them into it as floats is exact.
+    # small integers, so summing them into it column by column as floats is
+    # exact.
     buf = np.empty_like(lam)
     mean_lambda2 = 0.0
     if field.eigenvalues.shape[1] > 1:
         np.multiply(lam, field.eigenvalues[:, 1], out=buf)
         mean_lambda2 = float(np.sum(buf)) / weight_sum
     mean_residual = float(np.sum(np.multiply(lam, field.residuals, out=buf))) / weight_sum
-    np.sum(field.eigenvalues > tau_rank, axis=1, out=buf)
+    buf.fill(0.0)
+    for column in field.eigenvalues.T:
+        buf += column > tau_rank
     dim_estimate = float(np.sum(np.multiply(lam, buf, out=buf))) / weight_sum
     return RankProfile(
         depth=field.depth,
@@ -542,8 +546,9 @@ def cell_run_mass(hs: HarmonicStructure, u, letter: int, n: int) -> float:
     mass the measure of the harmonic function with boundary values u puts on
     the word i...i (n letters).
 
-    Evaluated in the pair's energy basis, x <- C_i x / r_i per letter, where
-    constants have no component and the energy is the squared norm.
+    Evaluated in the pair's energy basis, x <- C~_i x / sqrt(r_i) per letter
+    with the normalized letter C~_i = r_i^{-1/2} C_i, where constants have no
+    component and the energy is the squared norm.
     """
     if not 1 <= letter <= hs.d:
         raise ValidationError(f"letter {letter} has no fixed boundary point")
@@ -551,7 +556,7 @@ def cell_run_mass(hs: HarmonicStructure, u, letter: int, n: int) -> float:
         raise ValidationError("n must be nonnegative")
     x = hs.energy_basis @ np.asarray(u, dtype=float)
     for _ in range(n):
-        x = hs.energy_letters[letter - 1] @ x / hs.weights[letter - 1]
+        x = hs.energy_letters[letter - 1] @ x / np.sqrt(hs.weights[letter - 1])
     return float(2.0 * (x @ x))
 
 

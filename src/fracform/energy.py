@@ -8,16 +8,18 @@ assigns each word cell twice the rescaled energy of the pulled-back pair, and
 the full table of depth-n masses is what the dimension diagnostics consume.
 
 The cell scan at the bottom of this module is the shared engine.  It maps
-every member once into the pair's energy basis, where a cell's energy is a
-squared norm, stacks the members into one block, refines it one level at a
-time by the pair's energy letter matrices in fixed-size lexicographic chunks,
-and hands back each cell's k x (d - 1) block of energy coordinates with the
-cell's scale 2 r_w^{-1}: the pair mass of members i and j is the scale times
-the dot product of rows i and j, so no k x k product is formed.  Given a mass
-floor, it does not refine a cell below it, since masses are additive and
-nonnegative.  The chunk layout depends only on the requested depth, never on
-the worker count, and all reductions run in lexicographic order, so outputs
-are bitwise reproducible.
+every member once into the pair's energy basis, scaled by each cell's
+r_w^{-1/2} at the member's level, so that a cell's scaled energy is a squared
+norm; stacks the members into one block; refines it one level at a time by
+the pair's normalized letter matrices C~_i = r_i^{-1/2} C_i in fixed-size
+lexicographic chunks; and hands back each cell's k x (d - 1) block X of
+coordinates.  The pair mass of members i and j is twice the dot product of
+rows i and j, so the cell's mass matrix is 2 X X^T and no k x k product is
+formed.  Since sum_i C~_i^T C~_i = I, no cell's coordinates outgrow its
+root's.  Given a mass floor, the scan does not refine a cell below it, since
+masses are additive and nonnegative.  The chunk layout depends only on the
+requested depth, never on the worker count, and all reductions run in
+lexicographic order, so outputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -127,22 +129,22 @@ def scan_cell_masses(
     workers: int = 1,
     weights: np.ndarray | None = None,
     floor: float | None = None,
-    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray], object] | None = None,
+    reduce: Callable[[np.ndarray, np.ndarray], object] | None = None,
 ) -> Iterator[tuple]:
-    """Yield (rows, coords, scale) over depth-``depth`` cells in lex order.
+    """Yield (rows, coords) over depth-``depth`` cells in lex order.
 
-    coords[c] is the k x (d - 1) block of the members' energy coordinates on
-    the cell at lex index rows[c], and scale[c] its 2 r_w^{-1}, so the pair
-    mass 2 r_w^{-1} E(pullbacks of members i and j) is
-    scale[c] * coords[c, i] @ coords[c, j].  Requires depth at or above
-    every member's level.  With a floor, a cell whose mass weighted by
-    ``weights`` falls below it is not refined and none of its descendants is
-    yielded; without one, every cell is.  With ``reduce``, each item also
-    carries ``reduce(rows, coords, scale)``, computed on the worker that
-    scanned the chunk.  The chunk layout is a fixed function of the depth,
-    and every chunk runs under the floating-point policy (np.geterr) of the
-    thread that iterates the scan, so neither the results nor the
-    floating-point errors depend on ``workers``.
+    coords[c] is the k x (d - 1) block of the members' scaled energy
+    coordinates on the cell at lex index rows[c], so the pair mass
+    2 r_w^{-1} E(pullbacks of members i and j) is
+    2 * coords[c, i] @ coords[c, j].  Requires depth at or above every
+    member's level.  With a floor, a cell whose mass weighted by ``weights``
+    falls below it is not refined and none of its descendants is yielded;
+    without one, every cell is.  With ``reduce``, each item also carries
+    ``reduce(rows, coords)``, computed on the worker that scanned the chunk.
+    The chunk layout is a fixed function of the depth, and every chunk runs
+    under the floating-point policy (np.geterr) of the thread that iterates
+    the scan, so neither the results nor the floating-point errors depend on
+    ``workers``.
 
     Validation (including the cell cap) happens at call time, not on the
     first ``next``, so callers may size buffers after calling this.
@@ -167,24 +169,22 @@ def _scan_chunks(
     workers: int,
     weights: np.ndarray | None,
     floor: float | None,
-    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray], object] | None,
+    reduce: Callable[[np.ndarray, np.ndarray], object] | None,
 ) -> Iterator[tuple]:
     n = hs.spec.n_letters
     t = _chunk_prefix_depth(n, depth)
-    inv_letter = 1.0 / hs.weights
-    inv_prefix = _weight_products(inv_letter, t)
     letters, k = hs.energy_letters, len(members)
     width = n ** (depth - t)
-    # Every member's energy coordinates at depth ``top``, member-major, with
-    # block[i, c] member i's rows under chunk c.  Refinement sends row c to
-    # rows c*n .. c*n+n-1, so each member's rows stay contiguous.
+    # Every member's energy coordinates at depth ``top``, each cell's at the
+    # member's level scaled by its r_w^{-1/2}, member-major, with block[i, c]
+    # member i's rows under chunk c.  Refinement sends row c to rows
+    # c*n .. c*n+n-1, so each member's rows stay contiguous.
     top = max([t] + [m.level for m in members])
+    roots = [np.sqrt(_weight_products(1.0 / hs.weights, m.level))[:, None] for m in members]
     block = np.concatenate(
-        [_refine(letters, m.cell_coeffs @ hs.energy_basis.T, top - m.level) for m in members]
+        [_refine(letters, m.cell_coeffs @ hs.energy_basis.T * root, top - m.level)
+         for m, root in zip(members, roots)]
     ).reshape(k, n**t, -1, hs.d - 1)
-    # Inverse weight products of each level's cells under a chunk root, from
-    # ``top`` to ``depth``; the last entry scales the yielded cells.
-    inv_levels = [_weight_products(inv_letter, level - t) for level in range(top, depth + 1)]
     row_sum = np.ones(hs.d - 1)
     # Every chunk runs under the floating-point policy of the thread that
     # iterates the scan, whichever thread computes it.
@@ -194,20 +194,17 @@ def _scan_chunks(
         with np.errstate(**errors):
             # rows: in-chunk lex indices of the live cells; None while all live.
             x, rows = np.ascontiguousarray(block[:, chunk]), None
-            for level in range(top, depth):
+            for _ in range(top, depth):
                 if floor is not None:
-                    inv = inv_levels[level - top]
-                    inv = inv if rows is None else inv[rows]
                     mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, hs.d - 1) @ row_sum
-                    live = (2.0 * inv_prefix[chunk]) * inv * mass >= floor
+                    live = 2.0 * mass >= floor
                     if not live.all():
                         x = x[:, live]
                         rows = np.flatnonzero(live) if rows is None else rows[live]
                 x = _refine(letters, x.reshape(-1, hs.d - 1), 1).reshape(k, -1, hs.d - 1)
                 rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
-            tail = inv_levels[-1] if rows is None else inv_levels[-1][rows]
             rows = np.arange(width) if rows is None else rows
-            item = (chunk * width + rows, x.transpose(1, 0, 2), (2.0 * inv_prefix[chunk]) * tail)
+            item = (chunk * width + rows, x.transpose(1, 0, 2))
             return item if reduce is None else item + (reduce(*item),)
 
     chunks, wave = range(n ** t), max(workers, 1)
@@ -266,11 +263,16 @@ def measure_table(
     same = g is None or g is f
     members = [f] if same else [f, g]
     scan_depth = max([depth] + [m.level for m in members])
-    blocks = scan_cell_masses(hs, members, scan_depth, workers)
+    j = 0 if same else 1
+
+    # Formed on the scan worker, under the caller's floating-point policy.
+    def pair_mass(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return 2.0 * np.einsum("ca,ca->c", x[:, 0], x[:, j], optimize=False)
+
+    blocks = scan_cell_masses(hs, members, scan_depth, workers, reduce=pair_mass)
     per_cell = np.empty(n ** scan_depth)
-    col = (0, 0) if same else (0, 1)
-    for rows, x, scale in blocks:
-        per_cell[rows] = scale * np.einsum("ca,ca->c", x[:, col[0]], x[:, col[1]], optimize=False)
+    for rows, _, mass in blocks:
+        per_cell[rows] = mass
     if scan_depth > depth:
         masses = per_cell.reshape(n ** depth, -1).sum(axis=1)
     else:

@@ -68,10 +68,14 @@ class HarmonicStructure:
     of its harmonic restriction to the letter-(i+1) cell.  Pulling back along
     a word multiplies these in reverse letter order.
 
-    energy_basis is B = L^T Q^T, with |B u|^2 = -u^T D u, and energy_letters
-    holds the letter matrices C_i = B A_i Q L^-T, with B A_i = C_i B because
-    every A_i fixes the constants that B annihilates.  Q spans the vectors
-    orthogonal to the constants and L L^T = Q^T (-D) Q.
+    energy_basis is B = L^T Q^T, with |B u|^2 = -u^T D u, where Q spans the
+    vectors orthogonal to the constants and L L^T = Q^T (-D) Q.  The letter
+    matrices C_i = B A_i Q L^-T satisfy B A_i = C_i B, because every A_i fixes
+    the constants that B annihilates, and energy_letters holds them
+    normalized, C~_i = r_i^{-1/2} C_i.  The harmonic fixed point
+    |x|^2 = sum_i r_i^{-1} |C_i x|^2 reads sum_i C~_i^T C~_i = I, so a cell's
+    scaled energy r_w^{-1} |C_w x|^2 is |C~_w x|^2, and a cell's children
+    share exactly its own.
     """
 
     spec: StructureSpec
@@ -255,7 +259,8 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     q = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))[0][:, 1:]
     chol = np.linalg.cholesky(q.T @ (-D) @ q)
     basis = chol.T @ q.T
-    letters = np.ascontiguousarray(basis @ exts @ np.linalg.solve(chol, q.T).T)
+    letters = basis @ exts @ np.linalg.solve(chol, q.T).T
+    letters = np.ascontiguousarray(letters / np.sqrt(r)[:, None, None])
     basis.setflags(write=False)
     letters.setflags(write=False)
     return HarmonicStructure(

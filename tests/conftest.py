@@ -23,7 +23,9 @@ INTERVAL = {
 }
 
 # The same interval with one letter's resistance near zero, so the inverse
-# resistance products of deep cells overflow.
+# resistance products r_w^{-1} of deep cells pass the float range (1e315 for
+# the word 1...1 at depth 21).  The cell scan never forms them: it refines by
+# the normalized letters C~_i = r_i^{-1/2} C_i, with sum_i C~_i^T C~_i = I.
 THIN_INTERVAL = {**INTERVAL, "weights": [1e-15, 1 - 1e-15]}
 
 

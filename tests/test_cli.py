@@ -525,13 +525,14 @@ def test_non_finite_polynomial_coefficient_is_a_parse_error(tmp_path, capsys, G)
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_overflow_message_does_not_depend_on_workers(tmp_path, capsys, workers):
-    # Deep cells under the thin letter have inverse resistance products past
-    # the float range; every chunk, on whichever thread, must stop the run
-    # the same way.
+    # With boundary values (1e154, 0) the root's energy is 1e308, and only
+    # the cell 2...2 keeps nearly all of it: twice its energy, formed on a
+    # pool thread in the last of the 64 chunks, overflows.  That chunk, on
+    # whichever thread, must stop the run the same way.
     doc, out_path = tmp_path / "thin.json", tmp_path / "m.csv"
     doc.write_text(json.dumps(THIN_INTERVAL))
     code, out, err = run(
-        capsys, "measure", "--structure", str(doc), "--f", "1,0", "--depth", "21",
+        capsys, "measure", "--structure", str(doc), "--f", "1e154,0", "--depth", "21",
         "--workers", str(workers), "--out", str(out_path),
     )
     assert code == 1
@@ -683,22 +684,25 @@ def test_depth_below_member_level(tmp_path, capsys, command, depths, message):
     assert not list(tmp_path.iterdir())
 
 
-def test_scan_field_byte_budget(tmp_path, capsys):
-    # 3**13 cells pass the cell cap, but 50 x 50 matrices for each would
-    # take about 32 GB; the scan must refuse before its first depth.
-    rows = np.random.default_rng(5).standard_normal((50, 6)).tolist()
-    family = tmp_path / "fam.json"
-    family.write_text(json.dumps({"level": 1, "members": rows}))
+def test_scan_is_not_bound_by_the_field_byte_budget(tmp_path, capsys, monkeypatch):
+    # The cap bounds the k x k matrices that embed forms; scan forms none.
+    # With a cap one byte short of sg2's 3**4 harmonic 2 x 2 matrices, scan
+    # runs to depth 4 and embed refuses before any work.
+    monkeypatch.setattr(dimension, "MAX_FIELD_BYTES", 3**4 * 4 * 8 - 1)
+    code, out, err = run(capsys, "scan", "--structure", "sg2", "--depths", "2..4")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("dimension estimate at depth 4: ")
+    _no_table_at(monkeypatch, 4)
     code, out, err = run(
-        capsys, "scan", "--structure", "sg2", "--family", f"file:{family}",
-        "--depths", "2..13",
+        capsys, "embed", "--structure", "sg2", "--depth", "4",
+        "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"),
     )
     assert code == 1
     assert err.splitlines() == [
-        f"error: depth 13 density field of 50 members needs {3 ** 13 * 2500 * 8} bytes, "
-        f"cap is {1 << 32}"
+        f"error: depth 4 density field of 2 members needs {3**4 * 32} bytes, "
+        f"cap is {3**4 * 32 - 1}"
     ]
-    assert out == ""
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind,field,body", [
@@ -836,10 +840,14 @@ def test_invalid_gluing_exits_1(tmp_path, capsys, gluing, drop, line):
      "error: laplacian is not nonpositive definite (top eigenvalue 3)"),
     ({"laplacian": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]}, 1,
      "error: laplacian kernel is larger than the constants"),
+    ({"realization": 5}, 2, "error: realization must be an object"),
+    ({"fixed_points": ["p1", "p2", "p3"]}, 2,
+     "error: fixed_points must be a map letter -> boundary label"),
     (None, 2, "error: structure document must be a JSON object"),
 ], ids=["alphabet-one-letter", "boundary-string", "boundary-repeated", "boundary-one-vertex",
         "boundary-past-alphabet", "fixed-point-key-not-letter", "fixed-point-letter-outside",
-        "gluing-object", "laplacian-positive", "laplacian-wide-kernel", "document-list"])
+        "gluing-object", "laplacian-positive", "laplacian-wide-kernel", "realization-number",
+        "fixed-points-list", "document-list"])
 def test_document_error_prints_one_line(tmp_path, capsys, fields, code, line):
     # Each field of sg2's document replaced as listed; None stands for the
     # document [1, 2].

@@ -93,15 +93,24 @@ def test_field_matrices_exactly_symmetric(name, depth, build):
     assert np.array_equal(field.matrices, field.matrices.transpose(0, 2, 1))
 
 
-def test_field_byte_budget(sg2):
+def test_field_byte_budget(sg2, monkeypatch):
     # 3**11 cells of 50 x 50 float64 matrices fit in 4 GiB; 3**12 do not.
-    check_field_bytes(3, 11, 50)
+    check_field_bytes(3**11, 11, 50)
     with pytest.raises(CapExceededError):
-        check_field_bytes(3, 12, 50)
-    rows = np.random.default_rng(5).standard_normal((50, 6))
-    fam = ff.family_from_values(sg2, 1, rows)
-    with pytest.raises(CapExceededError, match="density field of 50 members"):
-        ff.density_matrices(fam, 13)
+        check_field_bytes(3**12, 12, 50)
+    # Fields are built under any cap, since they hold no k x k matrix; reading
+    # matrices pays for the retained cells, before it scans again.  The cap is
+    # one byte short of all 3**4 cells' 2 x 2 matrices.
+    monkeypatch.setattr(dimension, "MAX_FIELD_BYTES", 3**4 * 32 - 1)
+    fam = ff.harmonic_family(sg2)
+    full = ff.density_matrices(fam, 4)
+    lo, hi = float(full.lam.min()), float(full.lam.max())
+    pruned = ff.density_matrices(fam, 4, mass_floor=0.5 * (lo + hi) / full.total_mass)
+    assert (full.size, full.skipped) == (3**4, 0) and 0 < pruned.size < full.size
+    with pytest.raises(CapExceededError, match=f"density field of 2 members needs {3**4 * 32} "):
+        full.matrices
+    assert "_rescanned" not in vars(full)
+    assert pruned.matrices.shape == (pruned.size, 2, 2)
 
 
 def test_total_mass_and_floor(sg2):
@@ -179,7 +188,7 @@ def test_pruned_scan_refines_only_live_cells(vicsek):
     assert field.eigenvalues.shape == (21_865, 3)  # min(k, d - 1) = min(15, 3) columns
     assert ff.density_matrices(fam, 7).size == 7_285
     blocks = ff.scan_cell_masses(vicsek, fam.members, 8, weights=fam.weights, floor=field.floor)
-    assert sum(x.shape[0] for _, x, _ in blocks) == 36_425 == 5 * 7_285
+    assert sum(x.shape[0] for _, x in blocks) == 36_425 == 5 * 7_285
 
 
 def _weighted_spectra(field):
@@ -334,8 +343,8 @@ def test_nan_gap_from_any_chunk_fails_the_trace_check(sg2, monkeypatch, bad_chun
     # max(0.0, nan) is 0.0, which would let a NaN after the first chunk pass.
     reduce, width, seen = dimension._density_chunk, 3**9, []
 
-    def one_nan_gap(a, floor, rows, x, scale):
-        record = reduce(a, floor, rows, x, scale)
+    def one_nan_gap(a, floor, rows, x):
+        record = reduce(a, floor, rows, x)
         chunk = int(rows[0]) // width
         seen.append(chunk)
         return {**record, "gap": np.array([np.nan])} if chunk == bad_chunk else record

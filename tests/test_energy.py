@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracform as ff
+from fracform.config import CONSISTENCY_TOL
 from fracform.errors import ValidationError
 
 import oracles
-from conftest import random_piecewise_harmonic
+from conftest import THIN_INTERVAL, random_piecewise_harmonic
 
 
 def harmonic_fn(hs, boundary):
@@ -73,6 +74,21 @@ def test_boundary_function_masses_follow_cell_resistances(interval):
     expected = [2.0 * np.prod(word) for word in itertools.product((0.3, 0.7), repeat=3)]
     np.testing.assert_allclose(masses, expected, rtol=1e-13)
     assert (masses[0], masses[-1]) == pytest.approx((0.054, 0.686))
+
+
+def test_thin_letter_masses_stay_finite_at_depth_21():
+    """r_w^{-1} of the word 1...1 is 1e315, past the float range, but the
+    scan carries no such factor: the normalized letters never let a cell's
+    coordinates outgrow the root's, so the table is finite and consistent."""
+    hs = ff.harmonic_structure(ff.validate_structure(THIN_INTERVAL))
+    f = harmonic_fn(hs, [1.0, 0.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        table = ff.measure_table(f, depth=21, workers=2)
+        parent = ff.measure_table(f, depth=20)
+    twice = 2.0 * ff.energy(f)
+    assert abs(table.total - twice) <= CONSISTENCY_TOL * max(1.0, twice)
+    gap = float(np.abs(table.coarsen().masses - parent.masses).max())
+    assert gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import fracform as ff
 from fracform.errors import NotHarmonicError, ValidationError
 
 import oracles
+from conftest import INTERVAL, THIN_INTERVAL
 
 SG2_A1 = np.array([[1.0, 0.0, 0.0], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4]])
 
@@ -61,6 +62,16 @@ def test_extensions_fix_constants(name):
     ones = np.ones(hs.spec.d)
     for mat in hs.extensions:
         np.testing.assert_allclose(mat @ ones, ones, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["sg2", "vicsek", "interval", "thin-interval"])
+def test_normalized_letters_resolve_the_identity(name):
+    """sum_i C~_i^T C~_i = I: the harmonic fixed point in energy coordinates."""
+    docs = {"interval": INTERVAL, "thin-interval": THIN_INTERVAL}
+    spec = ff.validate_structure(docs[name]) if name in docs else ff.builtin_structure(name)
+    letters = ff.harmonic_structure(spec).energy_letters
+    total = np.einsum("iab,iac->bc", letters, letters)
+    np.testing.assert_allclose(total, np.eye(spec.d - 1), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["sg2", "vicsek"])
