@@ -367,11 +367,14 @@ def cmd_scan(args) -> int:
     profiles = []
     for depth in config.depths:
         fld = None  # the previous depth's field is freed before the next is built
+        # Only --cells-out reads per-cell columns, and only the deepest depth's.
+        keep = bool(args.cells_out) and depth == config.depths[-1]
         fld = density_matrices(
-            family, depth, workers=config.workers, mass_floor=config.mass_floor
+            family, depth, workers=config.workers, mass_floor=config.mass_floor,
+            tau_rank=config.tau_rank, keep_cells=keep,
         )
         verify_field_invariants(fld)
-        profile = rank_statistics(fld, config.tau_rank)
+        profile = rank_statistics(fld)
         profiles.append(profile)
         print(
             f"depth {depth}: mean_lambda2 = {profile.mean_lambda2:.6e}, "
@@ -393,9 +396,23 @@ def cmd_scan(args) -> int:
 
 
 def _distinct_rows(rows: np.ndarray) -> int:
-    """Number of distinct rows, comparing entries with == (so -0.0 equals 0.0)."""
-    ordered = rows[np.lexsort(rows.T)]
-    return 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
+    """Number of distinct rows once rounded to COINCIDENCE_DECIMALS, comparing
+    entries with == (so -0.0 equals 0.0).
+
+    Stable argsorts by one rounded column at a time, from the first column to
+    the last, give np.lexsort's order without a rounded copy of the table or
+    lexsort's key copies; adjacent rows in that order are then rounded and
+    compared 65,536 rows at a time.
+    """
+    order, block = np.arange(rows.shape[0]), 1 << 16
+    for column in rows.T:
+        key = np.round(column[order], COINCIDENCE_DECIMALS)
+        order = order[np.argsort(key, kind="stable")]
+    changes = 0
+    for lo in range(1, rows.shape[0], block):
+        ordered = np.round(rows[order[lo - 1 : lo + block]], COINCIDENCE_DECIMALS)
+        changes += int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
+    return 1 + changes
 
 
 def cmd_embed(args) -> int:
@@ -408,10 +425,13 @@ def cmd_embed(args) -> int:
     check_field_bytes(spec.n_letters ** cell_depth, cell_depth, k)
 
     table = spec.vertex_table(vertex_depth)
-    coords = np.column_stack([lift(m, vertex_depth).values for m in family.members])
+    # Filled member by member, so the coordinates are held once.
+    coords = np.empty((table.num_vertices, k))
+    for j, member in enumerate(family.members):
+        coords[:, j] = lift(member, vertex_depth).values
     if not np.all(np.isfinite(coords)):
         raise NumericalError("vertex coordinates contain non-finite values")
-    coincidences = table.num_vertices - _distinct_rows(np.round(coords, COINCIDENCE_DECIMALS))
+    coincidences = table.num_vertices - _distinct_rows(coords)
     if coincidences:
         print(
             f"warning: coordinate map is not injective on V_{vertex_depth} "
@@ -436,6 +456,7 @@ def cmd_embed(args) -> int:
 
     phis = [f"phi{j + 1}" for j in range(k)]
     write_table(args.vertices_out, ["vertex", *phis], (np.arange(table.num_vertices), coords))
+    del coords  # the cells table is written without the coordinates
     zcols = [f"z{i + 1}_{j + 1}" for i in range(k) for j in range(k)]
     dirs = [f"dir{j + 1}" for j in range(k)]
     words = WordColumn(fld.indices, fld.depth, fld.n_letters)

@@ -3,11 +3,11 @@
 Every tolerance used by a validation or invariant check is a named module
 constant here, so no check hides a magic number.  The checks read them
 directly.  Two run parameters have their defaults here and can be
-overridden: the cell skip threshold, through the ``mass_floor`` argument of
-``density_matrices`` (``--mass-floor``), and the eigenvalue cutoff of the
-dimension count, through the ``tau_rank`` argument of ``rank_statistics``
-(``--tau-rank``).  The scan does not refine a cell below the floor, so a skip
-covers the cell's whole subtree.
+overridden, both through arguments of ``density_matrices``: the cell skip
+threshold, through ``mass_floor`` (``--mass-floor``), and the eigenvalue
+cutoff of the dimension count, through ``tau_rank`` (``--tau-rank``), which
+density_matrices applies as the scan chunks stream.  The scan does not
+refine a cell below the floor, so a skip covers the cell's whole subtree.
 """
 
 # Operations refuse to materialize more word cells than this.

@@ -10,11 +10,13 @@ every per-cell quantity from the chunk's own Y, as one record of named
 columns: the mass, the min(k, d - 1) computed eigenvalues of the
 (d - 1) x (d - 1) weighted Gram of Y (in closed form on a three-point
 boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot, factor and
-residual, and the weighted-trace gap.  The density field is that record: it
-keeps the mass, spectrum, pivot and residual columns, each written into
-place in one preallocated array as its chunk arrives, so the field costs one
-copy of its columns plus the chunks in flight; Y and the rank-one factors
-are formed when read, by running the scan again.
+residual, and the weighted-trace gap.  The density field streams those
+records: as each chunk arrives it adds one row of partial sums for the rank
+statistics and its extremes for the invariant checks, and only when asked
+(keep_cells) are the mass, spectrum, pivot and residual columns written into
+place in preallocated arrays.  So a field without its cells holds no
+per-cell column, only the chunks in flight; its columns, Y and the rank-one
+factors are formed when read, by running the scan again.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -26,6 +28,7 @@ their closed-form limits, which drive the run-word analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -158,10 +161,19 @@ def family_from_values(
 # density matrices
 
 
+# The per-cell columns a field keeps when asked to (keep_cells).
+CELL_COLUMNS = ("indices", "lam", "eigenvalues", "alpha", "residuals")
+
+
+def _cell_column(name: str) -> property:
+    """The field's column ``name``: the one kept at build, else the rescan's."""
+    return property(lambda fld: fld.cells[name] if name in fld.cells else fld._rescanned[name])
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrixField:
-    """Per-cell columns of the density matrices of all retained cells at one
-    depth.
+    """Rank statistics of all retained cells at one depth, and their per-cell
+    columns on demand.
 
     Retained means the cell's combined mass stayed at or above the floor;
     rows are in lexicographic cell order throughout.  Every column is the
@@ -177,32 +189,37 @@ class DensityMatrixField:
     nonnegative and keeps its relative accuracy on nearly rank-one cells;
     other shapes take eigvalsh of the Gram.  alpha[c] is the 0-based member
     index with the largest weighted diagonal entry of Z (smallest index on
-    ties), residuals[c] the relative Frobenius gap between Z and its rank-one
-    surrogate zeta zeta^T, and worst_trace_gap the largest
-    |sum_i a_i |Y_i|^2 - 1| over the retained cells.
+    ties), and residuals[c] the relative Frobenius gap between Z and its
+    rank-one surrogate zeta zeta^T.
 
-    The field holds no factor.  ``factors`` (Y) and ``zeta`` (the rank-one
-    factor) are formed on first read by running ``scan``, the deterministic
-    scan that built the field, again; ``matrices`` (Z) from ``factors``.
+    The field itself holds what the statistics and the invariant checks read,
+    streamed from the chunks as they arrive: ``sums``, the totals of
+    lambda, lambda * lambda_2, lambda * residual and lambda times the count of
+    eigenvalues above tau_rank (each a math.fsum of per-chunk np.sum
+    partials), ``min_eigenvalue`` and ``worst_trace_gap``, the smallest
+    computed eigenvalue and the largest |sum_i a_i |Y_i|^2 - 1| over the
+    retained cells, and ``size``, the retained count.  ``cells`` holds the
+    columns kept when the field was built, none unless asked.  Any other
+    column, ``factors`` (Y) and ``zeta`` (the rank-one factor) are formed on
+    first read by running ``scan``, the deterministic scan that built the
+    field, again; ``matrices`` (Z) from ``factors`` on each read.
     """
 
     depth: int
     n_letters: int
     weights: np.ndarray
-    indices: np.ndarray
-    lam: np.ndarray
-    eigenvalues: np.ndarray
-    alpha: np.ndarray
-    residuals: np.ndarray
-    worst_trace_gap: float
+    size: int
     skipped: int
+    sums: tuple[float, ...]
+    min_eigenvalue: float
+    worst_trace_gap: float
     total_mass: float
     floor: float
     scan: Callable[[], Iterator[tuple]]
+    cells: dict[str, np.ndarray]
 
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
+    indices, lam, eigenvalues, alpha, residuals, factors, zeta = map(
+        _cell_column, (*CELL_COLUMNS, "factors", "zeta"))
 
     @property
     def family_size(self) -> int:
@@ -210,22 +227,14 @@ class DensityMatrixField:
 
     @cached_property
     def _rescanned(self) -> dict[str, np.ndarray]:
-        return _fill(self.scan(), ("factors", "zeta"), self.n_letters ** self.depth)[0]
+        lacking = [name for name in CELL_COLUMNS if name not in self.cells]
+        return _fill(self.scan(), (*lacking, "factors", "zeta"), self.n_letters ** self.depth)[0]
 
     @property
-    def factors(self) -> np.ndarray:
-        """Y per cell, k x (d - 1), formed on first read."""
-        return self._rescanned["factors"]
-
-    @property
-    def zeta(self) -> np.ndarray:
-        """The rank-one factor per cell, length k, formed on first read."""
-        return self._rescanned["zeta"]
-
-    @cached_property
     def matrices(self) -> np.ndarray:
-        """Z = Y Y^T per cell, k x k, formed on first read (exactly symmetric)
-        once check_field_bytes admits the retained cells' matrices."""
+        """Z = Y Y^T per cell, k x k, formed on each read and not kept
+        (exactly symmetric), once check_field_bytes admits the retained
+        cells' matrices."""
         check_field_bytes(self.size, self.depth, self.family_size)
         y = self.factors
         z = np.einsum("cia,cja->cij", y, y, optimize=False)
@@ -247,34 +256,49 @@ def check_field_bytes(cells: int, depth: int, family_size: int) -> None:
 
 
 def _fill(
-    scan: Iterator[tuple], names: Sequence[str], rows: int
-) -> tuple[dict[str, np.ndarray], float]:
+    scan: Iterator[tuple], names: Sequence[str], rows: int, tau_rank: float = TAU_RANK
+) -> tuple[dict[str, np.ndarray], dict]:
     """The named columns of each chunk's _density_chunk record, each written
     in lexicographic cell order into one C-ordered, read-only array and
-    returned under its name, and the worst weighted-trace gap over the chunks.
+    returned under its name, and what the field keeps of every record: the
+    retained ``size``, the four weighted ``sums`` (tau_rank is the cutoff of
+    the eigenvalue count), ``min_eigenvalue`` and ``worst_trace_gap``.
 
     Each array gets ``rows`` rows when the first chunk arrives, and every
     chunk's rows are copied into the next slots as it arrives, so no column
     outlives its chunk; pages never written are never resident.  Once the
     scan ends, each array shrinks to the rows written by a realloc in place,
-    so a pruned field holds no spare capacity.  The gap is a running
-    np.maximum, which keeps a NaN from any chunk.
+    so a pruned field holds no spare capacity.  Each chunk adds one row of
+    np.sum partials, and the sums are math.fsum over those rows, so they
+    depend on the chunk layout, which depends on the depth alone.  The
+    extremes are a running np.minimum and np.maximum, which keep a NaN from
+    any chunk.
     """
-    columns, size, worst = {}, 0, np.zeros(1)
+    columns, size, partials = None, 0, []
+    low, worst = np.full(1, np.inf), np.zeros(1)
     for *_, record in scan:
-        if not columns:
+        if columns is None:
             columns = {k: np.empty((rows, *record[k].shape[1:]), record[k].dtype) for k in names}
-        count = record["indices"].size
+        lam, spectrum = record["lam"], record["eigenvalues"]
         for name, column in columns.items():
-            column[size : size + count] = record[name]
-        size += count
+            column[size : size + lam.size] = record[name]
+        size += lam.size
+        # The counts are small integers, so adding them as floats is exact.
+        above = np.zeros_like(lam)
+        for eigenvalue in spectrum.T:
+            above += eigenvalue > tau_rank
+        second = np.sum(lam * spectrum[:, 1]) if spectrum.shape[1] > 1 else 0.0
+        partials.append((np.sum(lam), second, np.sum(lam * record["residuals"]),
+                         np.sum(lam * above)))
+        np.minimum(low, spectrum.min(initial=np.inf), out=low)
         np.maximum(worst, record["gap"], out=worst)
     # No view of a column outlives its slice assignment above, so the
     # resize may skip numpy's reference check.
     for column in columns.values():
         column.resize((size, *column.shape[1:]), refcheck=False)
         column.setflags(write=False)
-    return columns, float(worst[0])
+    return columns, dict(size=size, sums=tuple(math.fsum(s) for s in zip(*partials)),
+                         min_eigenvalue=float(low[0]), worst_trace_gap=float(worst[0]))
 
 
 def _density_chunk(
@@ -349,15 +373,20 @@ def density_matrices(
     depth: int,
     workers: int = 1,
     mass_floor: float = MASS_FLOOR,
+    tau_rank: float = TAU_RANK,
+    keep_cells: bool = True,
 ) -> DensityMatrixField:
-    """Spectra, rank-one pivots and residuals of every cell whose mass
-    clears the floor.
+    """Rank statistics, and with keep_cells the spectra, rank-one pivots and
+    residuals, of every cell whose mass clears the floor.
 
     The floor is mass_floor times the total combined mass.  A cell below it
     has no meaningful density and is not refined; skipped counts its subtree.
-    Each chunk is reduced on the scan worker that formed it; as it arrives
-    its columns are copied into the field's same-named arrays, and its
-    factors and zeta drop with it.
+    tau_rank is the eigenvalue cutoff of the dimension count; the weighted
+    matrices have trace one, so the cutoff is an absolute fraction.  Each
+    chunk is reduced on the scan worker that formed it; as it arrives it adds
+    its partial sums and extremes, and with keep_cells its CELL_COLUMNS are
+    copied into the field's same-named arrays.  The rest of the chunk drops
+    with it, so without keep_cells the field holds no per-cell column.
     """
     hs = family.structure
     n = hs.spec.n_letters
@@ -370,14 +399,15 @@ def density_matrices(
             )
     if not mass_floor > 0.0:
         raise ValidationError("mass floor must be positive")
+    if not 0.0 < tau_rank < 1.0:
+        raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
     total = float(np.sum(a * np.asarray(twice_energies)))
     floor = mass_floor * total
 
     reduce = partial(_density_chunk, a, floor)
     scan = partial(scan_cell_masses, hs, family.members, depth, workers, a, floor, reduce)
-    names = ("indices", "lam", "eigenvalues", "alpha", "residuals")
-    columns, worst_gap = _fill(scan(), names, n ** depth)
-    if not columns["indices"].size:
+    columns, summary = _fill(scan(), CELL_COLUMNS if keep_cells else (), n ** depth, tau_rank)
+    if not summary["size"]:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
@@ -385,25 +415,27 @@ def density_matrices(
         depth=depth,
         n_letters=n,
         weights=a,
-        **columns,
-        worst_trace_gap=worst_gap,
-        skipped=n ** depth - columns["indices"].size,
+        skipped=n ** depth - summary["size"],
         total_mass=total,
         floor=floor,
         scan=scan,
+        cells=columns,
+        **summary,
     )
 
 
 def verify_field_invariants(field: DensityMatrixField) -> None:
     """Raise unless every retained cell satisfies the Gram and trace identities.
 
-    Checks: min computed eigenvalue of the trace-one form at or above
-    -PSD_TOL, and the weighted diagonal of Z, sum_i a_i |Y_i|^2, summing to 1
-    within TRACE_IDENTITY_TOL on every cell (the field's worst_trace_gap).
-    density_matrices refuses a field with no retained cell, so both read at
+    Checks: the field's min_eigenvalue, the smallest computed eigenvalue of
+    the trace-one form over the retained cells, at or above -PSD_TOL, and the
+    weighted diagonal of Z, sum_i a_i |Y_i|^2, summing to 1 within
+    TRACE_IDENTITY_TOL on every cell (the field's worst_trace_gap).  Both are
+    kept as the chunks stream, so the check reads no per-cell column;
+    density_matrices refuses a field with no retained cell, so both cover at
     least one cell.
     """
-    min_eig = float(field.eigenvalues.min())
+    min_eig = field.min_eigenvalue
     if not min_eig >= -PSD_TOL:  # NaN fails too
         raise ValidationError(f"density matrix lost positivity: min eigenvalue {min_eig:.3g}")
     if not field.worst_trace_gap <= TRACE_IDENTITY_TOL:  # NaN fails too
@@ -470,35 +502,20 @@ class RankProfile:
     retained_cells: int
 
 
-def rank_statistics(field: DensityMatrixField, tau_rank: float = TAU_RANK) -> RankProfile:
+def rank_statistics(field: DensityMatrixField) -> RankProfile:
     """Aggregate second eigenvalues, residuals, and eigenvalue counts.
 
-    All means are weighted by cell mass and summed in lexicographic cell
-    order.  tau_rank is the eigenvalue cutoff for the dimension count; the
-    weighted matrices have trace one, so the cutoff is an absolute fraction.
+    All means are weighted by cell mass: each is one of the field's streamed
+    sums divided by the total mass, each sum a math.fsum over the scan chunks
+    of np.sum partials in lexicographic cell order.  The eigenvalue cutoff of
+    the dimension count is density_matrices' tau_rank.
     """
-    if not 0.0 < tau_rank < 1.0:
-        raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
-    lam = field.lam
-    weight_sum = float(np.sum(lam))
-    # Each weighted product in turn takes one lam-sized buffer; the counts are
-    # small integers, so summing them into it column by column as floats is
-    # exact.
-    buf = np.empty_like(lam)
-    mean_lambda2 = 0.0
-    if field.eigenvalues.shape[1] > 1:
-        np.multiply(lam, field.eigenvalues[:, 1], out=buf)
-        mean_lambda2 = float(np.sum(buf)) / weight_sum
-    mean_residual = float(np.sum(np.multiply(lam, field.residuals, out=buf))) / weight_sum
-    buf.fill(0.0)
-    for column in field.eigenvalues.T:
-        buf += column > tau_rank
-    dim_estimate = float(np.sum(np.multiply(lam, buf, out=buf))) / weight_sum
+    weight_sum, lambda2, residual, count = field.sums
     return RankProfile(
         depth=field.depth,
-        mean_lambda2=mean_lambda2,
-        mean_residual=mean_residual,
-        dim_estimate=dim_estimate,
+        mean_lambda2=lambda2 / weight_sum,
+        mean_residual=residual / weight_sum,
+        dim_estimate=count / weight_sum,
         skipped_cells=field.skipped,
         retained_cells=field.size,
     )

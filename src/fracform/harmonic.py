@@ -9,6 +9,8 @@ fixed-point identity is what makes energies consistent across depths.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +107,13 @@ def graph_energy(
     """Bilinear level-``level`` network energy sum_w (1 / r_w) * (-D u|_w, v|_w).
 
     u and v are vectors on the level's vertex ids; with v omitted this is the
-    quadratic form of u.
+    quadratic form of u.  A level whose largest resistance product r_w^{-1}
+    would pass the float range is refused before any table is formed.
     """
+    if level * -math.log(hs.weights.min()) > math.log(sys.float_info.max):
+        raise NumericalError(
+            f"level {level} resistance products r_w^-1 pass the float range"
+        )
     if v is None:
         v = u
     slots = hs.spec.vertex_table(level).slots

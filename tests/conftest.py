@@ -26,6 +26,7 @@ INTERVAL = {
 # resistance products r_w^{-1} of deep cells pass the float range (1e315 for
 # the word 1...1 at depth 21).  The cell scan never forms them: it refines by
 # the normalized letters C~_i = r_i^{-1/2} C_i, with sum_i C~_i^T C~_i = I.
+# graph_energy, which does form them, refuses such a level with one error.
 THIN_INTERVAL = {**INTERVAL, "weights": [1e-15, 1 - 1e-15]}
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 
 import fracform as ff
 from fracform import dimension
+from fracform.config import TAU_RANK
 from fracform.dimension import _density_chunk, _zeta_block, check_field_bytes
 from fracform.errors import CapExceededError, ValidationError
 
@@ -358,13 +360,45 @@ def test_nan_gap_from_any_chunk_fails_the_trace_check(sg2, monkeypatch, bad_chun
 
 @pytest.mark.parametrize("bad", [-1e-9, np.nan])
 def test_psd_check_reads_computed_columns(vicsek, bad):
-    # The check reads the smallest computed eigenvalue, here in the last of
-    # the min(k, d - 1) stored columns (column d - 2).
+    # The field keeps the smallest of the min(k, d - 1) computed eigenvalue
+    # columns as the chunks stream, and the check reads it.
     field = ff.density_matrices(ff.level1_family(vicsek), 3)
-    eigenvalues = field.eigenvalues.copy()
-    eigenvalues[field.size // 2, vicsek.d - 2] = bad
+    assert field.eigenvalues.shape[1] == vicsek.d - 1
+    assert field.min_eigenvalue == field.eigenvalues.min()
+    ff.verify_field_invariants(field)
     with pytest.raises(ValidationError, match="positivity"):
-        ff.verify_field_invariants(dataclasses.replace(field, eigenvalues=eigenvalues))
+        ff.verify_field_invariants(dataclasses.replace(field, min_eigenvalue=bad))
+
+
+@pytest.mark.parametrize("bad_chunk", [0, 4, 8])
+def test_nan_eigenvalue_from_any_chunk_fails_the_psd_check(sg2, monkeypatch, bad_chunk):
+    # The smallest eigenvalue is kept across chunks by a NaN-keeping minimum.
+    reduce, width = dimension._density_chunk, 3**9
+
+    def one_nan_eigenvalue(a, floor, rows, x):
+        record = reduce(a, floor, rows, x)
+        if int(rows[0]) // width == bad_chunk:
+            record["eigenvalues"][-1, -1] = np.nan
+        return record
+
+    monkeypatch.setattr(dimension, "_density_chunk", one_nan_eigenvalue)
+    field = ff.density_matrices(ff.harmonic_family(sg2), 11, keep_cells=False)
+    assert np.isnan(field.min_eigenvalue)
+    with pytest.raises(ValidationError, match="positivity"):
+        ff.verify_field_invariants(field)
+
+
+def test_field_without_cells_forms_them_on_read(vicsek):
+    fam = ff.level1_family(vicsek)
+    kept, bare = (ff.density_matrices(fam, 5, keep_cells=keep) for keep in (True, False))
+    assert bare.cells == {} and tuple(kept.cells) == dimension.CELL_COLUMNS
+    for name in ("size", "skipped", "sums", "min_eigenvalue", "worst_trace_gap"):
+        assert getattr(bare, name) == getattr(kept, name), name
+    for name in (*dimension.CELL_COLUMNS, "factors", "zeta"):
+        assert np.array_equal(getattr(bare, name), getattr(kept, name)), name
+    # The rescan fills only what the field lacks.
+    assert set(kept._rescanned) == {"factors", "zeta"}
+    assert set(bare._rescanned) == {*dimension.CELL_COLUMNS, "factors", "zeta"}
 
 
 @pytest.mark.parametrize("bad", [1e-9, np.nan])
@@ -432,8 +466,9 @@ def test_zeta_alpha_is_smallest_tied_index(vicsek, depth):
 
 
 def test_rank_statistics_recomputed(sg2):
-    field = ff.density_matrices(ff.harmonic_family(sg2), 5)
-    prof = ff.rank_statistics(field, tau_rank=0.05)
+    fam = ff.harmonic_family(sg2)
+    field = ff.density_matrices(fam, 5)
+    prof = ff.rank_statistics(field)
     lam = field.lam
     expect_l2 = float(np.sum(lam * field.eigenvalues[:, 1]) / np.sum(lam))
     expect_res = float(np.sum(lam * field.residuals) / np.sum(lam))
@@ -444,8 +479,31 @@ def test_rank_statistics_recomputed(sg2):
     assert prof.dim_estimate == pytest.approx(expect_dim, rel=1e-13)
     assert prof.mean_residual == pytest.approx(expect_res, rel=1e-13)
     assert prof.retained_cells == field.size
-    with pytest.raises(ValidationError):
-        ff.rank_statistics(field, tau_rank=1.5)
+    # The cutoff is density_matrices' and reaches the count.
+    loose = ff.rank_statistics(ff.density_matrices(fam, 5, tau_rank=0.3))
+    expect_loose = float(np.sum(lam * np.sum(field.eigenvalues > 0.3, axis=1)) / np.sum(lam))
+    assert loose.dim_estimate == pytest.approx(expect_loose, rel=1e-13)
+    assert loose.dim_estimate < prof.dim_estimate
+    with pytest.raises(ValidationError, match=r"tau_rank must lie in \(0, 1\), got 1.5"):
+        ff.density_matrices(fam, 5, tau_rank=1.5)
+
+
+@pytest.mark.parametrize("depth", [10, 11, 12])
+def test_streamed_means_are_within_rounding_of_fsum(sg2, depth):
+    # The means are math.fsum of per-chunk np.sum partials (3 to 27 chunks
+    # here); each stays within two rounding units of the correctly rounded
+    # sum of the same per-cell products.
+    field = ff.density_matrices(ff.harmonic_family(sg2), depth)
+    prof = ff.rank_statistics(field)
+    lam, eigenvalues = field.lam, field.eigenvalues
+    weight = math.fsum(lam)
+    expected = {
+        "mean_lambda2": math.fsum(lam * eigenvalues[:, 1]) / weight,
+        "mean_residual": math.fsum(lam * field.residuals) / weight,
+        "dim_estimate": math.fsum(lam * np.sum(eigenvalues > TAU_RANK, axis=1)) / weight,
+    }
+    for name, value in expected.items():
+        assert abs(getattr(prof, name) - value) <= 4.4e-16 * value, name
 
 
 def test_single_member_family_rank_one(sg2):
