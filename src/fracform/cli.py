@@ -415,6 +415,21 @@ def _distinct_rows(rows: np.ndarray) -> int:
     return 1 + changes
 
 
+def _vertex_coords(family: FunctionFamily, depth: int) -> np.ndarray:
+    """The members' values on V_depth as one (V, k) array, filled member by
+    member so that the coordinates are held once.
+
+    The array is allocated after the first member's lift has freed its
+    temporaries, so the later lifts reuse that memory: allocated first, it
+    made chainrule on sg2 at depths 3..12 fault in about 13k more pages.
+    """
+    first = lift(family.members[0], depth).values
+    coords = np.empty((len(first), family.size))
+    for j, member in enumerate(family.members):
+        coords[:, j] = first if j == 0 else lift(member, depth).values
+    return coords
+
+
 def cmd_embed(args) -> int:
     vertex_depth = args.depth if args.vertex_depth is None else args.vertex_depth
     config, spec, _, family = _family_run(
@@ -424,14 +439,10 @@ def cmd_embed(args) -> int:
     cell_depth = config.depths[0]
     check_field_bytes(spec.n_letters ** cell_depth, cell_depth, k)
 
-    table = spec.vertex_table(vertex_depth)
-    # Filled member by member, so the coordinates are held once.
-    coords = np.empty((table.num_vertices, k))
-    for j, member in enumerate(family.members):
-        coords[:, j] = lift(member, vertex_depth).values
+    coords = _vertex_coords(family, vertex_depth)
     if not np.all(np.isfinite(coords)):
         raise NumericalError("vertex coordinates contain non-finite values")
-    coincidences = table.num_vertices - _distinct_rows(coords)
+    coincidences = len(coords) - _distinct_rows(coords)
     if coincidences:
         print(
             f"warning: coordinate map is not injective on V_{vertex_depth} "
@@ -455,7 +466,7 @@ def cmd_embed(args) -> int:
     direction = zeta / np.sqrt(square)[:, None]
 
     phis = [f"phi{j + 1}" for j in range(k)]
-    write_table(args.vertices_out, ["vertex", *phis], (np.arange(table.num_vertices), coords))
+    write_table(args.vertices_out, ["vertex", *phis], (np.arange(len(coords)), coords))
     del coords  # the cells table is written without the coordinates
     zcols = [f"z{i + 1}_{j + 1}" for i in range(k) for j in range(k)]
     dirs = [f"dir{j + 1}" for j in range(k)]
@@ -463,7 +474,7 @@ def cmd_embed(args) -> int:
     columns = (words, nu, metric.reshape(fld.size, -1), direction)
     write_table(args.cells_out, ["word", "nu", *zcols, *dirs], columns)
     print(
-        f"vertices: {table.num_vertices} at depth {vertex_depth}; "
+        f"vertices: {spec.vertex_count(vertex_depth)} at depth {vertex_depth}; "
         f"cells: {fld.size} retained of {spec.n_letters ** cell_depth} "
         f"at depth {cell_depth}; total cell mass {float(np.sum(nu)):.12f}"
     )
@@ -478,20 +489,24 @@ def cmd_chainrule(args) -> int:
 
     rows = []
     for depth in config.depths:
-        table = spec.vertex_table(depth)
-        coords = np.column_stack([lift(m, depth).values for m in family.members])
-        g_values = poly(coords)
-        lhs = graph_energy(hs, depth, g_values)
-
-        reps = table.slots.min(axis=1)
-        rep_points = coords[reps]
+        coords = _vertex_coords(family, depth)
+        lhs = graph_energy(hs, depth, poly(coords))
+        # Each cell's gradient at one of its corners.  This depth's
+        # coordinates, corner points and gradients are dropped once used, so
+        # none is alive while the next depth's are built.
+        rep_points = coords[spec.vertex_table(depth).slots.min(axis=1)]
         grad_values = np.column_stack([g(rep_points) for g in grads])
-        rhs_parts = []
-        for cells, x in scan_cell_masses(hs, family.members, depth, config.workers):
-            # sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell; rhs is half the sum
+        del coords, rep_points
+
+        # sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell; rhs is half
+        # the sum, summed per chunk on the scan worker.
+        def chunk_rhs(cells: np.ndarray, x: np.ndarray) -> float:
             v = np.einsum("ci,cia->ca", grad_values[cells], x, optimize=False)
-            rhs_parts.append(float(np.sum(np.einsum("ca,ca->c", v, v, optimize=False))))
-        rhs = float(np.sum(np.asarray(rhs_parts)))
+            return float(np.sum(np.einsum("ca,ca->c", v, v, optimize=False)))
+
+        scan = scan_cell_masses(hs, family.members, depth, config.workers, reduce=chunk_rhs)
+        rhs = float(np.sum(np.asarray([part for _, _, part in scan])))
+        del grad_values
         if rhs <= 0.0:
             raise ValidationError(
                 f"degenerate quadratic form at depth {depth}: right side is {rhs!r}"

@@ -1,10 +1,11 @@
 """CSV emission: the one writer behind every table the package writes.
 
-Rows are formatted and written in blocks of at most BLOCK_ROWS, from
-``.tolist()`` of each column slice, so memory stays flat in the row count and
-the bytes depend on neither the block size nor the worker count.  Floats are
-written with ``%.17g``, which round-trips every double; integer columns with
-``%d``; word columns as dot-joined letters (the empty word as "").
+Rows are formatted and written in blocks of at most BLOCK_FIELDS fields (and
+at least one row), from ``.tolist()`` of each column slice, so memory stays
+flat in both the row count and the table's width, and the bytes depend on
+neither the block size nor the worker count.  Floats are written with
+``%.17g``, which round-trips every double; integer columns with ``%d``; word
+columns as dot-joined letters (the empty word as "").
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-# Larger blocks buy little speed and show up in peak memory on deep tables.
-BLOCK_ROWS = 4096
+# Larger blocks buy little speed and show up in peak memory on deep or wide
+# tables; a two-column table is written 4096 rows at a time.
+BLOCK_FIELDS = 8192
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,12 @@ def write_table(target, header: Sequence[str], columns: Sequence) -> None:
     first = columns[0]
     rows = len(first.indices if isinstance(first, WordColumn) else first)
     row_format = ",".join(spec for spec, _ in parts) + "\n"
+    block = max(1, BLOCK_FIELDS // len(header))
 
     def emit(handle) -> None:
         handle.write(",".join(header) + "\n")
-        for start in range(0, rows, BLOCK_ROWS):
-            stop = min(rows, start + BLOCK_ROWS)
+        for start in range(0, rows, block):
+            stop = min(rows, start + block)
             fields = [field for _, get in parts for field in get(start, stop)]
             handle.write("".join(map(row_format.__mod__, zip(*fields))))
 

@@ -108,7 +108,7 @@ def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
     if g.structure is not f.structure:
         raise ValidationError("cannot pair functions on different structures")
     m = max(f.level, g.level)
-    return graph_energy(f.structure, m, lift(f, m).values, lift(g, m).values)
+    return graph_energy(f.structure, m, lift(f, m).values, None if g is f else lift(g, m).values)
 
 
 # ---------------------------------------------------------------------------

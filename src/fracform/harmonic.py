@@ -114,11 +114,9 @@ def graph_energy(
         raise NumericalError(
             f"level {level} resistance products r_w^-1 pass the float range"
         )
-    if v is None:
-        v = u
     slots = hs.spec.vertex_table(level).slots
     uu = np.asarray(u, dtype=float)[slots]
-    vv = np.asarray(v, dtype=float)[slots]
+    vv = uu if v is None else np.asarray(v, dtype=float)[slots]
     per_cell = -np.einsum("cp,pq,cq->c", uu, hs.laplacian, vv, optimize=False)
     total = float(np.sum(per_cell * _weight_products(1.0 / hs.weights, level)))
     if not np.isfinite(total):  # einsum overflows without a floating-point error
@@ -231,11 +229,9 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     # harmonic extension of every boundary basis vector: boundary values
     # fixed, interior values minimizing the form.
     table = spec.vertex_table(1)
-    d, nv = spec.d, table.num_vertices
+    d, nv, slots = spec.d, table.num_vertices, table.slots
     H = np.zeros((nv, nv))
-    for i in range(spec.n_letters):
-        ids = table.slots[i]
-        H[np.ix_(ids, ids)] += (-D) / r[i]
+    np.add.at(H, (slots[:, :, None], slots[:, None, :]), (-D)[None] / r[:, None, None])
     boundary = table.boundary_ids
     interior = np.setdiff1d(np.arange(nv), boundary)
     full = np.zeros((nv, d))
@@ -259,9 +255,7 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
             residual=residual,
         )
 
-    exts = np.empty((spec.n_letters, d, d))
-    for i in range(spec.n_letters):
-        exts[i] = full[table.slots[i]]
+    exts = full[slots]
     exts.setflags(write=False)
     q = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))[0][:, 1:]
     chol = np.linalg.cholesky(q.T @ (-D) @ q)

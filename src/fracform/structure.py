@@ -345,7 +345,6 @@ def validate_structure(raw: Mapping) -> StructureSpec:
         raise ParseError("gluing must be a list of 4-tuples [i, p, j, q]")
     pairs: list[GluePair] = []
     seen_slots: dict[tuple[int, int], GluePair] = {}
-    seen_pairs: set[GluePair] = set()
     boundary_pos = {label: k for k, label in enumerate(boundary)}
     for entry in gluing_raw:
         if not isinstance(entry, Sequence) or len(entry) != 4:
@@ -363,7 +362,7 @@ def validate_structure(raw: Mapping) -> StructureSpec:
         a = (i, boundary_pos[str(p_raw)])
         b = (j, boundary_pos[str(q_raw)])
         pair: GluePair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
+        if seen_slots.get(a) == pair:  # a repeated pair
             continue
         for slot in (a, b):
             other = seen_slots.get(slot)
@@ -374,7 +373,6 @@ def validate_structure(raw: Mapping) -> StructureSpec:
                 )
         seen_slots[a] = pair
         seen_slots[b] = pair
-        seen_pairs.add(pair)
         pairs.append(pair)
 
     # The level-1 cell adjacency graph must be connected, which takes at

@@ -380,6 +380,35 @@ def test_dense_scan_peak_rss_holds_no_per_cell_column():
     assert growth <= 32 * 2**20, growth / 2**20
 
 
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
+    reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
+)
+def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
+    # chainrule fills each depth's coordinates member by member, gathers each
+    # quadratic form once and drops a depth's coordinates, corner points and
+    # gradients once used, so depths 3..12 add about 68 MiB over depth 3
+    # alone (sg2, 531k cells and 797k vertices at depth 12); stacked copies,
+    # a second gather and the previous depth's arrays made it about 88 MiB.
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def peak_bytes(depths):
+        probe = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "fracform.cli",
+             "chainrule", "--structure", "sg2", "--G", "x1^2+0.3*x1*x2-x2",
+             "--depths", depths, "--workers", "2"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, kib = map(int, probe.stdout.split())
+        assert code == 0
+        return kib * 1024
+
+    growth = peak_bytes("3..12") - peak_bytes("3..3")
+    assert growth <= 77 * 2**20, growth / 2**20
+
+
 def test_scan_level1_family(capsys):
     code, out, err = run(
         capsys, "scan", "--structure", "vicsek", "--family", "level1",
@@ -511,6 +540,22 @@ def test_chainrule_linear_exact(capsys):
     for line in out.strip().splitlines():
         gap = float(line.rsplit("=", 1)[1])
         assert gap < 1e-10
+
+
+def test_chainrule_bytes_do_not_depend_on_workers(tmp_path, capsys):
+    # The right side is summed per chunk on the scan's pool threads, then
+    # over the chunks in lex order, so every worker count gives the same bits.
+    outputs = []
+    for workers in (1, 2, 3):
+        out_path = tmp_path / f"gaps{workers}.csv"
+        code, out, err = run(
+            capsys, "chainrule", "--structure", "sg2", "--G", "x1^2+0.3*x1*x2-x2",
+            "--depths", "3..10", "--workers", str(workers), "--out", str(out_path),
+        )
+        assert code == 0, err
+        outputs.append((out, err, out_path.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0][0].splitlines()) == 8
 
 
 @pytest.mark.parametrize("args", [
@@ -1068,7 +1113,8 @@ def test_measure_csv_bytes(tmp_path, capsys, sg2, depth):
     f = ff.PiecewiseHarmonic(sg2, 0, [1.0, 0.0, 0.0])
     assert out_path.read_bytes() == _measure_oracle(depth, f)
     if depth == 9:
-        assert 3 ** depth % emit.BLOCK_ROWS != 0
+        # The last two-column block is a partial one.
+        assert 3 ** depth % (emit.BLOCK_FIELDS // 2) != 0
 
 
 def test_measure_stdout_bytes(capsys, sg2):
@@ -1079,8 +1125,9 @@ def test_measure_stdout_bytes(capsys, sg2):
 
 def test_csv_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
     outputs = []
-    for block in (emit.BLOCK_ROWS, 7, 1):
-        monkeypatch.setattr(emit, "BLOCK_ROWS", block)
+    # Two fields a row: blocks of 4096, 7 and 1 rows.
+    for block in (emit.BLOCK_FIELDS, 14, 1):
+        monkeypatch.setattr(emit, "BLOCK_FIELDS", block)
         path = tmp_path / f"m{block}.csv"
         code, _, _ = run(
             capsys, "measure", "--structure", "vicsek", "--f", "1,0,0,0",
@@ -1089,6 +1136,40 @@ def test_csv_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+class _BlockRecorder(io.StringIO):
+    """A stdout stand-in that keeps every write call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_wide_table_blocks_are_bounded_in_fields(monkeypatch, rng):
+    # 300 fields a row: the default block holds 27 rows, 14 fields make one
+    # row a block, and a budget of 1 field still writes one row at a time.
+    width, rows = 300, 61
+    header = [f"c{j}" for j in range(width)]
+    values = rng.standard_normal((rows, width - 1))
+    ids = np.arange(rows)
+    table = ([i, *row] for i, row in zip(ids.tolist(), values.tolist()))
+    expected = oracles.reference_csv(header, table)
+    for budget in (emit.BLOCK_FIELDS, 14, 1):
+        monkeypatch.setattr(emit, "BLOCK_FIELDS", budget)
+        recorder = _BlockRecorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        emit.write_table(None, header, (ids, values))
+        assert recorder.getvalue().encode() == expected
+        blocks = [text.count("\n") for text in recorder.writes[1:]]
+        assert sum(blocks) == rows
+        assert max(blocks) == max(1, budget // width)
+        # No block holds more fields than the budget, unless one row does.
+        assert max(blocks) * width <= max(budget, width)
 
 
 def test_vicsek_harmonic_profile_meets_exact_laws(tmp_path, capsys):

@@ -66,6 +66,25 @@ def test_graph_energy_weights_each_cell_by_its_word(interval, rng):
     assert ff.graph_energy(interval, 3, u) == pytest.approx(expected, rel=1e-13)
 
 
+def test_quadratic_form_gathers_the_vertex_values_once(sg2, rng):
+    # With v omitted, graph_energy forms one (cells, d) gather of u and pairs
+    # it with itself: the same bits as passing u twice, at a traced peak of
+    # about 6 cells x 8 bytes, where a second gather makes it 9.
+    level = 10
+    u = rng.standard_normal(sg2.spec.vertex_table(level).num_vertices)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        once = ff.graph_energy(sg2, level, u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert once == ff.graph_energy(sg2, level, u, u)
+    cell_bytes = 3 ** level * 8
+    assert peak <= 7 * cell_bytes, peak / cell_bytes
+
+
 def test_boundary_function_masses_follow_cell_resistances(interval):
     """The harmonic function with boundary values (0, 1) drops by r_w across
     cell w, so the cell's mass is 2 r_w^{-1} r_w^2 = 2 r_w."""
