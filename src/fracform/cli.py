@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +30,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .emit import WordColumn, write_table
+from .emit import WordColumn, table_writer, write_table
 from .structure import (
     StructureSpec,
     _floats,
@@ -59,9 +60,11 @@ from .dimension import (
     level1_family,
     rank_statistics,
     verify_field_invariants,
-    write_cells_csv,
     write_profile_csv,
-    zeta_factors,
+    # No command calls zeta_factors since embed reads each chunk's zeta as it
+    # streams, but the benchmark's tracer (perfbench/replay.py instrument)
+    # wraps cli.zeta_factors, so the name stays importable here.
+    zeta_factors,  # noqa: F401
 )
 
 
@@ -360,32 +363,35 @@ def cmd_measure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config, _, _, family = _family_run(
-        args, _parse_depths(args.depths), tau_rank=args.tau_rank,
-        mass_floor=args.mass_floor,
+    config, spec, _, family = _family_run(
+        args, _parse_depths(args.depths), tau_rank=args.tau_rank, mass_floor=args.mass_floor
     )
-    profiles = []
-    for depth in config.depths:
-        fld = None  # the previous depth's field is freed before the next is built
-        # Only --cells-out reads per-cell columns, and only the deepest depth's.
-        keep = bool(args.cells_out) and depth == config.depths[-1]
-        fld = density_matrices(
-            family, depth, workers=config.workers, mass_floor=config.mass_floor,
-            tau_rank=config.tau_rank, keep_cells=keep,
-        )
-        verify_field_invariants(fld)
-        profile = rank_statistics(fld)
-        profiles.append(profile)
-        print(
-            f"depth {depth}: mean_lambda2 = {profile.mean_lambda2:.6e}, "
-            f"mean_residual = {profile.mean_residual:.6e}, "
-            f"dim_estimate = {profile.dim_estimate:.6f}, "
-            f"skipped = {profile.skipped_cells}",
-            file=sys.stderr,
-        )
-    write_profile_csv(profiles, args.out)
-    if args.cells_out:
-        write_cells_csv(fld, args.cells_out)
+    k, deepest, profiles = family.size, config.depths[-1], []
+    header = ["word", "weight", *(f"lambda{i + 1}" for i in range(k)), "residual", "alpha"]
+
+    def cell_rows(record: dict) -> None:
+        # Past the min(k, d - 1) computed eigenvalues the spectrum is exactly 0.
+        spectrum = record["eigenvalues"]
+        put_cells((WordColumn(record["indices"], deepest, spec.n_letters), record["lam"],
+                   np.pad(spectrum, ((0, 0), (0, k - spectrum.shape[1]))),
+                   record["residuals"], record["alpha"] + 1))
+
+    # --cells-out writes the deepest depth's rows as its chunks arrive.
+    with table_writer(args.cells_out, header) if args.cells_out else nullcontext() as put_cells:
+        for depth in config.depths:
+            fld = None  # the previous depth's field is freed before the next is built
+            on_chunk = cell_rows if put_cells and depth == deepest else None
+            fld = density_matrices(family, depth, workers=config.workers,
+                                   mass_floor=config.mass_floor, tau_rank=config.tau_rank,
+                                   on_chunk=on_chunk)
+            verify_field_invariants(fld)
+            profile = rank_statistics(fld)
+            profiles.append(profile)
+            print(f"depth {depth}: mean_lambda2 = {profile.mean_lambda2:.6e}, "
+                  f"mean_residual = {profile.mean_residual:.6e}, "
+                  f"dim_estimate = {profile.dim_estimate:.6f}, "
+                  f"skipped = {profile.skipped_cells}", file=sys.stderr)
+        write_profile_csv(profiles, args.out)
     rounded = int(round(profile.dim_estimate))
     print(
         f"dimension estimate at depth {profile.depth}: {rounded} "
@@ -435,8 +441,7 @@ def cmd_embed(args) -> int:
     config, spec, _, family = _family_run(
         args, (args.depth, vertex_depth), mass_floor=args.mass_floor
     )
-    k = family.size
-    cell_depth = config.depths[0]
+    k, cell_depth = family.size, config.depths[0]
     check_field_bytes(spec.n_letters ** cell_depth, cell_depth, k)
 
     coords = _vertex_coords(family, vertex_depth)
@@ -450,33 +455,41 @@ def cmd_embed(args) -> int:
             file=sys.stderr,
         )
 
-    fld = density_matrices(
-        family, cell_depth, workers=config.workers, mass_floor=config.mass_floor
-    )
-    verify_field_invariants(fld)
-    nu = fld.lam / fld.total_mass
-    metric = fld.matrices * fld.total_mass
-    if not np.all(np.isfinite(metric)):
-        raise NumericalError("per-cell metric contains non-finite values")
-    zeta = zeta_factors(fld).zeta
-    # Summed member by member, so the norm does not depend on zeta's layout.
-    square = np.zeros(fld.size)
-    for column in zeta.T:
-        square += column * column
-    direction = zeta / np.sqrt(square)[:, None]
+    # nu and the metric need only the family's total mass, known before the
+    # scan (the same sum as density_matrices' total_mass), so each chunk's
+    # rows are written as the chunk arrives.
+    total = float(np.sum(family.weights * np.asarray([2.0 * energy(m) for m in family.members])))
+    finite = []
+
+    def cell_rows(record: dict) -> None:
+        # A C-ordered copy of the factors, as a joined column is, so that the
+        # einsum's bits do not depend on the chunk's layout.
+        y = np.ascontiguousarray(record["factors"])
+        metric = np.einsum("cia,cja->cij", y, y, optimize=False) * total
+        finite.append(bool(np.all(np.isfinite(metric))))
+        # Summed member by member, so the norm does not depend on zeta's layout.
+        square = sum(column * column for column in record["zeta"].T)
+        put_cells((WordColumn(record["indices"], cell_depth, spec.n_letters),
+                   record["lam"] / total, metric.reshape(len(y), -1),
+                   record["zeta"] / np.sqrt(square)[:, None]))
 
     phis = [f"phi{j + 1}" for j in range(k)]
-    write_table(args.vertices_out, ["vertex", *phis], (np.arange(len(coords)), coords))
-    del coords  # the cells table is written without the coordinates
     zcols = [f"z{i + 1}_{j + 1}" for i in range(k) for j in range(k)]
     dirs = [f"dir{j + 1}" for j in range(k)]
-    words = WordColumn(fld.indices, fld.depth, fld.n_letters)
-    columns = (words, nu, metric.reshape(fld.size, -1), direction)
-    write_table(args.cells_out, ["word", "nu", *zcols, *dirs], columns)
+    # Both tables replace their paths only once every check has passed.
+    with table_writer(args.vertices_out, ["vertex", *phis]) as put_vertices, \
+            table_writer(args.cells_out, ["word", "nu", *zcols, *dirs]) as put_cells:
+        put_vertices((np.arange(len(coords)), coords))
+        del coords  # the cells are scanned without the coordinates
+        fld = density_matrices(family, cell_depth, workers=config.workers,
+                               mass_floor=config.mass_floor, on_chunk=cell_rows)
+        verify_field_invariants(fld)
+        if not all(finite):
+            raise NumericalError("per-cell metric contains non-finite values")
     print(
         f"vertices: {spec.vertex_count(vertex_depth)} at depth {vertex_depth}; "
         f"cells: {fld.size} retained of {spec.n_letters ** cell_depth} "
-        f"at depth {cell_depth}; total cell mass {float(np.sum(nu)):.12f}"
+        f"at depth {cell_depth}; total cell mass {fld.sums[0] / total:.12f}"
     )
     return 0
 

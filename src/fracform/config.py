@@ -16,7 +16,8 @@ MAX_CELLS = 1 << 22
 # A density field of n**depth cells and k members is refused when its k x k
 # float64 matrices, counted over every cell, would take more bytes than this.
 # The scan forms no such matrix, and a field holds no factor; this bounds the
-# matrices DensityMatrixField.matrices forms when read, as embed does.
+# matrices DensityMatrixField.matrices forms when read.  embed checks it at its
+# cell depth too, though it forms only each chunk's matrices as it writes them.
 MAX_FIELD_BYTES = 1 << 32
 
 # Fixed subtree chunk size of the cell scan, which measure tables, density

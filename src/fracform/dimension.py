@@ -12,11 +12,11 @@ columns: the mass, the min(k, d - 1) computed eigenvalues of the
 boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot, factor and
 residual, and the weighted-trace gap.  The density field streams those
 records: as each chunk arrives it adds one row of partial sums for the rank
-statistics and its extremes for the invariant checks, and only when asked
-(keep_cells) are the mass, spectrum, pivot and residual columns written into
-place in preallocated arrays.  So a field without its cells holds no
-per-cell column, only the chunks in flight; its columns, Y and the rank-one
-factors are formed when read, by running the scan again.
+statistics and its extremes for the invariant checks, and is handed, in lex
+order, to the caller's per-chunk hook, which is how the commands write
+per-cell tables as the scan runs.  So a field holds no per-cell column, only
+the chunks in flight; a library read of its columns, Y or the rank-one
+factors forms them all by running the scan again.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,7 +47,7 @@ from .config import (
 )
 from .errors import CapExceededError, NumericalError, ValidationError
 from .harmonic import EigenData, HarmonicStructure, graph_energy
-from .emit import WordColumn, write_table
+from .emit import write_table
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
@@ -161,13 +160,8 @@ def family_from_values(
 # density matrices
 
 
-# The per-cell columns a field keeps when asked to (keep_cells).
-CELL_COLUMNS = ("indices", "lam", "eigenvalues", "alpha", "residuals")
-
-
-def _cell_column(name: str) -> property:
-    """The field's column ``name``: the one kept at build, else the rescan's."""
-    return property(lambda fld: fld.cells[name] if name in fld.cells else fld._rescanned[name])
+# The per-cell columns a library read of a field forms, all at once.
+CELL_COLUMNS = ("indices", "lam", "eigenvalues", "alpha", "residuals", "factors", "zeta")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +174,8 @@ class DensityMatrixField:
     same-named column of one reduction of each scan chunk (_density_chunk)
     over the chunk's own cells-last factor Y, k x (d - 1) per cell with
     Z = Y Y^T, so its bits do not depend on how the columns are assembled:
-    each is one C-ordered, read-only array, filled in place chunk by chunk and
-    cut to the retained rows (_fill).  eigenvalues[c] holds the top
+    each is one C-ordered, read-only array joined from C-ordered copies of
+    the chunks' parts (_rescanned).  eigenvalues[c] holds the top
     min(k, d - 1) eigenvalues, descending, of the trace-one weighted form
     M = [sqrt(a_i a_j) Z_ij], from the weighted Gram Y^T diag(a) Y; since
     rank Z <= d - 1, the rest of M's spectrum is zero.  With d - 1 = 2 the
@@ -198,11 +192,11 @@ class DensityMatrixField:
     eigenvalues above tau_rank (each a math.fsum of per-chunk np.sum
     partials), ``min_eigenvalue`` and ``worst_trace_gap``, the smallest
     computed eigenvalue and the largest |sum_i a_i |Y_i|^2 - 1| over the
-    retained cells, and ``size``, the retained count.  ``cells`` holds the
-    columns kept when the field was built, none unless asked.  Any other
-    column, ``factors`` (Y) and ``zeta`` (the rank-one factor) are formed on
-    first read by running ``scan``, the deterministic scan that built the
-    field, again; ``matrices`` (Z) from ``factors`` on each read.
+    retained cells, and ``size``, the retained count.  The field holds no
+    per-cell column: the first read of any of CELL_COLUMNS, among them
+    ``factors`` (Y) and ``zeta`` (the rank-one factor), forms them all by
+    running ``scan``, the deterministic scan that built the field, again, and
+    keeps them; ``matrices`` (Z) is formed from ``factors`` on each read.
     """
 
     depth: int
@@ -216,10 +210,9 @@ class DensityMatrixField:
     total_mass: float
     floor: float
     scan: Callable[[], Iterator[tuple]]
-    cells: dict[str, np.ndarray]
 
-    indices, lam, eigenvalues, alpha, residuals, factors, zeta = map(
-        _cell_column, (*CELL_COLUMNS, "factors", "zeta"))
+    indices, lam, eigenvalues, alpha, residuals, factors, zeta = (
+        property(lambda fld, name=name: fld._rescanned[name]) for name in CELL_COLUMNS)
 
     @property
     def family_size(self) -> int:
@@ -227,8 +220,20 @@ class DensityMatrixField:
 
     @cached_property
     def _rescanned(self) -> dict[str, np.ndarray]:
-        lacking = [name for name in CELL_COLUMNS if name not in self.cells]
-        return _fill(self.scan(), (*lacking, "factors", "zeta"), self.n_letters ** self.depth)[0]
+        """CELL_COLUMNS by name, from the scan run again: each the join, in
+        lexicographic order, of C-ordered copies of its chunks' same-named
+        columns, so the column is C-ordered too, whatever the chunk's layout.
+
+        The chunk records are kept until the scan ends, and each column is
+        joined in turn while its parts are dropped, so the read holds one
+        copy of the columns plus the one being joined.
+        """
+        records = [record for *_, record in self.scan()]
+        columns = {name: np.concatenate([np.ascontiguousarray(r.pop(name)) for r in records])
+                   for name in CELL_COLUMNS}
+        for column in columns.values():
+            column.setflags(write=False)
+        return columns
 
     @property
     def matrices(self) -> np.ndarray:
@@ -246,7 +251,9 @@ def check_field_bytes(cells: int, depth: int, family_size: int) -> None:
     """Raise CapExceededError when k x k float64 matrices for ``cells``
     depth-``depth`` cells would exceed MAX_FIELD_BYTES.  The scan itself forms
     no such matrix; the bound is on the matrices that
-    ``DensityMatrixField.matrices`` forms when read, as ``embed`` does."""
+    ``DensityMatrixField.matrices`` forms when read.  ``embed`` checks it at
+    its cell depth too, though it forms each chunk's matrices only as it
+    writes that chunk's rows."""
     need = cells * family_size * family_size * 8
     if need > MAX_FIELD_BYTES:
         raise CapExceededError(
@@ -256,32 +263,25 @@ def check_field_bytes(cells: int, depth: int, family_size: int) -> None:
 
 
 def _fill(
-    scan: Iterator[tuple], names: Sequence[str], rows: int, tau_rank: float = TAU_RANK
-) -> tuple[dict[str, np.ndarray], dict]:
-    """The named columns of each chunk's _density_chunk record, each written
-    in lexicographic cell order into one C-ordered, read-only array and
-    returned under its name, and what the field keeps of every record: the
+    scan: Iterator[tuple], tau_rank: float = TAU_RANK, on_chunk: Callable | None = None
+) -> dict:
+    """What the field keeps of the scan's _density_chunk records: the
     retained ``size``, the four weighted ``sums`` (tau_rank is the cutoff of
     the eigenvalue count), ``min_eigenvalue`` and ``worst_trace_gap``.
 
-    Each array gets ``rows`` rows when the first chunk arrives, and every
-    chunk's rows are copied into the next slots as it arrives, so no column
-    outlives its chunk; pages never written are never resident.  Once the
-    scan ends, each array shrinks to the rows written by a realloc in place,
-    so a pruned field holds no spare capacity.  Each chunk adds one row of
-    np.sum partials, and the sums are math.fsum over those rows, so they
-    depend on the chunk layout, which depends on the depth alone.  The
-    extremes are a running np.minimum and np.maximum, which keep a NaN from
-    any chunk.
+    Each record is handed to ``on_chunk``, when given, as it arrives, in
+    lexicographic cell order and on the thread that iterates the scan; no
+    record outlives its turn of the loop.  Each chunk adds one row of np.sum
+    partials, and the sums are math.fsum over those rows, so they depend on
+    the chunk layout, which depends on the depth alone.  The extremes are a
+    running np.minimum and np.maximum, which keep a NaN from any chunk.
     """
-    columns, size, partials = None, 0, []
+    size, partials = 0, []
     low, worst = np.full(1, np.inf), np.zeros(1)
     for *_, record in scan:
-        if columns is None:
-            columns = {k: np.empty((rows, *record[k].shape[1:]), record[k].dtype) for k in names}
+        if on_chunk is not None:
+            on_chunk(record)
         lam, spectrum = record["lam"], record["eigenvalues"]
-        for name, column in columns.items():
-            column[size : size + lam.size] = record[name]
         size += lam.size
         # The counts are small integers, so adding them as floats is exact.
         above = np.zeros_like(lam)
@@ -292,13 +292,8 @@ def _fill(
                          np.sum(lam * above)))
         np.minimum(low, spectrum.min(initial=np.inf), out=low)
         np.maximum(worst, record["gap"], out=worst)
-    # No view of a column outlives its slice assignment above, so the
-    # resize may skip numpy's reference check.
-    for column in columns.values():
-        column.resize((size, *column.shape[1:]), refcheck=False)
-        column.setflags(write=False)
-    return columns, dict(size=size, sums=tuple(math.fsum(s) for s in zip(*partials)),
-                         min_eigenvalue=float(low[0]), worst_trace_gap=float(worst[0]))
+    return dict(size=size, sums=tuple(math.fsum(s) for s in zip(*partials)),
+                min_eigenvalue=float(low[0]), worst_trace_gap=float(worst[0]))
 
 
 def _density_chunk(
@@ -374,23 +369,22 @@ def density_matrices(
     workers: int = 1,
     mass_floor: float = MASS_FLOOR,
     tau_rank: float = TAU_RANK,
-    keep_cells: bool = True,
+    on_chunk: Callable[[dict], object] | None = None,
 ) -> DensityMatrixField:
-    """Rank statistics, and with keep_cells the spectra, rank-one pivots and
-    residuals, of every cell whose mass clears the floor.
+    """Rank statistics of every cell whose mass clears the floor, with each
+    chunk's per-cell record handed to ``on_chunk`` as it arrives.
 
     The floor is mass_floor times the total combined mass.  A cell below it
     has no meaningful density and is not refined; skipped counts its subtree.
     tau_rank is the eigenvalue cutoff of the dimension count; the weighted
     matrices have trace one, so the cutoff is an absolute fraction.  Each
-    chunk is reduced on the scan worker that formed it; as it arrives it adds
-    its partial sums and extremes, and with keep_cells its CELL_COLUMNS are
-    copied into the field's same-named arrays.  The rest of the chunk drops
-    with it, so without keep_cells the field holds no per-cell column.
+    chunk is reduced on the scan worker that formed it (_density_chunk); as
+    it arrives, on the thread that calls this, it adds its partial sums and
+    extremes and is passed to ``on_chunk``, chunks in lexicographic order at
+    any worker count.  Then it drops, so the field holds no per-cell column.
     """
-    hs = family.structure
+    hs, a = family.structure, family.weights
     n = hs.spec.n_letters
-    a = family.weights
     twice_energies = [2.0 * energy(member) for member in family.members]
     for i, twice in enumerate(twice_energies):
         if abs(twice - 1.0) > FAMILY_NORM_TOL:
@@ -406,21 +400,14 @@ def density_matrices(
 
     reduce = partial(_density_chunk, a, floor)
     scan = partial(scan_cell_masses, hs, family.members, depth, workers, a, floor, reduce)
-    columns, summary = _fill(scan(), CELL_COLUMNS if keep_cells else (), n ** depth, tau_rank)
+    summary = _fill(scan(), tau_rank, on_chunk)
     if not summary["size"]:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
     return DensityMatrixField(
-        depth=depth,
-        n_letters=n,
-        weights=a,
-        skipped=n ** depth - summary["size"],
-        total_mass=total,
-        floor=floor,
-        scan=scan,
-        cells=columns,
-        **summary,
+        depth=depth, n_letters=n, weights=a, skipped=n ** depth - summary["size"],
+        total_mass=total, floor=floor, scan=scan, **summary,
     )
 
 
@@ -587,20 +574,6 @@ def run_mass_limit(hs: HarmonicStructure, data: EigenData, u) -> float:
 
 # ---------------------------------------------------------------------------
 # CSV emission
-
-
-def write_cells_csv(field: DensityMatrixField, path: str | Path) -> None:
-    """Per-cell rows: word, weight, k descending eigenvalues, residual, alpha.
-
-    Past the field's min(k, d - 1) computed eigenvalues the spectrum is
-    exactly zero; those columns come from one read-only broadcast of 0.0.
-    """
-    k = field.family_size
-    header = ["word", "weight"] + [f"lambda{i + 1}" for i in range(k)] + ["residual", "alpha"]
-    words = WordColumn(field.indices, field.depth, field.n_letters)
-    zeros = np.broadcast_to(0.0, (field.size, k - field.eigenvalues.shape[1]))
-    spectrum = (field.eigenvalues, zeros) if zeros.shape[1] else (field.eigenvalues,)
-    write_table(path, header, (words, field.lam, *spectrum, field.residuals, field.alpha + 1))
 
 
 def write_profile_csv(profiles: Sequence[RankProfile], target) -> None:

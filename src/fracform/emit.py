@@ -1,18 +1,29 @@
 """CSV emission: the one writer behind every table the package writes.
 
-Rows are formatted and written in blocks of at most BLOCK_FIELDS fields (and
-at least one row), from ``.tolist()`` of each column slice, so memory stays
-flat in both the row count and the table's width, and the bytes depend on
-neither the block size nor the worker count.  Floats are written with
-``%.17g``, which round-trips every double; integer columns with ``%d``; word
-columns as dot-joined letters (the empty word as "").
+A table is written through ``table_writer``, which writes the header and
+yields ``put(columns)``; each put appends its rows, so a command can write a
+table chunk by chunk as a scan streams past and hold no column of the whole
+table.  ``write_table`` is its one-shot form.  Rows are formatted and written
+in blocks of at most BLOCK_FIELDS fields (and at least one row), from
+``.tolist()`` of each column slice, so memory stays flat in both the row
+count and the table's width, and the bytes depend on neither the block size,
+nor how the rows are split between puts, nor the worker count.  Floats are
+written with ``%.17g``, which round-trips every double; integer columns with
+``%d``; word columns as dot-joined letters (the empty word as "").
+
+A path is written under a temporary sibling that replaces it only when the
+``with`` body succeeds, so a failed run leaves no table and an existing file
+as it was.  A path that exists and is not a regular file (``/dev/null``, a
+FIFO) is written in place and never renamed over.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,30 +71,61 @@ def _array_fields(arr: np.ndarray):
     return ",".join([spec] * cols.shape[1]), lambda start, stop: cols[start:stop].T.tolist()
 
 
-def write_table(target, header: Sequence[str], columns: Sequence) -> None:
-    """Stream a CSV table to a path, or to stdout when ``target`` is None.
-
-    Each column is a WordColumn, a 1-D array (one field per row) or a 2-D
-    array (one field per array column); all share the same row count.
-    """
-    parts = [
-        _word_fields(col) if isinstance(col, WordColumn) else _array_fields(np.asarray(col))
-        for col in columns
-    ]
-    first = columns[0]
-    rows = len(first.indices if isinstance(first, WordColumn) else first)
-    row_format = ",".join(spec for spec, _ in parts) + "\n"
-    block = max(1, BLOCK_FIELDS // len(header))
-
-    def emit(handle) -> None:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, rows, block):
-            stop = min(rows, start + block)
-            fields = [field for _, get in parts for field in get(start, stop)]
-            handle.write("".join(map(row_format.__mod__, zip(*fields))))
-
+@contextmanager
+def _opened(target):
+    """A text handle on stdout (target None), on ``target`` itself when it
+    exists and is not a regular file, or else on a temporary sibling that
+    replaces ``target`` when the with body succeeds and is removed when it
+    fails."""
     if target is None:
-        emit(sys.stdout)
-    else:
+        yield sys.stdout
+    elif os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
+            yield handle
+    else:
+        # A symlink's file is replaced, not the link.
+        path = os.path.realpath(target)
+        temp = f"{path}.{os.getpid()}.tmp"
+        try:
+            handle = open(temp, "x", encoding="utf-8", newline="")
+        except OSError as exc:  # name the table, not its temporary sibling
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
+        try:
+            with handle:
+                yield handle
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
+
+
+@contextmanager
+def table_writer(target, header: Sequence[str]) -> Iterator[Callable[[Sequence], None]]:
+    """Write the header of a CSV table to a path, or to stdout when
+    ``target`` is None, and yield ``put(columns)``, which appends rows.
+
+    Each put's columns are WordColumns, 1-D arrays (one field per row) or
+    2-D arrays (one field per array column), all with the same row count.
+    A path's table replaces it only when the with body succeeds (_opened).
+    """
+    block = max(1, BLOCK_FIELDS // len(header))
+    with _opened(target) as handle:
+        handle.write(",".join(header) + "\n")
+
+        def put(columns: Sequence) -> None:
+            parts = [_word_fields(col) if isinstance(col, WordColumn)
+                     else _array_fields(np.asarray(col)) for col in columns]
+            first = columns[0]
+            rows = len(first.indices if isinstance(first, WordColumn) else first)
+            row_format = ",".join(spec for spec, _ in parts) + "\n"
+            for start in range(0, rows, block):
+                fields = [field for _, get in parts for field in get(start, start + block)]
+                handle.write("".join(map(row_format.__mod__, zip(*fields))))
+
+        yield put
+
+
+def write_table(target, header: Sequence[str], columns: Sequence) -> None:
+    """Write a whole CSV table at once (see table_writer)."""
+    with table_writer(target, header) as put:
+        put(columns)

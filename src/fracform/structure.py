@@ -226,19 +226,19 @@ def _check_realization_geometry(spec: StructureSpec) -> None:
     # Row (i - 1) d + p of images is corner p of cell i.
     images = (pts @ mats.transpose(0, 2, 1) + offs[:, None, :]).reshape(n * d, dim)
     tol = REALIZATION_TOL * (float(np.linalg.norm(pts, axis=1).max()) or 1.0)
-    for i in range(1, d + 1):
-        err = np.linalg.norm(images[(i - 1) * (d + 1)] - pts[i - 1])
-        if err > tol:
-            raise ValidationError(
-                f"fixed-point mismatch: map {i} does not fix {spec.boundary[i - 1]!r} "
-                f"in the supplied realization (error {err:.3g})"
-            )
-    for (i, p), (j, q) in spec.gluing:
-        if np.linalg.norm(images[(i - 1) * d + p] - images[(j - 1) * d + q]) > tol:
-            raise ValidationError(
-                f"gluing conflict: declared identification ({i},{spec.boundary[p]}) ~ "
-                f"({j},{spec.boundary[q]}) does not hold in the realization"
-            )
+    # Corner i of cell i against p_i, then each declared pair's two corners;
+    # the first gap over tol, in declaration order, is the one reported.
+    err = np.linalg.norm(images[np.arange(d) * (d + 1)] - pts, axis=1)
+    for i in np.flatnonzero(err > tol)[:1]:
+        raise ValidationError(f"fixed-point mismatch: map {i + 1} does not fix "
+                              f"{spec.boundary[i]!r} in the supplied realization "
+                              f"(error {err[i]:.3g})")
+    i, p, j, q = np.array(spec.gluing, dtype=np.int64).reshape(-1, 4).T
+    apart = np.linalg.norm(images[(i - 1) * d + p] - images[(j - 1) * d + q], axis=1) > tol
+    for (i, p), (j, q) in [spec.gluing[k] for k in np.flatnonzero(apart)[:1]]:
+        raise ValidationError("gluing conflict: declared identification "
+                              f"({i},{spec.boundary[p]}) ~ ({j},{spec.boundary[q]}) "
+                              "does not hold in the realization")
     # Corners within tol project within tol onto a unit direction, so after
     # a sort by projection each corner meets only the next few in that order.
     # The direction's irrational slopes, (sqrt(1), ..., sqrt(dim)) normalized,

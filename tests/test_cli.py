@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -384,6 +383,34 @@ def test_dense_scan_peak_rss_holds_no_per_cell_column():
     not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
     reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
 )
+def test_cells_out_streams_the_deepest_depth(tmp_path):
+    # --cells-out writes each deepest-depth chunk's rows as the chunk arrives,
+    # so it adds a few blocks of formatted rows to the run's peak, not the
+    # depth's columns: depth 12's 531k cells would add about 23 MiB held.
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def peak_bytes(*extra):
+        probe = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "fracform.cli",
+             "scan", "--structure", "sg2", "--depths", "2..12", "--workers", "2",
+             "--out", str(tmp_path / "p.csv"), *extra],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, kib = map(int, probe.stdout.split())
+        assert code == 0
+        return kib * 1024
+
+    growth = peak_bytes("--cells-out", str(tmp_path / "c.csv")) - peak_bytes()
+    assert (tmp_path / "c.csv").stat().st_size > 531_441 * 50
+    assert growth <= 10 * 2**20, growth / 2**20
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
+    reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
+)
 def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
     # chainrule fills each depth's coordinates member by member, gathers each
     # quadratic form once and drops a depth's coordinates, corner points and
@@ -473,13 +500,16 @@ def test_embed_outputs(tmp_path, capsys):
 
 
 def test_embed_dir_does_not_depend_on_zeta_layout(tmp_path, capsys, monkeypatch):
-    """The dir columns are the same whether the rank-one factors come
-    C-ordered or Fortran-ordered."""
-    def cells(layout):
-        def laid_out(field):
-            return types.SimpleNamespace(zeta=layout(ff.zeta_factors(field).zeta))
+    """The dir columns are the same whether each chunk's rank-one factors
+    come C-ordered or Fortran-ordered."""
+    reduce = dimension._density_chunk
 
-        monkeypatch.setattr(cli, "zeta_factors", laid_out)
+    def cells(layout):
+        def laid_out(*args):
+            record = reduce(*args)
+            return {**record, "zeta": layout(record["zeta"])}
+
+        monkeypatch.setattr(dimension, "_density_chunk", laid_out)
         path = tmp_path / f"{layout.__name__}.csv"
         code, out, err = run(
             capsys, "embed", "--structure", "vicsek", "--family", "level1", "--depth", "5",
@@ -489,6 +519,72 @@ def test_embed_dir_does_not_depend_on_zeta_layout(tmp_path, capsys, monkeypatch)
         return path.read_bytes()
 
     assert cells(np.ascontiguousarray) == cells(np.asfortranarray)
+
+
+def test_embed_runs_one_scan(tmp_path, capsys, monkeypatch):
+    # The cells table is written from the chunks as the field's own scan
+    # streams them; no read of the field's columns scans the depth again.
+    scan, depths = dimension.scan_cell_masses, []
+
+    def counted(hs, members, depth, *args, **kwargs):
+        depths.append(depth)
+        return scan(hs, members, depth, *args, **kwargs)
+
+    monkeypatch.setattr(dimension, "scan_cell_masses", counted)
+    code, out, err = run(
+        capsys, "embed", "--structure", "vicsek", "--family", "level1", "--depth", "4",
+        "--vertex-depth", "3", "--workers", "2",
+        "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"),
+    )
+    assert code == 0, err
+    assert depths == [4]
+
+
+def _failed_run_keeps_files(tmp_path, capsys, argv, message, outputs):
+    """Run argv twice, with each output absent and then holding old bytes:
+    each run exits 1 with one error line, and leaves the directory as it was."""
+    paths = [tmp_path / name for name in outputs]
+    for old in (None, b"old table\n"):
+        for path in paths:
+            if old is not None:
+                path.write_bytes(old + path.name.encode())
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
+        assert err.splitlines()[-1] == message
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_failed_scan_leaves_no_cells_file(tmp_path, capsys, monkeypatch):
+    # The last of sg2's three depth-10 chunks (cells from 2 * 3^9 on) fails
+    # the trace check after every chunk's rows went to the cells table.
+    reduce, seen = dimension._density_chunk, []
+
+    def last_gap_nan(a, floor, rows, x):
+        record = reduce(a, floor, rows, x)
+        if int(rows[0]) == 2 * 3**9:
+            seen.append(rows.size)
+            return {**record, "gap": np.array([np.nan])}
+        return record
+
+    monkeypatch.setattr(dimension, "_density_chunk", last_gap_nan)
+    argv = ("scan", "--structure", "sg2", "--depths", "8..10", "--workers", "2",
+            "--out", str(tmp_path / "p.csv"), "--cells-out", str(tmp_path / "c.csv"))
+    message = "error: weighted trace identity violated by nan on a retained cell"
+    _failed_run_keeps_files(tmp_path, capsys, argv, message, ["p.csv", "c.csv"])
+    assert seen == [3**9, 3**9]
+
+
+def test_failed_embed_leaves_no_tables(tmp_path, capsys, monkeypatch):
+    def broken(field):
+        raise ValidationError("density matrix lost positivity")
+
+    monkeypatch.setattr(cli, "verify_field_invariants", broken)
+    argv = ("embed", "--structure", "sg2", "--depth", "5",
+            "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"))
+    message = "error: density matrix lost positivity"
+    _failed_run_keeps_files(tmp_path, capsys, argv, message, ["v.csv", "c.csv"])
 
 
 def test_distinct_rows_matches_tuple_set(rng):
@@ -880,6 +976,10 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
     ([[1, "p2", 2, "p2"], [1, "p3", 3, "p1"], [2, "p3", 3, "p2"]], (),
      "error: gluing conflict: declared identification (1,p2) ~ (2,p2) does not hold "
      "in the realization"),
+    # Two pairs apart: the first declared is reported, though the other sorts first.
+    ([[2, "p3", 3, "p2"], [1, "p3", 3, "p3"], [1, "p2", 2, "p2"]], (),
+     "error: gluing conflict: declared identification (1,p3) ~ (3,p3) does not hold "
+     "in the realization"),
     # The 2~3 pair left out: the realization still puts those corners on one
     # point, which the document must declare, with or without a harmonic pair.
     ([[1, "p2", 2, "p1"], [1, "p3", 3, "p1"]], (),
@@ -889,7 +989,8 @@ def test_validate_fails_when_boundary_deletion_disconnects(tmp_path, capsys):
      "error: gluing conflict: corners (2,p3) and (3,p2) coincide in the realization "
      "but are not glued"),
 ], ids=["island", "boundary-identified", "letter-outside-alphabet", "declared-pair-apart",
-        "undeclared-coincidence", "undeclared-coincidence-without-pair"])
+        "two-declared-pairs-apart", "undeclared-coincidence",
+        "undeclared-coincidence-without-pair"])
 def test_invalid_gluing_exits_1(tmp_path, capsys, gluing, drop, line):
     raw = json.loads(ff.builtin_structure_path("sg2").read_text())
     raw["gluing"] = gluing
@@ -1170,6 +1271,50 @@ def test_wide_table_blocks_are_bounded_in_fields(monkeypatch, rng):
         assert max(blocks) == max(1, budget // width)
         # No block holds more fields than the budget, unless one row does.
         assert max(blocks) * width <= max(budget, width)
+
+
+def _refuse_replace(*args):
+    raise AssertionError(f"os.replace{args}")
+
+
+def test_table_replaces_a_file_only_when_written_whole(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError):
+        with emit.table_writer(path, ["a", "b"]) as put:
+            put((np.arange(3), np.ones(3)))
+            raise ValueError("stopped mid-table")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert path.read_bytes() == b"old\n"
+    replaced = []
+    monkeypatch.setattr(emit.os, "replace", lambda *args: replaced.append(args))
+    with emit.table_writer(path, ["a", "b"]) as put:
+        put((np.arange(2), np.ones(2)))
+        put((np.arange(2, 3), np.zeros(1)))
+    assert len(replaced) == 1 and replaced[0][1] == os.path.realpath(path)
+    os.rename(*replaced[0])
+    assert path.read_bytes() == b"a,b\n0,1\n1,1\n2,0\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_table_to_a_non_regular_file_is_written_in_place(tmp_path, monkeypatch):
+    # A FIFO stands for /dev/null: the rows go into it, and no rename is ever
+    # attempted over it, whether the table is written whole or fails.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(emit.os, "replace", _refuse_replace)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        emit.write_table(fifo, ["a", "b"], (np.arange(2), np.ones(2)))
+        assert os.read(reader, 1 << 16) == b"a,b\n0,1\n1,1\n"
+        with pytest.raises(ValueError):
+            with emit.table_writer(fifo, ["a"]) as put:
+                put((np.arange(1),))
+                raise ValueError("stopped mid-table")
+        assert os.read(reader, 1 << 16) == b"a\n0\n"
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 def test_vicsek_harmonic_profile_meets_exact_laws(tmp_path, capsys):

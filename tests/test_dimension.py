@@ -105,8 +105,10 @@ def test_field_byte_budget(sg2, monkeypatch):
     # one byte short of all 3**4 cells' 2 x 2 matrices.
     monkeypatch.setattr(dimension, "MAX_FIELD_BYTES", 3**4 * 32 - 1)
     fam = ff.harmonic_family(sg2)
+    # The masses come from a field of their own: reading one forms full's columns.
+    lam = ff.density_matrices(fam, 4).lam
+    lo, hi = float(lam.min()), float(lam.max())
     full = ff.density_matrices(fam, 4)
-    lo, hi = float(full.lam.min()), float(full.lam.max())
     pruned = ff.density_matrices(fam, 4, mass_floor=0.5 * (lo + hi) / full.total_mass)
     assert (full.size, full.skipped) == (3**4, 0) and 0 < pruned.size < full.size
     with pytest.raises(CapExceededError, match=f"density field of 2 members needs {3**4 * 32} "):
@@ -303,39 +305,42 @@ def test_two_column_spectrum_calls_no_eigvalsh(sg2, monkeypatch, build):
 
 
 def test_density_stage_peak_memory(sg2):
-    # Each column is preallocated once, and each chunk's parts are copied
-    # into place as the chunk arrives and dropped with it, so the stage holds
-    # one copy of the columns plus the chunks in flight (about 1.4x here),
-    # not every chunk's parts plus the whole field.
+    # A field holds no per-cell column.  The first read of one forms every
+    # column: the chunk records are kept until the scan ends, and each column
+    # is joined while its parts drop, so the read holds one copy of the
+    # columns plus the one being joined (about 1.4x here), not every chunk's
+    # parts plus the whole field.
     tracemalloc = pytest.importorskip("tracemalloc")
-    fam = ff.harmonic_family(sg2)
+    field = ff.density_matrices(ff.harmonic_family(sg2), 12)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        field = ff.density_matrices(fam, 12)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        field.lam
+        current, peak = (traced - base for traced in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    held = (field.indices, field.lam, field.eigenvalues, field.alpha, field.residuals)
-    nbytes = sum(arr.nbytes for arr in held)
+    nbytes = sum(getattr(field, name).nbytes for name in dimension.CELL_COLUMNS)
+    assert current <= 1.05 * nbytes, current / nbytes
     assert peak <= 1.75 * nbytes, peak / nbytes
 
 
 def test_pruned_field_holds_no_spare_capacity(vicsek):
-    # Each column is allocated n^depth rows long and shrunk in place to the
-    # retained rows; a view of the long buffers would keep all of it traced.
+    # The field itself holds no per-cell column, and the columns a read forms
+    # hold the retained rows alone, not n^depth rows of capacity.
     tracemalloc = pytest.importorskip("tracemalloc")
     fam = ff.level1_family(vicsek)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         field = ff.density_matrices(fam, 8)
+        built = tracemalloc.get_traced_memory()[0] - base
+        field.lam
         current = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert field.skipped > 10 * field.size
-    held = (field.indices, field.lam, field.eigenvalues, field.alpha, field.residuals)
-    nbytes = sum(arr.nbytes for arr in held)
+    nbytes = sum(getattr(field, name).nbytes for name in dimension.CELL_COLUMNS)
+    assert built <= 0.05 * nbytes, built / nbytes
     assert current <= 1.05 * nbytes, current / nbytes
 
 
@@ -382,23 +387,10 @@ def test_nan_eigenvalue_from_any_chunk_fails_the_psd_check(sg2, monkeypatch, bad
         return record
 
     monkeypatch.setattr(dimension, "_density_chunk", one_nan_eigenvalue)
-    field = ff.density_matrices(ff.harmonic_family(sg2), 11, keep_cells=False)
+    field = ff.density_matrices(ff.harmonic_family(sg2), 11)
     assert np.isnan(field.min_eigenvalue)
     with pytest.raises(ValidationError, match="positivity"):
         ff.verify_field_invariants(field)
-
-
-def test_field_without_cells_forms_them_on_read(vicsek):
-    fam = ff.level1_family(vicsek)
-    kept, bare = (ff.density_matrices(fam, 5, keep_cells=keep) for keep in (True, False))
-    assert bare.cells == {} and tuple(kept.cells) == dimension.CELL_COLUMNS
-    for name in ("size", "skipped", "sums", "min_eigenvalue", "worst_trace_gap"):
-        assert getattr(bare, name) == getattr(kept, name), name
-    for name in (*dimension.CELL_COLUMNS, "factors", "zeta"):
-        assert np.array_equal(getattr(bare, name), getattr(kept, name)), name
-    # The rescan fills only what the field lacks.
-    assert set(kept._rescanned) == {"factors", "zeta"}
-    assert set(bare._rescanned) == {*dimension.CELL_COLUMNS, "factors", "zeta"}
 
 
 @pytest.mark.parametrize("bad", [1e-9, np.nan])
