@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import COINCIDENCE_DECIMALS, CONSISTENCY_TOL, FIXED_POINT_TOL, MASS_FLOOR, TAU_RANK
+from .config import (CHUNK_CELLS, COINCIDENCE_DECIMALS, CONSISTENCY_TOL, FIXED_POINT_TOL,
+                     MASS_FLOOR, TAU_RANK)
 from .errors import (
     FracformError,
     NumericalError,
@@ -268,14 +269,18 @@ class Polynomial:
         return cls(nvars=nvars, terms=tuple(terms))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        # CHUNK_CELLS rows at a time, so no term's temporary is as long as
+        # the points and out is the only array that is.
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(points.shape[0])
-        for coeff, powers in self.terms:
-            term = np.full(points.shape[0], coeff)
-            for var, p in enumerate(powers):
-                if p:
-                    term = term * points[:, var] ** p
-            out += term
+        for lo in range(0, len(out), CHUNK_CELLS):
+            block, part = points[lo : lo + CHUNK_CELLS], out[lo : lo + CHUNK_CELLS]
+            for coeff, powers in self.terms:
+                term = np.full(len(block), coeff)
+                for var, p in enumerate(powers):
+                    if p:
+                        term = term * block[:, var] ** p
+                part += term
         return out
 
     def gradient(self) -> tuple["Polynomial", ...]:
@@ -425,14 +430,16 @@ def _vertex_coords(family: FunctionFamily, depth: int) -> np.ndarray:
     """The members' values on V_depth as one (V, k) array, filled member by
     member so that the coordinates are held once.
 
-    The array is allocated after the first member's lift has freed its
-    temporaries, so the later lifts reuse that memory: allocated first, it
-    made chainrule on sg2 at depths 3..12 fault in about 13k more pages.
+    Each member's lifted values are dropped once copied (the first one is
+    popped from its list), so no lift runs beside an earlier member's
+    values.  The array is allocated after the first member's lift has freed
+    its temporaries, so the later lifts reuse that memory: allocated first,
+    it made chainrule on sg2 at depths 3..12 fault in about 13k more pages.
     """
-    first = lift(family.members[0], depth).values
-    coords = np.empty((len(first), family.size))
+    first = [lift(family.members[0], depth).values]
+    coords = np.empty((len(first[0]), family.size))
     for j, member in enumerate(family.members):
-        coords[:, j] = first if j == 0 else lift(member, depth).values
+        coords[:, j] = first.pop() if j == 0 else lift(member, depth).values
     return coords
 
 
@@ -496,30 +503,28 @@ def cmd_embed(args) -> int:
 
 def cmd_chainrule(args) -> int:
     config, spec, hs, family = _family_run(args, _parse_depths(args.depths))
-    k = family.size
-    poly = Polynomial.parse(args.G, k)
+    poly = Polynomial.parse(args.G, family.size)
     grads = poly.gradient()
 
     rows = []
     for depth in config.depths:
         coords = _vertex_coords(family, depth)
         lhs = graph_energy(hs, depth, poly(coords))
-        # Each cell's gradient at one of its corners.  This depth's
-        # coordinates, corner points and gradients are dropped once used, so
-        # none is alive while the next depth's are built.
-        rep_points = coords[spec.vertex_table(depth).slots.min(axis=1)]
-        grad_values = np.column_stack([g(rep_points) for g in grads])
-        del coords, rep_points
+        slots = spec.vertex_table(depth).slots
 
-        # sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell; rhs is half
-        # the sum, summed per chunk on the scan worker.
+        # Each cell's gradient at its least-id corner, formed per chunk on the
+        # scan worker.  sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell;
+        # rhs is half the sum, summed per chunk there too.
         def chunk_rhs(cells: np.ndarray, x: np.ndarray) -> float:
-            v = np.einsum("ci,cia->ca", grad_values[cells], x, optimize=False)
+            points = coords[slots[cells].min(axis=1)]
+            grad = np.column_stack([g(points) for g in grads])
+            v = np.einsum("ci,cia->ca", grad, x, optimize=False)
             return float(np.sum(np.einsum("ca,ca->c", v, v, optimize=False)))
 
         scan = scan_cell_masses(hs, family.members, depth, config.workers, reduce=chunk_rhs)
         rhs = float(np.sum(np.asarray([part for _, _, part in scan])))
-        del grad_values
+        # None of this depth's arrays is alive while the next depth's are built.
+        del coords, slots
         if rhs <= 0.0:
             raise ValidationError(
                 f"degenerate quadratic form at depth {depth}: right side is {rhs!r}"

@@ -19,6 +19,7 @@ FIFO) is written in place and never renamed over.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -50,11 +51,11 @@ def _words(length: int, n: int) -> list[str]:
     return words
 
 
-def _word_fields(col: WordColumn):
+def _word_fields(col: WordColumn, words: Callable[[int, int], list[str]]):
     # A word is head[index // width] "." tail[index % width]; both tables hold
     # about n^(depth/2) entries, so no row needs its own word conversion.
     half = col.depth // 2
-    head, tail = _words(half, col.n_letters), _words(col.depth - half, col.n_letters)
+    head, tail = words(half, col.n_letters), words(col.depth - half, col.n_letters)
     width = len(tail)
 
     def fields(start: int, stop: int) -> list[list[str]]:
@@ -106,14 +107,16 @@ def table_writer(target, header: Sequence[str]) -> Iterator[Callable[[Sequence],
 
     Each put's columns are WordColumns, 1-D arrays (one field per row) or
     2-D arrays (one field per array column), all with the same row count.
+    A word column's half-word tables are built once per writer and depth,
+    however many puts the table takes.
     A path's table replaces it only when the with body succeeds (_opened).
     """
-    block = max(1, BLOCK_FIELDS // len(header))
+    block, words = max(1, BLOCK_FIELDS // len(header)), functools.cache(_words)
     with _opened(target) as handle:
         handle.write(",".join(header) + "\n")
 
         def put(columns: Sequence) -> None:
-            parts = [_word_fields(col) if isinstance(col, WordColumn)
+            parts = [_word_fields(col, words) if isinstance(col, WordColumn)
                      else _array_fields(np.asarray(col)) for col in columns]
             first = columns[0]
             rows = len(first.indices if isinstance(first, WordColumn) else first)

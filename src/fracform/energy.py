@@ -82,7 +82,15 @@ def _refine(extensions: np.ndarray, block: np.ndarray, levels: int) -> np.ndarra
 
 
 def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
-    """Re-express f at a deeper level; the function itself is unchanged."""
+    """Re-express f at a deeper level; the function itself is unchanged.
+
+    The cell coefficients are refined down to the scan's chunk prefix depth
+    (or f's level, if deeper), and then one prefix cell's subtree at a time
+    is refined and scattered onto its vertex ids, in lex order.  The writes
+    are those of one whole-level scatter in the same order, so where cells
+    share a vertex the last cell still wins, and no array of the level's
+    cells is formed.
+    """
     if level == f.level:
         return f
     if level < f.level:
@@ -90,10 +98,12 @@ def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
             f"cannot lower a level-{f.level} function to level {level}"
         )
     hs = f.structure
+    top = max(f.level, _chunk_prefix_depth(hs.spec.n_letters, level))
+    prefix = _refine(hs.extensions, f.cell_coeffs, top - f.level)
     table = hs.spec.vertex_table(level)
-    block = _refine(hs.extensions, f.cell_coeffs, level - f.level)
     values = np.empty(table.num_vertices)
-    values[table.slots.ravel()] = block.ravel()
+    for row, subtree in zip(prefix, table.slots.reshape(len(prefix), -1)):
+        values[subtree] = _refine(hs.extensions, row[None], level - top).ravel()
     return PiecewiseHarmonic(hs, level, values)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    CHUNK_CELLS,
     DEFINITENESS_TOL,
     EIGEN_GAP_TOL,
     EIGEN_SIGN_TOL,
@@ -109,16 +110,26 @@ def graph_energy(
     u and v are vectors on the level's vertex ids; with v omitted this is the
     quadratic form of u.  A level whose largest resistance product r_w^{-1}
     would pass the float range is refused before any table is formed.
+
+    u|_w and v|_w are gathered CHUNK_CELLS cells at a time into one per-cell
+    column, which is then weighted in place and summed once, so the only
+    arrays of the level's cells are that column and the weights.
     """
     if level * -math.log(hs.weights.min()) > math.log(sys.float_info.max):
         raise NumericalError(
             f"level {level} resistance products r_w^-1 pass the float range"
         )
     slots = hs.spec.vertex_table(level).slots
-    uu = np.asarray(u, dtype=float)[slots]
-    vv = uu if v is None else np.asarray(v, dtype=float)[slots]
-    per_cell = -np.einsum("cp,pq,cq->c", uu, hs.laplacian, vv, optimize=False)
-    total = float(np.sum(per_cell * _weight_products(1.0 / hs.weights, level)))
+    u = np.asarray(u, dtype=float)
+    v = u if v is None else np.asarray(v, dtype=float)
+    per_cell = np.empty(len(slots))
+    for lo in range(0, len(slots), CHUNK_CELLS):
+        uu = u[slots[lo : lo + CHUNK_CELLS]]
+        vv = uu if v is u else v[slots[lo : lo + CHUNK_CELLS]]
+        per_cell[lo : lo + len(uu)] = -np.einsum(
+            "cp,pq,cq->c", uu, hs.laplacian, vv, optimize=False)
+    per_cell *= _weight_products(1.0 / hs.weights, level)
+    total = float(np.sum(per_cell))
     if not np.isfinite(total):  # einsum overflows without a floating-point error
         raise NumericalError(f"network energy {total!r} is not finite")
     return total

@@ -65,9 +65,15 @@ class StructureSpec:
         return len(self.boundary)
 
     def vertex_table(self, depth: int) -> VertexTable:
-        """Memoized vertex table; unlocked, so racing first calls may build it twice."""
+        """The depth's vertex table, memoized.  Building one drops every
+        shallower table, so a walk over refining depths holds one table,
+        while a deep table outlives the shallow ones that its functions' cell
+        coefficients need.  Unlocked, so racing first calls may build a table
+        twice."""
         table = self._tables.get(depth)
         if table is None:
+            for shallower in [m for m in self._tables if m < depth]:
+                del self._tables[shallower]
             table = self._tables[depth] = build_vertices(self, depth)
         return table
 

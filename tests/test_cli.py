@@ -412,11 +412,14 @@ def test_cells_out_streams_the_deepest_depth(tmp_path):
     reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
 )
 def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
-    # chainrule fills each depth's coordinates member by member, gathers each
-    # quadratic form once and drops a depth's coordinates, corner points and
-    # gradients once used, so depths 3..12 add about 68 MiB over depth 3
-    # alone (sg2, 531k cells and 797k vertices at depth 12); stacked copies,
-    # a second gather and the previous depth's arrays made it about 88 MiB.
+    # chainrule fills each depth's coordinates member by member, lifts,
+    # gathers and evaluates G one block of cells or rows at a time, forms each
+    # chunk's gradients on the scan worker and keeps one depth's vertex table,
+    # so depths 3..12 add about 46.5 MiB over depth 3 alone (sg2, 531k cells
+    # and 797k vertices at depth 12).  Keeping every depth's table made it
+    # 52.5 MiB; whole-level lift, gather, corner point and gradient arrays
+    # made it 68 MiB, and before that stacked copies, a second gather and the
+    # previous depth's arrays made it about 88 MiB.
     src = str(Path(ff.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -433,7 +436,7 @@ def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
         return kib * 1024
 
     growth = peak_bytes("3..12") - peak_bytes("3..3")
-    assert growth <= 77 * 2**20, growth / 2**20
+    assert growth <= 50 * 2**20, growth / 2**20
 
 
 def test_scan_level1_family(capsys):
@@ -1222,6 +1225,31 @@ def test_measure_stdout_bytes(capsys, sg2):
     code, out, _ = run(capsys, "measure", "--structure", "sg2", "--f", "0,2,-1", "--depth", "3")
     assert code == 0
     assert out.encode() == _measure_oracle(3, ff.PiecewiseHarmonic(sg2, 0, [0.0, 2.0, -1.0]))
+
+
+def test_streamed_word_column_builds_its_word_tables_once(tmp_path, capsys, monkeypatch):
+    # --cells-out puts one chunk's rows at a time; the half-word tables are
+    # built once for the table, not once per put.
+    words, fields, calls, puts = emit._words, emit._word_fields, [], []
+
+    def counted_words(length, n):
+        calls.append((length, n))
+        return words(length, n)
+
+    def counted_fields(col, *args):
+        puts.append(len(col.indices))
+        return fields(col, *args)
+
+    monkeypatch.setattr(emit, "_words", counted_words)
+    monkeypatch.setattr(emit, "_word_fields", counted_fields)
+    path = tmp_path / "c.csv"
+    code, _, err = run(capsys, "scan", "--structure", "sg2", "--depths", "11..11",
+                       "--out", str(tmp_path / "p.csv"), "--cells-out", str(path))
+    assert code == 0, err
+    assert len(puts) == 9 and sum(puts) == 3 ** 11
+    assert sorted(calls) == [(5, 3), (6, 3)]
+    rows = path.read_text().splitlines()
+    assert (rows[1].split(",")[0], rows[-1].split(",")[0]) == ("1" + ".1" * 10, "3" + ".3" * 10)
 
 
 def test_csv_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracform as ff
-from fracform.config import CONSISTENCY_TOL
+from fracform import structure
+from fracform.config import CHUNK_CELLS, CONSISTENCY_TOL
+from fracform.energy import _chunk_prefix_depth, _refine
 from fracform.errors import ValidationError
+from fracform.harmonic import _weight_products
 
 import oracles
 from conftest import THIN_INTERVAL, random_piecewise_harmonic
@@ -67,9 +70,13 @@ def test_graph_energy_weights_each_cell_by_its_word(interval, rng):
 
 
 def test_quadratic_form_gathers_the_vertex_values_once(sg2, rng):
-    # With v omitted, graph_energy forms one (cells, d) gather of u and pairs
-    # it with itself: the same bits as passing u twice, at a traced peak of
-    # about 6 cells x 8 bytes, where a second gather makes it 9.
+    # With v omitted, graph_energy gathers u once per block of CHUNK_CELLS
+    # cells and pairs the block with itself: the same bits as passing u
+    # twice.  Its traced peak is 4.0 cells x 8 bytes at this level: the
+    # per-cell column, one block's gather (1.7 here, 32768 x 3 of 59049
+    # cells) and the block's einsum output; the column times the weight
+    # products takes 2.3.  Whole-level gathers made it 6, and a second
+    # one 9.
     level = 10
     u = rng.standard_normal(sg2.spec.vertex_table(level).num_vertices)
     tracemalloc = pytest.importorskip("tracemalloc")
@@ -82,7 +89,21 @@ def test_quadratic_form_gathers_the_vertex_values_once(sg2, rng):
         tracemalloc.stop()
     assert once == ff.graph_energy(sg2, level, u, u)
     cell_bytes = 3 ** level * 8
-    assert peak <= 7 * cell_bytes, peak / cell_bytes
+    assert peak <= 4.5 * cell_bytes, peak / cell_bytes
+
+
+def test_chunked_graph_energy_matches_one_shot_formula(sg2, rng):
+    # Gathered block by block into one per-cell column that is weighted and
+    # summed once, the energy keeps the bits of the whole-level formula.
+    level = 11
+    assert 3 ** level > 5 * CHUNK_CELLS
+    slots = sg2.spec.vertex_table(level).slots
+    u, v = rng.standard_normal((2, slots.max() + 1))
+    weights = _weight_products(1.0 / sg2.weights, level)
+    for args in ((u,), (u, v)):
+        uu, vv = u[slots], args[-1][slots]
+        per_cell = -np.einsum("cp,pq,cq->c", uu, sg2.laplacian, vv, optimize=False)
+        assert ff.graph_energy(sg2, level, *args) == float(np.sum(per_cell * weights))
 
 
 def test_boundary_function_masses_follow_cell_resistances(interval):
@@ -133,6 +154,61 @@ def test_lift_preserves_energy_and_values(name, rng):
                 assert lifted.values[deep_id] == pytest.approx(
                     f.values[shallow.slots[cell, corner]], abs=1e-13
                 )
+
+
+def one_shot_lift(f, level):
+    """The whole-level refine and scatter that lift does chunk by chunk."""
+    table = f.structure.spec.vertex_table(level)
+    block = _refine(f.structure.extensions, f.cell_coeffs, level - f.level)
+    values = np.empty(table.num_vertices)
+    values[table.slots.ravel()] = block.ravel()
+    return values
+
+
+@pytest.mark.parametrize("name,family,level,chunks", [
+    ("sg2", None, 11, 9),
+    # A level-1 member whose level is the chunk prefix depth itself.
+    ("vicsek", "level1", 7, 5),
+])
+def test_chunked_lift_matches_one_shot_scatter(name, family, level, chunks, rng):
+    # Each prefix cell's subtree is refined from a one-row block and
+    # scattered in lex order, so the refinement and the writes are those of
+    # the whole-level formula, bit for bit.  (On these structures the cells
+    # sharing a vertex agree on it exactly, so the write order is not what
+    # this pins.)
+    hs = ff.harmonic_structure(ff.builtin_structure(name))
+    f = (random_piecewise_harmonic(hs, 0, rng) if family is None
+         else ff.level1_family(hs).members[2])
+    top = max(f.level, _chunk_prefix_depth(hs.spec.n_letters, level))
+    assert hs.spec.n_letters ** top == chunks
+    expected = one_shot_lift(f, level)
+    assert np.array_equal(ff.lift(f, level).values, expected)
+
+
+def test_lift_keeps_one_vertex_table_of_a_walk(rng):
+    hs = ff.harmonic_structure(ff.builtin_structure("sg2"))
+    f = random_piecewise_harmonic(hs, 0, rng)
+    ff.lift(f, 10)
+    ff.lift(f, 11)
+    assert list(hs.spec._tables) == [11]
+
+
+def test_lifting_a_family_builds_the_deep_table_once(monkeypatch):
+    # Reading a member's cell coefficients builds the shallow table of its
+    # level; that must not evict the deep table the members are lifted to.
+    hs = ff.harmonic_structure(ff.builtin_structure("vicsek"))
+    members = ff.level1_family(hs).members
+    built, build = [], structure.build_vertices
+
+    def counted(spec, depth):
+        built.append(depth)
+        return build(spec, depth)
+
+    monkeypatch.setattr(structure, "build_vertices", counted)
+    for member in members:
+        ff.lift(member, 6)
+    assert len(members) == 15
+    assert built.count(6) == 1
 
 
 def test_lift_below_level_raises(sg2, rng):
