@@ -46,8 +46,12 @@ from .harmonic import HarmonicStructure, eigen_data, graph_energy, harmonic_stru
 from .energy import (
     MeanFunctional,
     PiecewiseHarmonic,
+    _vertex_values,
     energy,
-    lift,
+    # No command lifts since embed and chainrule take their coordinates from
+    # _vertex_values, but the benchmark's tracer (perfbench/replay.py
+    # instrument) wraps cli.lift, so the name stays importable here.
+    lift,  # noqa: F401
     mean_functional,
     measure_table,
     scan_cell_masses,
@@ -426,23 +430,6 @@ def _distinct_rows(rows: np.ndarray) -> int:
     return 1 + changes
 
 
-def _vertex_coords(family: FunctionFamily, depth: int) -> np.ndarray:
-    """The members' values on V_depth as one (V, k) array, filled member by
-    member so that the coordinates are held once.
-
-    Each member's lifted values are dropped once copied (the first one is
-    popped from its list), so no lift runs beside an earlier member's
-    values.  The array is allocated after the first member's lift has freed
-    its temporaries, so the later lifts reuse that memory: allocated first,
-    it made chainrule on sg2 at depths 3..12 fault in about 13k more pages.
-    """
-    first = [lift(family.members[0], depth).values]
-    coords = np.empty((len(first[0]), family.size))
-    for j, member in enumerate(family.members):
-        coords[:, j] = first.pop() if j == 0 else lift(member, depth).values
-    return coords
-
-
 def cmd_embed(args) -> int:
     vertex_depth = args.depth if args.vertex_depth is None else args.vertex_depth
     config, spec, _, family = _family_run(
@@ -451,7 +438,7 @@ def cmd_embed(args) -> int:
     k, cell_depth = family.size, config.depths[0]
     check_field_bytes(spec.n_letters ** cell_depth, cell_depth, k)
 
-    coords = _vertex_coords(family, vertex_depth)
+    coords = _vertex_values(family.members, vertex_depth)
     if not np.all(np.isfinite(coords)):
         raise NumericalError("vertex coordinates contain non-finite values")
     coincidences = len(coords) - _distinct_rows(coords)
@@ -508,8 +495,7 @@ def cmd_chainrule(args) -> int:
 
     rows = []
     for depth in config.depths:
-        coords = _vertex_coords(family, depth)
-        lhs = graph_energy(hs, depth, poly(coords))
+        coords = _vertex_values(family.members, depth)
         slots = spec.vertex_table(depth).slots
 
         # Each cell's gradient at its least-id corner, formed per chunk on the
@@ -523,7 +509,11 @@ def cmd_chainrule(args) -> int:
 
         scan = scan_cell_masses(hs, family.members, depth, config.workers, reduce=chunk_rhs)
         rhs = float(np.sum(np.asarray([part for _, _, part in scan])))
-        # None of this depth's arrays is alive while the next depth's are built.
+        # G's vertex values replace the coordinates, so graph_energy runs
+        # without them, and none of this depth's arrays is alive while the
+        # next depth's are built.
+        coords = poly(coords)
+        lhs = graph_energy(hs, depth, coords)
         del coords, slots
         if rhs <= 0.0:
             raise ValidationError(

@@ -19,7 +19,14 @@ formed.  Since sum_i C~_i^T C~_i = I, no cell's coordinates outgrow its
 root's.  Given a mass floor, the scan does not refine a cell below it, since
 masses are additive and nonnegative.  The chunk layout depends only on the
 requested depth, never on the worker count, and all reductions run in
-lexicographic order, so outputs are bitwise reproducible.
+lexicographic order, so outputs are bitwise reproducible.  With one worker
+the chunks run on the thread that iterates the scan, with no pool.
+
+The same chunk walk (_scan_chunks) with the extension matrices A_i in place
+of C~_i refines cell coefficients instead: _vertex_values scatters each chunk
+onto its cells' vertex ids, which gives lift its values and embed and
+chainrule their vertex coordinates, so the package walks a depth's cells one
+way only.
 """
 
 from __future__ import annotations
@@ -84,12 +91,8 @@ def _refine(extensions: np.ndarray, block: np.ndarray, levels: int) -> np.ndarra
 def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
     """Re-express f at a deeper level; the function itself is unchanged.
 
-    The cell coefficients are refined down to the scan's chunk prefix depth
-    (or f's level, if deeper), and then one prefix cell's subtree at a time
-    is refined and scattered onto its vertex ids, in lex order.  The writes
-    are those of one whole-level scatter in the same order, so where cells
-    share a vertex the last cell still wins, and no array of the level's
-    cells is formed.
+    The values are _vertex_values' single column, so they come from the
+    cell scan's chunk walk and no array of the level's cells is formed.
     """
     if level == f.level:
         return f
@@ -97,14 +100,7 @@ def lift(f: PiecewiseHarmonic, level: int) -> PiecewiseHarmonic:
         raise ValidationError(
             f"cannot lower a level-{f.level} function to level {level}"
         )
-    hs = f.structure
-    top = max(f.level, _chunk_prefix_depth(hs.spec.n_letters, level))
-    prefix = _refine(hs.extensions, f.cell_coeffs, top - f.level)
-    table = hs.spec.vertex_table(level)
-    values = np.empty(table.num_vertices)
-    for row, subtree in zip(prefix, table.slots.reshape(len(prefix), -1)):
-        values[subtree] = _refine(hs.extensions, row[None], level - top).ravel()
-    return PiecewiseHarmonic(hs, level, values)
+    return PiecewiseHarmonic(f.structure, level, _vertex_values([f], level)[:, 0])
 
 
 def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
@@ -150,10 +146,11 @@ def scan_cell_masses(
     member's level.  With a floor, a cell whose mass weighted by ``weights``
     falls below it is not refined and none of its descendants is yielded;
     without one, every cell is.  With ``reduce``, each item also carries
-    ``reduce(rows, coords)``, computed on the worker that scanned the chunk.
-    The chunk layout is a fixed function of the depth, and every chunk runs
-    under the floating-point policy (np.geterr) of the thread that iterates
-    the scan, so neither the results nor the floating-point errors depend on
+    ``reduce(rows, coords)``, computed on the worker that scanned the chunk
+    (at one worker, the thread that iterates the scan).  The chunk layout is
+    a fixed function of the depth, and every chunk runs under the
+    floating-point policy (np.geterr) of the thread that iterates the scan,
+    so neither the results nor the floating-point errors depend on
     ``workers``.
 
     Validation (including the cell cap) happens at call time, not on the
@@ -169,33 +166,38 @@ def scan_cell_masses(
             )
     if floor is not None and np.shape(weights) != (len(members),):
         raise ValidationError(f"a floor needs one weight per member, got {np.shape(weights)}")
-    return _scan_chunks(hs, members, depth, workers, weights, floor, reduce)
+    # Each member's energy coordinates, each cell's scaled by its r_w^{-1/2}.
+    starts = [(m.level, m.cell_coeffs @ hs.energy_basis.T
+               * np.sqrt(_weight_products(1.0 / hs.weights, m.level))[:, None]) for m in members]
+    return _scan_chunks(hs.energy_letters, starts, depth, workers, weights, floor, reduce)
 
 
 def _scan_chunks(
-    hs: HarmonicStructure,
-    members: Sequence[PiecewiseHarmonic],
-    depth: int,
-    workers: int,
-    weights: np.ndarray | None,
-    floor: float | None,
-    reduce: Callable[[np.ndarray, np.ndarray], object] | None,
+    letters: np.ndarray, starts: Sequence[tuple[int, np.ndarray]], depth: int, workers: int = 1,
+    weights: np.ndarray | None = None, floor: float | None = None,
+    reduce: Callable[[np.ndarray, np.ndarray], object] | None = None,
 ) -> Iterator[tuple]:
-    n = hs.spec.n_letters
+    """The chunked walk of every depth-``depth`` cell, in lex order.
+
+    letters holds the n letter matrices (n x m x m) that append a letter to
+    a cell's row of m coefficients, and each start is a (level, rows) pair
+    with one row per cell of that level, in lex order.  Yields (rows, x),
+    with x[c] the k x m block of the starts' rows on the cell at lex index
+    rows[c], and ``reduce(rows, x)`` appended when given; the floor prunes
+    as in scan_cell_masses.  With one worker the chunks run on the
+    iterating thread, so what they allocate stays in its malloc arena.
+    """
+    n, m, k = letters.shape[0], letters.shape[-1], len(starts)
     t = _chunk_prefix_depth(n, depth)
-    letters, k = hs.energy_letters, len(members)
     width = n ** (depth - t)
-    # Every member's energy coordinates at depth ``top``, each cell's at the
-    # member's level scaled by its r_w^{-1/2}, member-major, with block[i, c]
-    # member i's rows under chunk c.  Refinement sends row c to rows
-    # c*n .. c*n+n-1, so each member's rows stay contiguous.
-    top = max([t] + [m.level for m in members])
-    roots = [np.sqrt(_weight_products(1.0 / hs.weights, m.level))[:, None] for m in members]
+    # Every start's rows at depth ``top``, start-major, with block[i, c]
+    # start i's rows under chunk c.  Refinement sends row c to rows
+    # c*n .. c*n+n-1, so each start's rows stay contiguous.
+    top = max([t] + [level for level, _ in starts])
     block = np.concatenate(
-        [_refine(letters, m.cell_coeffs @ hs.energy_basis.T * root, top - m.level)
-         for m, root in zip(members, roots)]
-    ).reshape(k, n**t, -1, hs.d - 1)
-    row_sum = np.ones(hs.d - 1)
+        [_refine(letters, rows, top - level) for level, rows in starts]
+    ).reshape(k, n**t, -1, m)
+    row_sum = np.ones(m)
     # Every chunk runs under the floating-point policy of the thread that
     # iterates the scan, whichever thread computes it.
     errors = np.geterr()
@@ -206,22 +208,43 @@ def _scan_chunks(
             x, rows = np.ascontiguousarray(block[:, chunk]), None
             for _ in range(top, depth):
                 if floor is not None:
-                    mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, hs.d - 1) @ row_sum
+                    mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, m) @ row_sum
                     live = 2.0 * mass >= floor
                     if not live.all():
                         x = x[:, live]
                         rows = np.flatnonzero(live) if rows is None else rows[live]
-                x = _refine(letters, x.reshape(-1, hs.d - 1), 1).reshape(k, -1, hs.d - 1)
+                x = _refine(letters, x.reshape(-1, m), 1).reshape(k, -1, m)
                 rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
             rows = np.arange(width) if rows is None else rows
             item = (chunk * width + rows, x.transpose(1, 0, 2))
             return item if reduce is None else item + (reduce(*item),)
 
-    chunks, wave = range(n ** t), max(workers, 1)
-    with ThreadPoolExecutor(max_workers=wave) as pool:
-        # Submit in bounded waves so at most ``wave`` chunks are alive.
-        for lo in range(0, len(chunks), wave):
-            yield from pool.map(one_chunk, chunks[lo : lo + wave])
+    chunks = range(n ** t)
+    if workers <= 1:
+        yield from map(one_chunk, chunks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Submit in bounded waves so at most ``workers`` chunks are alive.
+        for lo in range(0, len(chunks), workers):
+            yield from pool.map(one_chunk, chunks[lo : lo + workers])
+
+
+def _vertex_values(members: Sequence[PiecewiseHarmonic], level: int) -> np.ndarray:
+    """The members' values on the level's vertex ids, one column each.
+
+    The chunk walk refines the members' cell coefficients by the extension
+    matrices, and each chunk is scattered onto its cells' vertex ids as it
+    arrives, in lex order, so where cells share a vertex the last one wins,
+    as in one whole-level scatter.  Requires level at or above every
+    member's.
+    """
+    hs = members[0].structure
+    starts = [(m.level, m.cell_coeffs) for m in members]
+    table = hs.spec.vertex_table(level)
+    values = np.empty((table.num_vertices, len(members)))
+    for rows, x in _scan_chunks(hs.extensions, starts, level):
+        values[table.slots[rows]] = x.transpose(0, 2, 1)
+    return values
 
 
 # ---------------------------------------------------------------------------

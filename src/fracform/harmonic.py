@@ -244,7 +244,7 @@ def harmonic_structure(spec: StructureSpec) -> HarmonicStructure:
     H = np.zeros((nv, nv))
     np.add.at(H, (slots[:, :, None], slots[:, None, :]), (-D)[None] / r[:, None, None])
     boundary = table.boundary_ids
-    interior = np.setdiff1d(np.arange(nv), boundary)
+    interior = np.delete(np.arange(nv), boundary)
     full = np.zeros((nv, d))
     full[boundary] = np.eye(d)
     try:

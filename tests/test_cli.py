@@ -412,13 +412,15 @@ def test_cells_out_streams_the_deepest_depth(tmp_path):
     reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
 )
 def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
-    # chainrule fills each depth's coordinates member by member, lifts,
+    # chainrule fills each depth's coordinates from the scan's chunk walk,
     # gathers and evaluates G one block of cells or rows at a time, forms each
-    # chunk's gradients on the scan worker and keeps one depth's vertex table,
-    # so depths 3..12 add about 46.5 MiB over depth 3 alone (sg2, 531k cells
-    # and 797k vertices at depth 12).  Keeping every depth's table made it
+    # chunk's gradients on the scan worker, replaces the coordinates by G's
+    # values before graph_energy and keeps one depth's vertex table, so depths
+    # 3..12 add about 37 MiB over depth 3 alone (sg2, 531k cells and 797k
+    # vertices at depth 12).  Holding the coordinates through graph_energy,
+    # with one lift per member, made it 46.5 MiB; keeping every depth's table
     # 52.5 MiB; whole-level lift, gather, corner point and gradient arrays
-    # made it 68 MiB, and before that stacked copies, a second gather and the
+    # 68 MiB, and before that stacked copies, a second gather and the
     # previous depth's arrays made it about 88 MiB.
     src = str(Path(ff.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -436,7 +438,42 @@ def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
         return kib * 1024
 
     growth = peak_bytes("3..12") - peak_bytes("3..3")
-    assert growth <= 50 * 2**20, growth / 2**20
+    assert growth <= 41 * 2**20, growth / 2**20
+
+
+COMMANDS_THEN_MODULES = """
+import json, sys
+from fracform.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(argv[0] + " failed")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_commands_do_not_import_masked_arrays(tmp_path):
+    # np.setdiff1d imports numpy.ma, which took about 8 ms of every command's
+    # start-up; nothing the five commands run needs it.
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = [str(tmp_path / name) for name in ("a.csv", "b.csv", "c.csv")]
+    runs = [
+        ["validate", "--structure", "sg2"],
+        ["measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "3", "--out", out[0]],
+        ["scan", "--structure", "sg2", "--depths", "2..4", "--out", out[0],
+         "--cells-out", out[1]],
+        ["chainrule", "--structure", "sg2", "--G", "x1^2", "--depths", "2..4", "--out", out[0]],
+        ["embed", "--structure", "vicsek", "--depth", "3", "--vertices-out", out[1],
+         "--cells-out", out[2]],
+    ]
+    probe = subprocess.run(
+        [sys.executable, "-c", COMMANDS_THEN_MODULES, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    modules = json.loads(probe.stdout.splitlines()[-1])
+    assert "fracform.harmonic" in modules
+    assert "numpy.ma" not in modules
 
 
 def test_scan_level1_family(capsys):

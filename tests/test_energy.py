@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import threading
 from fractions import Fraction
@@ -9,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 import fracform as ff
 from fracform import structure
 from fracform.config import CHUNK_CELLS, CONSISTENCY_TOL
-from fracform.energy import _chunk_prefix_depth, _refine
+from fracform.energy import _chunk_prefix_depth, _refine, _vertex_values
 from fracform.errors import ValidationError
 from fracform.harmonic import _weight_products
 
 import oracles
 from conftest import THIN_INTERVAL, random_piecewise_harmonic
+
+# The package's ``energy`` attribute is the function, not the module.
+energy_module = importlib.import_module("fracform.energy")
 
 
 def harmonic_fn(hs, boundary):
@@ -167,22 +171,43 @@ def one_shot_lift(f, level):
 
 @pytest.mark.parametrize("name,family,level,chunks", [
     ("sg2", None, 11, 9),
-    # A level-1 member whose level is the chunk prefix depth itself.
+    ("sg2", "harmonic", 11, 9),
+    # Level-1 members whose level is the chunk prefix depth itself.
     ("vicsek", "level1", 7, 5),
+    # Level-1 members below the prefix depth: one chunk of five rows.
+    ("vicsek", "level1", 6, 1),
 ])
 def test_chunked_lift_matches_one_shot_scatter(name, family, level, chunks, rng):
-    # Each prefix cell's subtree is refined from a one-row block and
+    # Each chunk is refined from its rows at the walk's top depth and
     # scattered in lex order, so the refinement and the writes are those of
-    # the whole-level formula, bit for bit.  (On these structures the cells
-    # sharing a vertex agree on it exactly, so the write order is not what
-    # this pins.)
+    # the whole-level formula, bit for bit, and a family refined as one block
+    # gives every member its own formula's column.  (On these structures the
+    # cells sharing a vertex agree on it exactly, so the write order is not
+    # what this pins.)
     hs = ff.harmonic_structure(ff.builtin_structure(name))
-    f = (random_piecewise_harmonic(hs, 0, rng) if family is None
-         else ff.level1_family(hs).members[2])
-    top = max(f.level, _chunk_prefix_depth(hs.spec.n_letters, level))
-    assert hs.spec.n_letters ** top == chunks
-    expected = one_shot_lift(f, level)
-    assert np.array_equal(ff.lift(f, level).values, expected)
+    n = hs.spec.n_letters
+    members = ([random_piecewise_harmonic(hs, 0, rng)] if family is None
+               else getattr(ff, f"{family}_family")(hs).members)
+    assert n ** _chunk_prefix_depth(n, level) == chunks
+    expected = np.column_stack([one_shot_lift(m, level) for m in members])
+    assert np.array_equal(_vertex_values(members, level), expected)
+    assert np.array_equal(ff.lift(members[-1], level).values, expected[:, -1])
+
+
+def test_one_worker_walks_start_no_thread(sg2, monkeypatch):
+    # Chunks computed on a pool thread are allocated in that thread's malloc
+    # arena, so a one-worker walk runs them on the iterating thread.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker walk started a thread pool")
+
+    monkeypatch.setattr(energy_module, "ThreadPoolExecutor", no_pool)
+    family = ff.harmonic_family(sg2)
+    f = family.members[0]
+    ff.measure_table(f, depth=8, workers=1)
+    ff.lift(f, 8)
+    ff.density_matrices(family, 8, workers=1)
+    with pytest.raises(AssertionError, match="thread pool"):
+        ff.measure_table(f, depth=8, workers=2)
 
 
 def test_lift_keeps_one_vertex_table_of_a_walk(rng):
