@@ -75,7 +75,11 @@ from .dimension import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle of common run parameters."""
+    """Validated bundle of common run parameters.
+
+    ``workers`` (``--workers``) is range-checked here and read by nothing
+    after the check: every scan runs on the thread that iterates it.
+    """
 
     structure_path: str
     depths: Sequence[int]
@@ -352,7 +356,7 @@ def cmd_measure(args) -> int:
     f = _load_function(hs, args.f)
     g = _load_function(hs, args.g) if args.g else None
     depth = config.depths[0]
-    table = measure_table(f, g, depth, workers=config.workers)
+    table = measure_table(f, g, depth)
     twice = 2.0 * energy(f, g)
     scale = max(1.0, abs(twice))
     if not abs(table.total - twice) <= CONSISTENCY_TOL * scale:  # NaN fails too
@@ -360,7 +364,7 @@ def cmd_measure(args) -> int:
             f"total mass {table.total!r} disagrees with twice the energy {twice!r}"
         )
     if depth >= 1:
-        parent = measure_table(f, g, depth - 1, workers=config.workers)
+        parent = measure_table(f, g, depth - 1)
         gap = float(np.abs(table.coarsen().masses - parent.masses).max())
         if not gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max())):
             raise ValidationError(
@@ -390,9 +394,8 @@ def cmd_scan(args) -> int:
         for depth in config.depths:
             fld = None  # the previous depth's field is freed before the next is built
             on_chunk = cell_rows if put_cells and depth == deepest else None
-            fld = density_matrices(family, depth, workers=config.workers,
-                                   mass_floor=config.mass_floor, tau_rank=config.tau_rank,
-                                   on_chunk=on_chunk)
+            fld = density_matrices(family, depth, mass_floor=config.mass_floor,
+                                   tau_rank=config.tau_rank, on_chunk=on_chunk)
             verify_field_invariants(fld)
             profile = rank_statistics(fld)
             profiles.append(profile)
@@ -475,8 +478,8 @@ def cmd_embed(args) -> int:
             table_writer(args.cells_out, ["word", "nu", *zcols, *dirs]) as put_cells:
         put_vertices((np.arange(len(coords)), coords))
         del coords  # the cells are scanned without the coordinates
-        fld = density_matrices(family, cell_depth, workers=config.workers,
-                               mass_floor=config.mass_floor, on_chunk=cell_rows)
+        fld = density_matrices(family, cell_depth, mass_floor=config.mass_floor,
+                               on_chunk=cell_rows)
         verify_field_invariants(fld)
         if not all(finite):
             raise NumericalError("per-cell metric contains non-finite values")
@@ -498,17 +501,17 @@ def cmd_chainrule(args) -> int:
         coords = _vertex_values(family.members, depth)
         slots = spec.vertex_table(depth).slots
 
-        # Each cell's gradient at its least-id corner, formed per chunk on the
-        # scan worker.  sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell;
-        # rhs is half the sum, summed per chunk there too.
+        # Each cell's gradient at its least-id corner, formed one scan chunk
+        # at a time.  sum_ij dG_i dG_j m_ij = 2 |sum_i dG_i x_i|^2 per cell;
+        # rhs is half the sum, summed per chunk first.
         def chunk_rhs(cells: np.ndarray, x: np.ndarray) -> float:
             points = coords[slots[cells].min(axis=1)]
             grad = np.column_stack([g(points) for g in grads])
             v = np.einsum("ci,cia->ca", grad, x, optimize=False)
             return float(np.sum(np.einsum("ca,ca->c", v, v, optimize=False)))
 
-        scan = scan_cell_masses(hs, family.members, depth, config.workers, reduce=chunk_rhs)
-        rhs = float(np.sum(np.asarray([part for _, _, part in scan])))
+        scan = scan_cell_masses(hs, family.members, depth)
+        rhs = float(np.sum(np.asarray([chunk_rhs(cells, x) for cells, x in scan])))
         # G's vertex values replace the coordinates, so graph_energy runs
         # without them, and none of this depth's arrays is alive while the
         # next depth's are built.
@@ -535,7 +538,9 @@ def cmd_chainrule(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, family: bool = True) -> None:
     sub.add_argument("--structure", required=True,
                      help="builtin name (sg2, vicsek) or path to a structure JSON")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted and checked to be at least 1; every scan runs "
+                          "on one thread whatever its value")
     if family:
         sub.add_argument("--family", default="harmonic",
                          help="harmonic | level1 | file:PATH")

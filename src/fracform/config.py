@@ -22,10 +22,9 @@ MAX_FIELD_BYTES = 1 << 32
 
 # Fixed subtree chunk size of the cell scan, which measure tables, density
 # fields and the chain-rule check all read.  Each density-field chunk is
-# reduced to its per-cell quantities on the worker that scanned it.  The chunk
-# layout is a function of the requested depth alone, never of the worker
-# count, so results are byte-for-byte reproducible no matter how work is
-# scheduled.
+# reduced to its per-cell quantities as it arrives.  The chunk layout is a
+# function of the requested depth alone, so results are byte-for-byte
+# reproducible.
 CHUNK_CELLS = 1 << 15
 
 SYMMETRY_TOL = 1e-12        # |D - D^T| relative to max|D|

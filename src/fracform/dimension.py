@@ -5,18 +5,18 @@ weights, the combined measure assigns each word cell a mass, and each cell
 carries the matrix of pair masses divided by that cell mass.  The scan hands
 out each cell's k x (d - 1) block of energy coordinates rather than that
 k x k matrix, which gives the factor Y with Z = Y Y^T, of rank at most d - 1.
-One reduction per scan chunk, run on the worker that scanned it, computes
-every per-cell quantity from the chunk's own Y, as one record of named
-columns: the mass, the min(k, d - 1) computed eigenvalues of the
-(d - 1) x (d - 1) weighted Gram of Y (in closed form on a three-point
-boundary, d - 1 = 2, by eigvalsh otherwise), the rank-one pivot, factor and
-residual, and the weighted-trace gap.  The density field streams those
-records: as each chunk arrives it adds one row of partial sums for the rank
-statistics and its extremes for the invariant checks, and is handed, in lex
-order, to the caller's per-chunk hook, which is how the commands write
-per-cell tables as the scan runs.  So a field holds no per-cell column, only
-the chunks in flight; a library read of its columns, Y or the rank-one
-factors forms them all by running the scan again.
+One reduction per scan chunk, run as the chunk arrives, computes every
+per-cell quantity from the chunk's own Y, as one record of named columns:
+the mass, the min(k, d - 1) computed eigenvalues of the (d - 1) x (d - 1)
+weighted Gram of Y (in closed form on a three-point boundary, d - 1 = 2, by
+eigvalsh otherwise), the rank-one pivot, factor and residual, and the
+weighted-trace gap.  The density field streams those records: as each chunk
+arrives it adds one row of partial sums for the rank statistics and its
+extremes for the invariant checks, and is handed, in lex order, to the
+caller's per-chunk hook, which is how the commands write per-cell tables as
+the scan runs.  So a field holds no per-cell column, only the chunk in hand;
+a library read of its columns, Y or the rank-one factors forms them all by
+running the scan again.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -209,7 +209,7 @@ class DensityMatrixField:
     worst_trace_gap: float
     total_mass: float
     floor: float
-    scan: Callable[[], Iterator[tuple]]
+    scan: Callable[[], Iterator[dict[str, np.ndarray]]]
 
     indices, lam, eigenvalues, alpha, residuals, factors, zeta = (
         property(lambda fld, name=name: fld._rescanned[name]) for name in CELL_COLUMNS)
@@ -228,7 +228,7 @@ class DensityMatrixField:
         joined in turn while its parts are dropped, so the read holds one
         copy of the columns plus the one being joined.
         """
-        records = [record for *_, record in self.scan()]
+        records = list(self.scan())
         columns = {name: np.concatenate([np.ascontiguousarray(r.pop(name)) for r in records])
                    for name in CELL_COLUMNS}
         for column in columns.values():
@@ -263,22 +263,22 @@ def check_field_bytes(cells: int, depth: int, family_size: int) -> None:
 
 
 def _fill(
-    scan: Iterator[tuple], tau_rank: float = TAU_RANK, on_chunk: Callable | None = None
+    scan: Iterator[dict[str, np.ndarray]], tau_rank: float = TAU_RANK, on_chunk: Callable | None = None
 ) -> dict:
     """What the field keeps of the scan's _density_chunk records: the
     retained ``size``, the four weighted ``sums`` (tau_rank is the cutoff of
     the eigenvalue count), ``min_eigenvalue`` and ``worst_trace_gap``.
 
     Each record is handed to ``on_chunk``, when given, as it arrives, in
-    lexicographic cell order and on the thread that iterates the scan; no
-    record outlives its turn of the loop.  Each chunk adds one row of np.sum
-    partials, and the sums are math.fsum over those rows, so they depend on
-    the chunk layout, which depends on the depth alone.  The extremes are a
-    running np.minimum and np.maximum, which keep a NaN from any chunk.
+    lexicographic cell order; no record outlives its turn of the loop.  Each
+    chunk adds one row of np.sum partials, and the sums are math.fsum over
+    those rows, so they depend on the chunk layout, which depends on the
+    depth alone.  The extremes are a running np.minimum and np.maximum,
+    which keep a NaN from any chunk.
     """
     size, partials = 0, []
     low, worst = np.full(1, np.inf), np.zeros(1)
-    for *_, record in scan:
+    for record in scan:
         if on_chunk is not None:
             on_chunk(record)
         lam, spectrum = record["lam"], record["eigenvalues"]
@@ -366,7 +366,6 @@ def _two_column_spectrum(a: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.nd
 def density_matrices(
     family: FunctionFamily,
     depth: int,
-    workers: int = 1,
     mass_floor: float = MASS_FLOOR,
     tau_rank: float = TAU_RANK,
     on_chunk: Callable[[dict], object] | None = None,
@@ -378,10 +377,9 @@ def density_matrices(
     has no meaningful density and is not refined; skipped counts its subtree.
     tau_rank is the eigenvalue cutoff of the dimension count; the weighted
     matrices have trace one, so the cutoff is an absolute fraction.  Each
-    chunk is reduced on the scan worker that formed it (_density_chunk); as
-    it arrives, on the thread that calls this, it adds its partial sums and
-    extremes and is passed to ``on_chunk``, chunks in lexicographic order at
-    any worker count.  Then it drops, so the field holds no per-cell column.
+    chunk, as it arrives in lexicographic order, is reduced to its per-cell
+    record (_density_chunk), adds its partial sums and extremes and is passed
+    to ``on_chunk``.  Then it drops, so the field holds no per-cell column.
     """
     hs, a = family.structure, family.weights
     n = hs.spec.n_letters
@@ -398,8 +396,12 @@ def density_matrices(
     total = float(np.sum(a * np.asarray(twice_energies)))
     floor = mass_floor * total
 
-    reduce = partial(_density_chunk, a, floor)
-    scan = partial(scan_cell_masses, hs, family.members, depth, workers, a, floor, reduce)
+    def scan() -> Iterator[dict[str, np.ndarray]]:
+        # The cell cap is checked when scan is called; scan_cell_masses is
+        # looked up then too, so a wrapper put on this module sees the scan.
+        return (_density_chunk(a, floor, *item)
+                for item in scan_cell_masses(hs, family.members, depth, weights=a, floor=floor))
+
     summary = _fill(scan(), tau_rank, on_chunk)
     if not summary["size"]:
         raise ValidationError(

@@ -6,10 +6,10 @@ table chunk by chunk as a scan streams past and hold no column of the whole
 table.  ``write_table`` is its one-shot form.  Rows are formatted and written
 in blocks of at most BLOCK_FIELDS fields (and at least one row), from
 ``.tolist()`` of each column slice, so memory stays flat in both the row
-count and the table's width, and the bytes depend on neither the block size,
-nor how the rows are split between puts, nor the worker count.  Floats are
-written with ``%.17g``, which round-trips every double; integer columns with
-``%d``; word columns as dot-joined letters (the empty word as "").
+count and the table's width, and the bytes depend on neither the block size
+nor how the rows are split between puts.  Floats are written with
+``%.17g``, which round-trips every double; integer columns with ``%d``;
+word columns as dot-joined letters (the empty word as "").
 
 A path is written under a temporary sibling that replaces it only when the
 ``with`` body succeeds, so a failed run leaves no table and an existing file

@@ -18,9 +18,8 @@ rows i and j, so the cell's mass matrix is 2 X X^T and no k x k product is
 formed.  Since sum_i C~_i^T C~_i = I, no cell's coordinates outgrow its
 root's.  Given a mass floor, the scan does not refine a cell below it, since
 masses are additive and nonnegative.  The chunk layout depends only on the
-requested depth, never on the worker count, and all reductions run in
-lexicographic order, so outputs are bitwise reproducible.  With one worker
-the chunks run on the thread that iterates the scan, with no pool.
+requested depth, and the chunks run one after another on the thread that
+iterates the scan, so outputs are bitwise reproducible.
 
 The same chunk walk (_scan_chunks) with the extension matrices A_i in place
 of C~_i refines cell coefficients instead: _vertex_values scatters each chunk
@@ -31,10 +30,9 @@ way only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -135,8 +133,7 @@ def scan_cell_masses(
     workers: int = 1,
     weights: np.ndarray | None = None,
     floor: float | None = None,
-    reduce: Callable[[np.ndarray, np.ndarray], object] | None = None,
-) -> Iterator[tuple]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (rows, coords) over depth-``depth`` cells in lex order.
 
     coords[c] is the k x (d - 1) block of the members' scaled energy
@@ -145,13 +142,9 @@ def scan_cell_masses(
     2 * coords[c, i] @ coords[c, j].  Requires depth at or above every
     member's level.  With a floor, a cell whose mass weighted by ``weights``
     falls below it is not refined and none of its descendants is yielded;
-    without one, every cell is.  With ``reduce``, each item also carries
-    ``reduce(rows, coords)``, computed on the worker that scanned the chunk
-    (at one worker, the thread that iterates the scan).  The chunk layout is
-    a fixed function of the depth, and every chunk runs under the
-    floating-point policy (np.geterr) of the thread that iterates the scan,
-    so neither the results nor the floating-point errors depend on
-    ``workers``.
+    without one, every cell is.  ``workers`` is not read.  It stays because
+    perfbench/replay.py's scaling mode and test_bench_hooks pass it
+    positionally, and without it their 2 would land on ``weights``.
 
     Validation (including the cell cap) happens at call time, not on the
     first ``next``, so callers may size buffers after calling this.
@@ -169,23 +162,22 @@ def scan_cell_masses(
     # Each member's energy coordinates, each cell's scaled by its r_w^{-1/2}.
     starts = [(m.level, m.cell_coeffs @ hs.energy_basis.T
                * np.sqrt(_weight_products(1.0 / hs.weights, m.level))[:, None]) for m in members]
-    return _scan_chunks(hs.energy_letters, starts, depth, workers, weights, floor, reduce)
+    return _scan_chunks(hs.energy_letters, starts, depth, weights, floor)
 
 
 def _scan_chunks(
-    letters: np.ndarray, starts: Sequence[tuple[int, np.ndarray]], depth: int, workers: int = 1,
+    letters: np.ndarray, starts: Sequence[tuple[int, np.ndarray]], depth: int,
     weights: np.ndarray | None = None, floor: float | None = None,
-    reduce: Callable[[np.ndarray, np.ndarray], object] | None = None,
-) -> Iterator[tuple]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The chunked walk of every depth-``depth`` cell, in lex order.
 
     letters holds the n letter matrices (n x m x m) that append a letter to
     a cell's row of m coefficients, and each start is a (level, rows) pair
     with one row per cell of that level, in lex order.  Yields (rows, x),
     with x[c] the k x m block of the starts' rows on the cell at lex index
-    rows[c], and ``reduce(rows, x)`` appended when given; the floor prunes
-    as in scan_cell_masses.  With one worker the chunks run on the
-    iterating thread, so what they allocate stays in its malloc arena.
+    rows[c]; the floor prunes as in scan_cell_masses.  Each chunk is formed
+    when the walk is iterated, on the iterating thread, so only one chunk is
+    alive at a time.
     """
     n, m, k = letters.shape[0], letters.shape[-1], len(starts)
     t = _chunk_prefix_depth(n, depth)
@@ -198,35 +190,20 @@ def _scan_chunks(
         [_refine(letters, rows, top - level) for level, rows in starts]
     ).reshape(k, n**t, -1, m)
     row_sum = np.ones(m)
-    # Every chunk runs under the floating-point policy of the thread that
-    # iterates the scan, whichever thread computes it.
-    errors = np.geterr()
-
-    def one_chunk(chunk: int) -> tuple:
-        with np.errstate(**errors):
-            # rows: in-chunk lex indices of the live cells; None while all live.
-            x, rows = np.ascontiguousarray(block[:, chunk]), None
-            for _ in range(top, depth):
-                if floor is not None:
-                    mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, m) @ row_sum
-                    live = 2.0 * mass >= floor
-                    if not live.all():
-                        x = x[:, live]
-                        rows = np.flatnonzero(live) if rows is None else rows[live]
-                x = _refine(letters, x.reshape(-1, m), 1).reshape(k, -1, m)
-                rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
-            rows = np.arange(width) if rows is None else rows
-            item = (chunk * width + rows, x.transpose(1, 0, 2))
-            return item if reduce is None else item + (reduce(*item),)
-
-    chunks = range(n ** t)
-    if workers <= 1:
-        yield from map(one_chunk, chunks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Submit in bounded waves so at most ``workers`` chunks are alive.
-        for lo in range(0, len(chunks), workers):
-            yield from pool.map(one_chunk, chunks[lo : lo + workers])
+    for chunk in range(n**t):
+        # rows: in-chunk lex indices of the live cells; None while all live.
+        x, rows = np.ascontiguousarray(block[:, chunk]), None
+        for _ in range(top, depth):
+            if floor is not None:
+                mass = (weights @ (x * x).reshape(k, -1)).reshape(-1, m) @ row_sum
+                live = 2.0 * mass >= floor
+                if not live.all():
+                    x = x[:, live]
+                    rows = np.flatnonzero(live) if rows is None else rows[live]
+            x = _refine(letters, x.reshape(-1, m), 1).reshape(k, -1, m)
+            rows = None if rows is None else (rows[:, None] * n + np.arange(n)).ravel()
+        rows = np.arange(width) if rows is None else rows
+        yield chunk * width + rows, x.transpose(1, 0, 2)
 
 
 def _vertex_values(members: Sequence[PiecewiseHarmonic], level: int) -> np.ndarray:
@@ -286,7 +263,6 @@ def measure_table(
     f: PiecewiseHarmonic,
     g: PiecewiseHarmonic | None = None,
     depth: int = 0,
-    workers: int = 1,
 ) -> CellMeasureTable:
     """All cell masses of the pair measure at the given depth."""
     if depth < 0:
@@ -297,15 +273,10 @@ def measure_table(
     members = [f] if same else [f, g]
     scan_depth = max([depth] + [m.level for m in members])
     j = 0 if same else 1
-
-    # Formed on the scan worker, under the caller's floating-point policy.
-    def pair_mass(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return 2.0 * np.einsum("ca,ca->c", x[:, 0], x[:, j], optimize=False)
-
-    blocks = scan_cell_masses(hs, members, scan_depth, workers, reduce=pair_mass)
+    blocks = scan_cell_masses(hs, members, scan_depth)  # checks the cell cap
     per_cell = np.empty(n ** scan_depth)
-    for rows, _, mass in blocks:
-        per_cell[rows] = mass
+    for rows, x in blocks:
+        per_cell[rows] = 2.0 * np.einsum("ca,ca->c", x[:, 0], x[:, j], optimize=False)
     if scan_depth > depth:
         masses = per_cell.reshape(n ** depth, -1).sum(axis=1)
     else:

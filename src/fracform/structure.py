@@ -68,8 +68,7 @@ class StructureSpec:
         """The depth's vertex table, memoized.  Building one drops every
         shallower table, so a walk over refining depths holds one table,
         while a deep table outlives the shallow ones that its functions' cell
-        coefficients need.  Unlocked, so racing first calls may build a table
-        twice."""
+        coefficients need."""
         table = self._tables.get(depth)
         if table is None:
             for shallower in [m for m in self._tables if m < depth]:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -291,8 +292,8 @@ def test_scan_closed_form_spectra_bytes_identical_across_workers(tmp_path, capsy
 
 
 def test_streamed_profile_bytes_identical_across_workers(tmp_path, capsys):
-    # sg2 depths 10 and 11 scan 3 and 9 chunks, whose partial sums a wave of
-    # workers computes out of order; the profile must not depend on that.
+    # sg2 depths 10 and 11 scan 3 and 9 chunks, whose partial sums are added
+    # in lex order; --workers, which no scan reads, must not change a byte.
     outputs = []
     for workers in (1, 2, 3):
         profile = tmp_path / f"p{workers}.csv"
@@ -359,8 +360,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 def test_dense_scan_peak_rss_holds_no_per_cell_column():
     # The statistics stream through the chunk loop and scan keeps no per-cell
     # column without --cells-out, so what a depth-13 scan (1.6M cells) adds
-    # over a depth-2 one is a wave of chunks, not a bound that grows with the
-    # cells: one copy of the columns alone would be 73 MiB.
+    # over a depth-2 one is one chunk in hand, about 9 MiB, not a bound that
+    # grows with the cells: one copy of the columns alone would be 73 MiB.
+    # A wave of chunks on a two-thread pool made it about 17 MiB.
     src = str(Path(ff.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -376,7 +378,7 @@ def test_dense_scan_peak_rss_holds_no_per_cell_column():
         return kib * 1024
 
     growth = peak_bytes("2..13") - peak_bytes("2..2")
-    assert growth <= 32 * 2**20, growth / 2**20
+    assert growth <= 12 * 2**20, growth / 2**20
 
 
 @pytest.mark.skipif(
@@ -414,14 +416,15 @@ def test_cells_out_streams_the_deepest_depth(tmp_path):
 def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
     # chainrule fills each depth's coordinates from the scan's chunk walk,
     # gathers and evaluates G one block of cells or rows at a time, forms each
-    # chunk's gradients on the scan worker, replaces the coordinates by G's
+    # chunk's gradients as the chunk arrives, replaces the coordinates by G's
     # values before graph_energy and keeps one depth's vertex table, so depths
-    # 3..12 add about 37 MiB over depth 3 alone (sg2, 531k cells and 797k
-    # vertices at depth 12).  Holding the coordinates through graph_energy,
-    # with one lift per member, made it 46.5 MiB; keeping every depth's table
-    # 52.5 MiB; whole-level lift, gather, corner point and gradient arrays
-    # 68 MiB, and before that stacked copies, a second gather and the
-    # previous depth's arrays made it about 88 MiB.
+    # 3..12 add about 31.5 MiB over depth 3 alone (sg2, 531k cells and 797k
+    # vertices at depth 12); a two-thread scan pool made it 37 MiB.  Holding
+    # the coordinates through graph_energy, with one lift per member, made it
+    # 46.5 MiB; keeping every depth's table 52.5 MiB; whole-level lift,
+    # gather, corner point and gradient arrays 68 MiB, and before that stacked
+    # copies, a second gather and the previous depth's arrays made it about
+    # 88 MiB.
     src = str(Path(ff.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -438,7 +441,7 @@ def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
         return kib * 1024
 
     growth = peak_bytes("3..12") - peak_bytes("3..3")
-    assert growth <= 41 * 2**20, growth / 2**20
+    assert growth <= 35 * 2**20, growth / 2**20
 
 
 COMMANDS_THEN_MODULES = """
@@ -453,7 +456,7 @@ print(json.dumps(sorted(sys.modules)))
 
 def test_commands_do_not_import_masked_arrays(tmp_path):
     # np.setdiff1d imports numpy.ma, which took about 8 ms of every command's
-    # start-up; nothing the five commands run needs it.
+    # start-up; nothing the five commands run needs it, nor a thread pool.
     src = str(Path(ff.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -474,6 +477,30 @@ def test_commands_do_not_import_masked_arrays(tmp_path):
     modules = json.loads(probe.stdout.splitlines()[-1])
     assert "fracform.harmonic" in modules
     assert "numpy.ma" not in modules
+    assert "concurrent.futures" not in modules
+
+
+def test_no_command_starts_a_thread(tmp_path, capsys, monkeypatch):
+    # Every scan walks its chunks on the thread that iterates it, at any
+    # --workers, so what the chunks allocate stays in that thread's arena.
+    started = []
+
+    def refuse(thread):
+        started.append(thread.name)
+        raise RuntimeError("a command started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = [str(tmp_path / name) for name in ("a.csv", "b.csv")]
+    for argv in (
+        ["scan", "--structure", "sg2", "--depths", "2..11", "--cells-out", out[0]],
+        ["measure", "--structure", "sg2", "--f", "1,0.3,-0.2", "--depth", "10", "--out", out[0]],
+        ["embed", "--structure", "sg2", "--depth", "6", "--vertices-out", out[0],
+         "--cells-out", out[1]],
+        ["chainrule", "--structure", "sg2", "--G", "x1^2", "--depths", "3..10"],
+    ):
+        code, _, err = run(capsys, *argv, "--workers", "3")
+        assert code == 0, err
+    assert started == []
 
 
 def test_scan_level1_family(capsys):
@@ -679,8 +706,8 @@ def test_chainrule_linear_exact(capsys):
 
 
 def test_chainrule_bytes_do_not_depend_on_workers(tmp_path, capsys):
-    # The right side is summed per chunk on the scan's pool threads, then
-    # over the chunks in lex order, so every worker count gives the same bits.
+    # The right side is summed per chunk, then over the chunks in lex order;
+    # --workers, which no scan reads, must not change a byte.
     outputs = []
     for workers in (1, 2, 3):
         out_path = tmp_path / f"gaps{workers}.csv"
@@ -726,9 +753,9 @@ def test_non_finite_polynomial_coefficient_is_a_parse_error(tmp_path, capsys, G)
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_overflow_message_does_not_depend_on_workers(tmp_path, capsys, workers):
     # With boundary values (1e154, 0) the root's energy is 1e308, and only
-    # the cell 2...2 keeps nearly all of it: twice its energy, formed on a
-    # pool thread in the last of the 64 chunks, overflows.  That chunk, on
-    # whichever thread, must stop the run the same way.
+    # the cell 2...2 keeps nearly all of it: twice its energy, formed in the
+    # last of the 64 chunks, overflows.  That chunk must stop the run the
+    # same way at any --workers.
     doc, out_path = tmp_path / "thin.json", tmp_path / "m.csv"
     doc.write_text(json.dumps(THIN_INTERVAL))
     code, out, err = run(

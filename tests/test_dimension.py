@@ -144,8 +144,8 @@ def unpruned_field(name, build, depth):
     hs = ff.harmonic_structure(ff.builtin_structure(name))
     fam = getattr(ff, f"{build}_family")(hs)
     total = float(np.sum(fam.weights * [2.0 * ff.energy(m) for m in fam.members]))
-    reduce = functools.partial(_density_chunk, fam.weights, 0.0)
-    records = [item[-1] for item in ff.scan_cell_masses(hs, fam.members, depth, reduce=reduce)]
+    records = [_density_chunk(fam.weights, 0.0, rows, x)
+               for rows, x in ff.scan_cell_masses(hs, fam.members, depth)]
     names = ("indices", "lam", "factors", "eigenvalues", "alpha", "residuals")
     rows, lam, factors, eigenvalues, alpha, residuals = (
         np.concatenate([record[name] for record in records]) for name in names
@@ -159,8 +159,7 @@ def unpruned_field(name, build, depth):
     ("sg2", "level1", 6), ("sg2", "harmonic", 7),
 ])
 @pytest.mark.parametrize("floor", [1e-14, 1e-10, 1e-6, "above-smallest", "above-median"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pruned_field_equals_full_field(name, build, depth, floor, workers):
+def test_pruned_field_equals_full_field(name, build, depth, floor):
     """A scan that stops refining cells below the floor builds the very field
     that filtering the factor field of every cell by the floor builds."""
     fam, total, lam, factors, eigenvalues, alpha, residuals = unpruned_field(name, build, depth)
@@ -170,7 +169,7 @@ def test_pruned_field_equals_full_field(name, build, depth, floor, workers):
         cell = live[0] if floor == "above-smallest" else live[live.size // 2]
         floor = float(np.nextafter(cell, np.inf)) / total
     keep = lam >= floor * total
-    field = ff.density_matrices(fam, depth, workers=workers, mass_floor=floor)
+    field = ff.density_matrices(fam, depth, mass_floor=floor)
     assert np.array_equal(field.indices, np.flatnonzero(keep))
     assert np.array_equal(field.lam, lam[keep])
     assert np.array_equal(field.factors, factors[keep])
@@ -300,7 +299,7 @@ def test_two_column_spectrum_calls_no_eigvalsh(sg2, monkeypatch, build):
         raise AssertionError("eigvalsh called on a d - 1 = 2 field")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    field = ff.density_matrices(build(sg2), 6, workers=2)
+    field = ff.density_matrices(build(sg2), 6)
     assert field.size == 3 ** 6
 
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import threading
 from fractions import Fraction
@@ -16,10 +15,6 @@ from fracform.harmonic import _weight_products
 
 import oracles
 from conftest import THIN_INTERVAL, random_piecewise_harmonic
-
-# The package's ``energy`` attribute is the function, not the module.
-energy_module = importlib.import_module("fracform.energy")
-
 
 def harmonic_fn(hs, boundary):
     return ff.PiecewiseHarmonic(hs, 0, np.asarray(boundary, dtype=float))
@@ -127,7 +122,7 @@ def test_thin_letter_masses_stay_finite_at_depth_21():
     hs = ff.harmonic_structure(ff.validate_structure(THIN_INTERVAL))
     f = harmonic_fn(hs, [1.0, 0.0])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        table = ff.measure_table(f, depth=21, workers=2)
+        table = ff.measure_table(f, depth=21)
         parent = ff.measure_table(f, depth=20)
     twice = 2.0 * ff.energy(f)
     assert abs(table.total - twice) <= CONSISTENCY_TOL * max(1.0, twice)
@@ -192,22 +187,6 @@ def test_chunked_lift_matches_one_shot_scatter(name, family, level, chunks, rng)
     expected = np.column_stack([one_shot_lift(m, level) for m in members])
     assert np.array_equal(_vertex_values(members, level), expected)
     assert np.array_equal(ff.lift(members[-1], level).values, expected[:, -1])
-
-
-def test_one_worker_walks_start_no_thread(sg2, monkeypatch):
-    # Chunks computed on a pool thread are allocated in that thread's malloc
-    # arena, so a one-worker walk runs them on the iterating thread.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker walk started a thread pool")
-
-    monkeypatch.setattr(energy_module, "ThreadPoolExecutor", no_pool)
-    family = ff.harmonic_family(sg2)
-    f = family.members[0]
-    ff.measure_table(f, depth=8, workers=1)
-    ff.lift(f, 8)
-    ff.density_matrices(family, 8, workers=1)
-    with pytest.raises(AssertionError, match="thread pool"):
-        ff.measure_table(f, depth=8, workers=2)
 
 
 def test_lift_keeps_one_vertex_table_of_a_walk(rng):
@@ -348,16 +327,9 @@ def test_root_table_word_is_empty_string(sg2, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith(",")
 
 
-def test_scan_workers_agree(vicsek, rng):
-    f = random_piecewise_harmonic(vicsek, 1, rng)
-    serial = ff.measure_table(f, depth=4, workers=1)
-    threaded = ff.measure_table(f, depth=4, workers=4)
-    assert np.array_equal(serial.masses, threaded.masses)
-
-
 def test_scan_workers_leave_vertex_tables_alone(monkeypatch):
     # The vertex-table memo has no lock: every table a scan needs must be
-    # built or read on the thread that iterates the scan.
+    # built or read on the thread that iterates the scan, whatever workers is.
     hs = ff.harmonic_structure(ff.builtin_structure("sg2"))
     members = ff.harmonic_family(hs).members
     callers = []
