@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from fracform.dimension import _density_chunk, _zeta_block, check_field_bytes
 from fracform.errors import CapExceededError, ValidationError
 
 import oracles
+
+# The package's ``energy`` attribute is the function, not the module.
+energy_module = importlib.import_module("fracform.energy")
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +163,17 @@ def unpruned_field(name, build, depth):
     ("sg2", "level1", 6), ("sg2", "harmonic", 7),
 ])
 @pytest.mark.parametrize("floor", [1e-14, 1e-10, 1e-6, "above-smallest", "above-median"])
-def test_pruned_field_equals_full_field(name, build, depth, floor):
+@pytest.mark.parametrize("prefix", [1, 2])
+def test_pruned_field_equals_full_field(name, build, depth, floor, prefix, monkeypatch):
     """A scan that stops refining cells below the floor builds the very field
-    that filtering the factor field of every cell by the floor builds."""
+    that filtering the factor field of every cell by the floor builds, however
+    many chunks the walk splits the depth into."""
     fam, total, lam, factors, eigenvalues, alpha, residuals = unpruned_field(name, build, depth)
+    # The full field is one chunk; the pruned walk splits at depth ``prefix``
+    # into n or n^2 chunks, and starts pruning at that depth.
+    n = fam.members[0].structure.spec.n_letters
+    monkeypatch.setattr(energy_module, "CHUNK_CELLS", n ** (depth - prefix))
+    assert energy_module._chunk_prefix_depth(n, depth) == prefix
     if isinstance(floor, str):
         # Just above a real cell's mass, so that cell and its equals drop out.
         live = np.sort(lam[lam >= 1e-14 * total])
