@@ -607,6 +607,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # An empty path would name the working directory; it is refused before
+        # any work, like every other bad option value.
+        for name in ("out", "cells_out", "vertices_out"):
+            if getattr(args, name, None) == "":
+                raise ParseError(f"--{name.replace('_', '-')} needs a path, got ''")
         # Overflow, NaN and division by zero stop the run instead of flowing
         # into the output.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

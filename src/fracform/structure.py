@@ -192,19 +192,30 @@ def convex_weights(
 
 
 def _parse_realization(raw, n: int, boundary: Sequence[str]) -> dict:
+    """The realization as ``dimension``, ``maps`` (the letters' matrices
+    stacked ``(n, dim, dim)`` and offsets ``(n, dim)``, row i - 1 for letter
+    i) and ``boundary_points`` (label to point, or None)."""
     if not isinstance(raw, Mapping):
         raise ParseError("realization must be an object")
     maps_raw = raw.get("maps")
     if "dimension" not in raw or not isinstance(maps_raw, Mapping):
         raise ParseError("realization needs integer 'dimension' and a 'maps' object")
     dim = _integer(raw["dimension"], "realization dimension")
-    maps = {}
-    for letter in range(1, n + 1):
-        entry = maps_raw.get(str(letter))
-        if not isinstance(entry, Mapping):
-            raise ParseError(f"realization map for letter {letter} is missing or not an object")
-        matrix = _floats(entry.get("matrix"), f"map {letter} matrix", (dim, dim))
-        maps[letter] = (matrix, _floats(entry.get("offset"), f"map {letter} offset", (dim,)))
+    entries = [maps_raw.get(str(letter)) for letter in range(1, n + 1)]
+    for letter in [i for i, entry in enumerate(entries, 1) if not isinstance(entry, Mapping)][:1]:
+        raise ParseError(f"realization map for letter {letter} is missing or not an object")
+    try:
+        # One _floats call for every letter's matrix and one for every offset:
+        # two calls per letter dominated validating a large alphabet.
+        maps = (_floats([entry.get("matrix") for entry in entries], "map matrices", (n, dim, dim)),
+                _floats([entry.get("offset") for entry in entries], "map offsets", (n, dim)))
+    except ParseError:
+        # Letter by letter, matrix before offset, so that the error names the
+        # first bad letter.
+        for letter, entry in enumerate(entries, 1):
+            _floats(entry.get("matrix"), f"map {letter} matrix", (dim, dim))
+            _floats(entry.get("offset"), f"map {letter} offset", (dim,))
+        raise
     points = None
     if "boundary_points" in raw:
         points_raw = raw["boundary_points"]
@@ -227,7 +238,7 @@ def _check_realization_geometry(spec: StructureSpec) -> None:
         return
     n, d, dim = spec.n_letters, spec.d, real["dimension"]
     pts = np.array([real["boundary_points"][label] for label in spec.boundary])
-    mats, offs = (np.array(part) for part in zip(*(real["maps"][i] for i in range(1, n + 1))))
+    mats, offs = real["maps"]
     # Row (i - 1) d + p of images is corner p of cell i.
     images = (pts @ mats.transpose(0, 2, 1) + offs[:, None, :]).reshape(n * d, dim)
     tol = REALIZATION_TOL * (float(np.linalg.norm(pts, axis=1).max()) or 1.0)

@@ -28,9 +28,9 @@ def geometric_slot_ids(realization: dict, boundary: tuple[str, ...], depth: int)
     Words are scanned in lex order and each distinct point gets the next id on
     first sight, which is exactly the numbering contract of the vertex tables.
     """
-    maps = realization["maps"]
+    matrices, offsets = realization["maps"]
     points = realization["boundary_points"]
-    n = len(maps)
+    n = len(matrices)
     corners = [points[label] for label in boundary]
     ids: dict[tuple, int] = {}
     rows = []
@@ -39,8 +39,7 @@ def geometric_slot_ids(realization: dict, boundary: tuple[str, ...], depth: int)
         for corner in corners:
             pt = corner
             for letter in reversed(word):
-                matrix, offset = maps[letter]
-                pt = matrix @ pt + offset
+                pt = matrices[letter - 1] @ pt + offsets[letter - 1]
             key = tuple(np.round(pt, 9))
             row.append(ids.setdefault(key, len(ids)))
         rows.append(row)

@@ -1162,6 +1162,35 @@ def test_option_range_errors_exit_2(capsys, args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+_RUN_ARGS = {
+    "measure": ["--f", "1,0,0", "--depth", "3"],
+    "scan": ["--depths", "2..3", "--cells-out", "c.csv"],
+    "embed": ["--depth", "2", "--vertices-out", "v.csv", "--cells-out", "c.csv"],
+    "chainrule": ["--G", "x1", "--depths", "3..4"],
+}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("measure", "--out"), ("scan", "--out"), ("scan", "--cells-out"),
+    ("embed", "--vertices-out"), ("embed", "--cells-out"), ("chainrule", "--out"),
+])
+def test_empty_output_path_is_refused_before_the_structure_loads(
+    tmp_path, capsys, monkeypatch, command, option
+):
+    # "" resolves to the working directory: a table written under it lands
+    # beside it in the parent directory, and a falsy check writes no table.
+    loads, resolve = [], cli.resolve_structure
+    monkeypatch.setattr(cli, "resolve_structure",
+                        lambda token: loads.append(token) or resolve(token))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    got = run(capsys, command, "--structure", "sg2", *_RUN_ARGS[command], option, "")
+    assert got == (2, "", f"error: {option} needs a path, got ''\n")
+    assert loads == []
+    assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
+
+
 def test_mass_floor_printed_in_full(capsys):
     code, out, err = run(
         capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "2..2",
@@ -1363,6 +1392,47 @@ def test_wide_table_blocks_are_bounded_in_fields(monkeypatch, rng):
         assert max(blocks) == max(1, budget // width)
         # No block holds more fields than the budget, unless one row does.
         assert max(blocks) * width <= max(budget, width)
+
+
+def _written(monkeypatch, header, columns):
+    """The bytes write_table sends to stdout, once per block budget."""
+    outputs = []
+    for budget in (emit.BLOCK_FIELDS, 14, 1):
+        monkeypatch.setattr(emit, "BLOCK_FIELDS", budget)
+        recorder = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        emit.write_table(None, header, columns)
+        outputs.append(recorder.getvalue().encode())
+    return outputs
+
+
+def test_block_formatter_writes_special_floats_as_rows_do(monkeypatch):
+    # Each field goes through its own %d or %.17g however many rows one %
+    # formats: nan, both infinities, the sign of zero, the least subnormal
+    # and the largest double.
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    ids = np.arange(-2, floats.size - 2)
+    expected = oracles.reference_csv(("id", "x"), zip(ids.tolist(), floats.tolist()))
+    assert b"\n-2,nan\n-1,inf\n0,-inf\n1,-0\n2,4.9406564584124654e-324\n" in expected
+    assert _written(monkeypatch, ["id", "x"], (ids, floats)) == [expected] * 3
+
+
+def test_a_put_of_no_rows_writes_only_the_header(monkeypatch):
+    columns = (emit.WordColumn(range(0), 4, 3), np.zeros(0), np.zeros((0, 2), dtype=np.int64))
+    assert _written(monkeypatch, ["word", "x", "a", "b"], columns) == [b"word,x,a,b\n"] * 3
+
+
+@pytest.mark.parametrize("depth,start", [(0, 0), (1, 1), (4, 5), (5, 17)])
+def test_word_columns_from_a_range_and_an_array_agree(monkeypatch, depth, start):
+    # 1, 2, 76 and 226 rows: at two fields a row the last block of 7 rows is
+    # a partial one at depths 4 and 5, as the only block is at 4096.
+    stop = 3 ** depth
+    values = np.linspace(-1.0, 1.0, stop - start)
+    words = [oracles.reference_word(i, depth, 3) for i in range(start, stop)]
+    expected = oracles.reference_csv(("word", "x"), zip(words, values.tolist()))
+    for indices in (range(start, stop), np.arange(start, stop)):
+        columns = (emit.WordColumn(indices, depth, 3), values)
+        assert _written(monkeypatch, ["word", "x"], columns) == [expected] * 3
 
 
 def _refuse_replace(*args):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import fracform as ff
+from fracform import structure
 from fracform.errors import ParseError, ValidationError
 from fracform.structure import check_cell_cap, convex_weights
 
@@ -195,6 +196,69 @@ def test_realization_geometry_mismatch_rejected():
     raw = load_raw("sg2")
     raw["realization"]["boundary_points"]["p2"] = [1.0, 0.25]
     with pytest.raises(ValidationError):
+        ff.validate_structure(raw)
+
+
+def _chain_interval(n):
+    """[0, 1] cut into n equal pieces: letters 1 and 2 are the end pieces,
+    which fix p1 and p2, and letters 3..n fill the middle from left to
+    right."""
+    position = [0, n - 1, *range(1, n - 1)]  # of letters 1..n
+    letter_at = {pos: i + 1 for i, pos in enumerate(position)}
+    return {
+        "name": "chain", "alphabet_size": n, "boundary": ["p1", "p2"],
+        "fixed_points": {"1": "p1", "2": "p2"},
+        "gluing": [[letter_at[k], "p2", letter_at[k + 1], "p1"] for k in range(n - 1)],
+        "laplacian": [[-1.0, 1.0], [1.0, -1.0]], "weights": [1.0 / n] * n,
+        "realization": {
+            "dimension": 1,
+            "maps": {str(i + 1): {"matrix": [[1.0 / n]], "offset": [pos / n]}
+                     for i, pos in enumerate(position)},
+            "boundary_points": {"p1": [0.0], "p2": [1.0]},
+        },
+    }
+
+
+def test_realization_maps_parse_in_calls_independent_of_the_alphabet(monkeypatch):
+    # Every letter's matrix is checked in one call and every offset in one;
+    # only the boundary points take a call each.
+    floats, calls = structure._floats, []
+
+    def counted(raw, what, *shape):
+        if not what.startswith("boundary point"):
+            calls.append(what)
+        return floats(raw, what, *shape)
+
+    monkeypatch.setattr(structure, "_floats", counted)
+    counts = []
+    for raw in (load_raw("sg2"), _chain_interval(200)):
+        calls.clear()
+        spec = ff.validate_structure(raw)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    matrices, offsets = spec.realization["maps"]
+    assert matrices.shape == (200, 1, 1) and offsets[2:].ravel().tolist() == [
+        k / 200 for k in range(1, 199)]
+
+
+def test_realization_map_errors_name_the_first_bad_letter():
+    raw = load_raw("sg2")
+    maps = raw["realization"]["maps"]
+    maps["2"]["matrix"] = [[0.5, 0.0], [0.0]]
+    maps["3"]["offset"] = [0.25, "0.4330127018922193"]
+    with pytest.raises(ParseError, match="^map 2 matrix must be a regular array"):
+        ff.validate_structure(raw)
+    maps["2"]["matrix"] = [[0.5, 0.0], [0.0, 0.5]]
+    with pytest.raises(ParseError, match="^map 3 offset must hold numbers only, got '0.43"):
+        ff.validate_structure(raw)
+    # A letter's matrix is checked before its offset, and both before the
+    # next letter's.
+    maps["1"]["offset"] = [0.0]
+    maps["2"]["matrix"] = [[0.5, 0.0, 0.0]]
+    with pytest.raises(ParseError, match=r"^map 1 offset must have shape \(2,\)"):
+        ff.validate_structure(raw)
+    maps["1"] = [0.0]
+    with pytest.raises(ParseError, match="^realization map for letter 1 is missing"):
         ff.validate_structure(raw)
 
 
