@@ -17,6 +17,13 @@ caller's per-chunk hook, which is how the commands write per-cell tables as
 the scan runs.  So a field holds no per-cell column, only the chunk in hand;
 a library read of its columns, Y or the rank-one factors forms them all by
 running the scan again.
+The reduction keeps every per-cell array cells-last, so that each einsum
+contracts along the cells axis: Y as (k, d - 1, cells), its diagonal and
+zeta as (k, cells), P as (k, d - 1, cells) and the Grams as
+(d - 1, d - 1, cells).  An einsum's summation order follows its operands'
+storage, so every output's bits depend on that layout; the elementwise steps
+run in place, in the order of the plain formulas, which keeps the bits and
+spares each chunk a fresh array, and its page faults, per step.
 Deeper cells concentrate these matrices toward rank one; the statistics here
 quantify that concentration: second eigenvalues of the trace-one weighted
 matrices, the rank-one factorization residuals, and a weighted
@@ -311,13 +318,17 @@ def _density_chunk(
     min(k, d - 1) computed values.  With d - 1 = 2 the spectrum is in closed
     form (_two_column_spectrum); every other shape takes eigvalsh of G.
     The trace gap is |sum_i a_i |Y_i|^2 - 1|, 0 in exact arithmetic.
+
+    Y is stored cells-last, as (k, d - 1, cells): compressing along the last
+    axis of the (k, d - 1, cells) view of x makes it so, and the per-cell
+    contractions here and in _zeta_block then run along the cells axis
+    instead of over tiny matrices one at a time.  An einsum's summation
+    order follows its operands' storage, so every output's bits depend on
+    that layout.  The trace gap is formed in the trace's own buffer.
     """
     lam = 2.0 * np.einsum("cia,cia,i->c", x, x, a, optimize=False)
     keep = lam >= floor
     lam = lam[keep]
-    # compress along the last axis of the (k, d - 1, cells) view stores Y
-    # cells-last, so the per-cell contractions here and in _zeta_block run
-    # along the cells axis instead of over tiny matrices one at a time.
     kept = np.compress(keep, x.transpose(1, 2, 0), axis=2)
     kept *= np.sqrt(2.0 / lam)
     factors = kept.transpose(2, 0, 1)
@@ -327,7 +338,7 @@ def _density_chunk(
         gram = np.einsum("cia,i,cib->cab", factors, a, factors, optimize=False)
         spectrum = np.linalg.eigvalsh(gram)[:, ::-1]
     trace = np.einsum("iac,iac,i->c", kept, kept, a, optimize=False)
-    gap = np.abs(trace - 1.0).max(initial=0.0, keepdims=True)
+    gap = np.abs(np.subtract(trace, 1.0, out=trace), out=trace).max(initial=0.0, keepdims=True)
     alpha, zeta, residuals = _zeta_block(factors, a)
     return dict(indices=rows[keep], lam=lam, factors=factors, alpha=alpha, zeta=zeta,
                 eigenvalues=spectrum[:, : min(x.shape[1:])], residuals=residuals, gap=gap)
@@ -343,24 +354,30 @@ def _two_column_spectrum(a: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.nd
     with the larger diagonal entry and s = sum_i a_i r_i^2 the weighted Schur
     complement of r = y_q - (g_pq / g_pp) y_p.  s is a sum of squares, so
     lambda_2 >= 0, and it avoids the cancellation of g00 g11 - g01^2:
-    lambda_2 keeps about eps / sqrt(lambda_2) relative accuracy.
+    lambda_2 keeps about eps / sqrt(lambda_2) relative accuracy.  The
+    per-cell steps reuse a few buffers and the result, in the order of those
+    formulas, so they round as the plain expressions do.
     """
     g00 = np.einsum("ic,ic,i->c", y0, y0, a, optimize=False)
     g11 = np.einsum("ic,ic,i->c", y1, y1, a, optimize=False)
     g01 = np.einsum("ic,ic,i->c", y0, y1, a, optimize=False)
+    out = np.empty((g00.size, 2))
     gap = g00 - g11
-    lam1 = 0.5 * (g00 + g11 + np.sqrt(gap * gap + 4.0 * g01 * g01))
-    gpp = np.maximum(g00, g11)
-    t = g01 / gpp
+    root = gap * gap
+    root += 4.0 * g01 * g01
+    np.multiply(0.5, g00 + g11 + np.sqrt(root, out=root), out=out[:, 0])
+    gpp = np.maximum(g00, g11, out=g00)
+    t = np.divide(g01, gpp, out=g01)
     # r = c0 y0 + c1 y1 with (c0, c1) = (-t, 1) where p = 0 and (1, -t) where
     # p = 1, picked by a 0/1 mask: each product with 0 or 1 is exact, and
     # arithmetic avoids the branches np.where takes on every cell.
-    p0 = (gap >= 0.0).astype(float)
-    p1 = 1.0 - p0
+    p0 = np.greater_equal(gap, 0.0, out=gap)
+    p1 = np.subtract(1.0, p0, out=root)
     r = (p1 - p0 * t) * y0
     r += (p0 - p1 * t) * y1
     s = np.einsum("ic,ic,i->c", r, r, a, optimize=False)
-    return np.stack((lam1, gpp * s / lam1), axis=1)
+    np.divide(np.multiply(gpp, s, out=s), out[:, 0], out=out[:, 1])
+    return out
 
 
 def density_matrices(
@@ -455,28 +472,46 @@ def _zeta_block(
     is |P^T P|_F / |Y^T Y|_F, both (d - 1) x (d - 1).  Subtracting first
     keeps the residual to about eps / sqrt(residual) relative accuracy, where
     a product of Y^T Y with the projector I - u u^T cancels down to about
-    eps / residual.  The einsum reductions follow y's memory layout, so the
-    bits do too.
+    eps / residual.
+
+    The einsum reductions follow y's memory layout, so the bits do too: y is
+    stored cells-last, as (k, d - 1, cells), and so are the diagonal and
+    zeta, (k, cells), the pivot rows u, (d - 1, cells), P, (k, d - 1,
+    cells), and the Grams, (d - 1, d - 1, cells).  The pivot is the first
+    member whose tie mask holds, member 0 where none does (a NaN row), and
+    its diagonal entry and row are copied under those masks.  P and the
+    Grams (Y^T Y, then P^T P in its place) share one block, the widest
+    temporary, taken before the others, which in a dense scan lets glibc
+    reuse the heap the previous chunk left rather than hand it back to the
+    kernel and fault it in again.
     """
-    diag = np.einsum("cia,cia->ci", y, y, optimize=False)
-    weighted = weights[None, :] * diag
+    members = y.transpose(1, 2, 0)
+    k, m, cells = members.shape
+    work = np.empty((k + m, m, cells))
+    diag = np.einsum("cia,cia->ci", y, y, optimize=False).T
+    weighted = diag * weights[:, None]
     # The first index within PIVOT_TIE_TOL of the row maximum, not rounding, wins.
-    tied = weighted >= (1.0 - PIVOT_TIE_TOL) * weighted.max(axis=1, keepdims=True)
-    alpha = np.argmax(tied, axis=1)
-    pivot = np.take_along_axis(diag, alpha[:, None], axis=1)[:, 0]
-    if y.shape[0] and float(pivot.min()) <= 0.0:
+    top = weighted.max(axis=0) * (1.0 - PIVOT_TIE_TOL)
+    alpha = np.zeros(cells, dtype=np.intp)
+    pivot, pivot_rows = diag[0].copy(), members[0].copy()
+    for i in range(k - 1, -1, -1):
+        tied = weighted[i] >= top
+        np.copyto(alpha, i, where=tied)
+        np.copyto(pivot, diag[i], where=tied)
+        np.copyto(pivot_rows, members[i], where=tied)
+    if cells and float(pivot.min()) <= 0.0:
         raise NumericalError("retained cell with nonpositive pivot diagonal entry")
-    # The pivot rows, taken so that they keep the factors' cells-last layout.
-    pivot_rows = np.take_along_axis(y.transpose(1, 2, 0), alpha[None, None, :], axis=0)[0].T
-    root = np.sqrt(pivot)[:, None]
-    zeta = np.einsum("cia,ca->ci", y, pivot_rows, optimize=False) / root
-    u = pivot_rows / root
-    h = np.einsum("cia,cib->cab", y, y, optimize=False)
-    p = y - zeta[:, :, None] * u[:, None, :]
-    gap = np.einsum("cia,cib->cab", p, p, optimize=False)
-    num = np.sqrt(np.einsum("cab,cab->c", gap, gap, optimize=False))
-    den = np.sqrt(np.einsum("cab,cab->c", h, h, optimize=False))
-    return alpha, zeta, num / den
+    root = np.sqrt(pivot, out=pivot)
+    zeta = np.einsum("cia,ca->ci", y, pivot_rows.T, optimize=False)
+    zeta /= root[:, None]
+    u = np.divide(pivot_rows, root, out=pivot_rows)
+    p = np.multiply(zeta.T[:, None], u[None], out=work[m:])
+    p = np.subtract(members, p, out=p).transpose(2, 0, 1)
+    h = np.einsum("cia,cib->cab", y, y, optimize=False, out=work[:m].transpose(2, 0, 1))
+    den = np.einsum("cab,cab->c", h, h, optimize=False)
+    gap = np.einsum("cia,cib->cab", p, p, optimize=False, out=h)
+    num = np.einsum("cab,cab->c", gap, gap, optimize=False)
+    return alpha, zeta, np.divide(np.sqrt(num, out=num), np.sqrt(den, out=den), out=num)
 
 
 @dataclass(frozen=True)

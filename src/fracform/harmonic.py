@@ -94,12 +94,30 @@ class HarmonicStructure:
         return self.laplacian.shape[0]
 
 
-def _weight_products(weights: np.ndarray, depth: int) -> np.ndarray:
-    """Per-word products of letter weights at the given depth, in lex order."""
-    out = np.ones(1)
+def _weight_products(weights: np.ndarray, depth: int, prefix: float = 1.0) -> np.ndarray:
+    """Per-word products of letter weights at the given depth, in lex order,
+    each started from ``prefix`` and multiplied left to right."""
+    out = np.full(1, prefix)
     for _ in range(depth):
         out = np.multiply.outer(out, weights).ravel()
     return out
+
+
+def _weight_blocks(weights: np.ndarray, depth: int):
+    """_weight_products(weights, depth) in lex-order blocks of at most
+    CHUNK_CELLS words, as (slice, products) pairs.
+
+    A block is the subtree under one prefix word, and its products start
+    from the prefix's own product and multiply the subtree's letters left to
+    right, the very multiplications of the whole column, so the bits are its
+    bits.
+    """
+    sub = 0
+    while sub < depth and len(weights) ** (sub + 1) <= CHUNK_CELLS:
+        sub += 1
+    width = len(weights) ** sub
+    for b, prefix in enumerate(_weight_products(weights, depth - sub)):
+        yield slice(b * width, (b + 1) * width), _weight_products(weights, sub, prefix)
 
 
 def graph_energy(
@@ -111,9 +129,10 @@ def graph_energy(
     quadratic form of u.  A level whose largest resistance product r_w^{-1}
     would pass the float range is refused before any table is formed.
 
-    u|_w and v|_w are gathered CHUNK_CELLS cells at a time into one per-cell
-    column, which is then weighted in place and summed once, so the only
-    arrays of the level's cells are that column and the weights.
+    u|_w and v|_w are gathered a block of at most CHUNK_CELLS cells at a
+    time, and each block's energies are weighted by its own r_w^{-1}
+    (_weight_blocks) into one per-cell column, which is summed once, so the
+    only array of the level's cells is that column.
     """
     if level * -math.log(hs.weights.min()) > math.log(sys.float_info.max):
         raise NumericalError(
@@ -123,12 +142,10 @@ def graph_energy(
     u = np.asarray(u, dtype=float)
     v = u if v is None else np.asarray(v, dtype=float)
     per_cell = np.empty(len(slots))
-    for lo in range(0, len(slots), CHUNK_CELLS):
-        uu = u[slots[lo : lo + CHUNK_CELLS]]
-        vv = uu if v is u else v[slots[lo : lo + CHUNK_CELLS]]
-        per_cell[lo : lo + len(uu)] = -np.einsum(
-            "cp,pq,cq->c", uu, hs.laplacian, vv, optimize=False)
-    per_cell *= _weight_products(1.0 / hs.weights, level)
+    for block, inverse in _weight_blocks(1.0 / hs.weights, level):
+        uu = u[slots[block]]
+        vv = uu if v is u else v[slots[block]]
+        per_cell[block] = -np.einsum("cp,pq,cq->c", uu, hs.laplacian, vv, optimize=False) * inverse
     total = float(np.sum(per_cell))
     if not np.isfinite(total):  # einsum overflows without a floating-point error
         raise NumericalError(f"network energy {total!r} is not finite")

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -366,7 +366,9 @@ def validate_structure(raw: Mapping) -> StructureSpec:
         if not isinstance(entry, Sequence) or len(entry) != 4:
             raise ParseError(f"gluing entry {entry!r} is not a 4-tuple [i, p, j, q]")
         i_raw, p_raw, j_raw, q_raw = entry
-        i, j = (_integer(c, f"gluing letter in {entry!r}") for c in (i_raw, j_raw))
+        # The error text is built only for a letter that is not an integer.
+        i, j = (c if type(c) is int else _integer(c, f"gluing letter in {entry!r}")
+                for c in (i_raw, j_raw))
         for letter in (i, j):
             if not 1 <= letter <= n:
                 raise ValidationError(f"gluing letter {letter} outside alphabet 1..{n}")

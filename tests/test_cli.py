@@ -381,6 +381,39 @@ def test_dense_scan_peak_rss_holds_no_per_cell_column():
     assert growth <= 12 * 2**20, growth / 2**20
 
 
+# The same probe, printing the child's minor page faults in place of its peak RSS.
+MINOR_FAULTS_PROBE = PEAK_RSS_PROBE.replace("ru_maxrss", "ru_minflt")
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
+    reason="reads a child's minor page faults through os.wait4",
+)
+def test_dense_scan_does_not_fault_its_chunk_temporaries_in_again():
+    # Each chunk reduction writes most of its steps into arrays it already
+    # holds, and takes its widest temporaries (P and the Grams) as one block
+    # before the others, so glibc can reuse the heap it kept from the last
+    # chunk.  A depth 2..13 scan then faults in about 9,500 pages more than
+    # importing the CLI does; with a fresh array per step glibc handed the
+    # heap top back to the kernel between chunks, and it took about 47,500.
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def faults(*argv):
+        probe = subprocess.run(
+            [sys.executable, "-c", MINOR_FAULTS_PROBE, sys.executable, *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, count = map(int, probe.stdout.split())
+        assert code == 0
+        return count
+
+    scan = faults("-m", "fracform.cli", "scan", "--structure", "sg2", "--depths", "2..13")
+    extra = scan - faults("-c", "import fracform.cli")
+    assert extra <= 20_000, extra
+
+
 @pytest.mark.skipif(
     not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
     reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",

@@ -11,10 +11,10 @@ from fracform import structure
 from fracform.config import CHUNK_CELLS, CONSISTENCY_TOL
 from fracform.energy import _chunk_prefix_depth, _refine, _vertex_values
 from fracform.errors import ValidationError
-from fracform.harmonic import _weight_products
+from fracform.harmonic import _weight_blocks, _weight_products
 
 import oracles
-from conftest import THIN_INTERVAL, random_piecewise_harmonic
+from conftest import INTERVAL, THIN_INTERVAL, random_piecewise_harmonic
 
 def harmonic_fn(hs, boundary):
     return ff.PiecewiseHarmonic(hs, 0, np.asarray(boundary, dtype=float))
@@ -69,13 +69,13 @@ def test_graph_energy_weights_each_cell_by_its_word(interval, rng):
 
 
 def test_quadratic_form_gathers_the_vertex_values_once(sg2, rng):
-    # With v omitted, graph_energy gathers u once per block of CHUNK_CELLS
-    # cells and pairs the block with itself: the same bits as passing u
-    # twice.  Its traced peak is 4.0 cells x 8 bytes at this level: the
-    # per-cell column, one block's gather (1.7 here, 32768 x 3 of 59049
-    # cells) and the block's einsum output; the column times the weight
-    # products takes 2.3.  Whole-level gathers made it 6, and a second
-    # one 9.
+    # With v omitted, graph_energy gathers u once per block of at most
+    # CHUNK_CELLS cells and pairs the block with itself: the same bits as
+    # passing u twice.  Its traced peak is 3.3 cells x 8 bytes at this level:
+    # the per-cell column, one block's gather (1.0 here, 19683 x 3 of 59049
+    # cells), and the block's einsum output, weights and weighted energies
+    # (0.33 each).  A whole-level weight column made it 4.0, whole-level
+    # gathers 6, and a second one 9.
     level = 10
     u = rng.standard_normal(sg2.spec.vertex_table(level).num_vertices)
     tracemalloc = pytest.importorskip("tracemalloc")
@@ -88,7 +88,7 @@ def test_quadratic_form_gathers_the_vertex_values_once(sg2, rng):
         tracemalloc.stop()
     assert once == ff.graph_energy(sg2, level, u, u)
     cell_bytes = 3 ** level * 8
-    assert peak <= 4.5 * cell_bytes, peak / cell_bytes
+    assert peak <= 3.75 * cell_bytes, peak / cell_bytes
 
 
 def test_chunked_graph_energy_matches_one_shot_formula(sg2, rng):
@@ -103,6 +103,27 @@ def test_chunked_graph_energy_matches_one_shot_formula(sg2, rng):
         uu, vv = u[slots], args[-1][slots]
         per_cell = -np.einsum("cp,pq,cq->c", uu, sg2.laplacian, vv, optimize=False)
         assert ff.graph_energy(sg2, level, *args) == float(np.sum(per_cell * weights))
+
+
+@pytest.mark.parametrize("name,level,blocks", [
+    ("sg2", 12, 27), ("vicsek", 7, 5), ("interval", 17, 4),
+])
+def test_weight_blocks_are_the_whole_column(name, level, blocks):
+    # Each block's r_w^-1 starts from its prefix word's product and multiplies
+    # the subtree's letters left to right, so the blocks join to the bits of
+    # the whole-level column.  The interval's unequal weights give its words
+    # distinct products.
+    spec = ff.validate_structure(INTERVAL) if name == "interval" else ff.builtin_structure(name)
+    inverse = 1.0 / ff.harmonic_structure(spec).weights
+    parts = list(_weight_blocks(inverse, level))
+    assert len(parts) == blocks
+    assert all(len(products) <= CHUNK_CELLS for _, products in parts)
+    assert sum(len(products) for _, products in parts) == spec.n_letters ** level
+    whole = _weight_products(inverse, level)
+    joined = np.empty_like(whole)
+    for block, products in parts:
+        joined[block] = products
+    assert joined.tobytes() == whole.tobytes()
 
 
 def test_boundary_function_masses_follow_cell_resistances(interval):
