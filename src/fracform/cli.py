@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -352,6 +353,7 @@ def cmd_measure(args) -> int:
         workers=args.workers,
     )
     spec = resolve_structure(args.structure)
+    check_cell_cap(spec.n_letters, config.depths[0])
     hs = harmonic_structure(spec)
     f = _load_function(hs, args.f)
     g = _load_function(hs, args.g) if args.g else None
@@ -364,9 +366,11 @@ def cmd_measure(args) -> int:
             f"total mass {table.total!r} disagrees with twice the energy {twice!r}"
         )
     if depth >= 1:
-        parent = measure_table(f, g, depth - 1)
-        gap = float(np.abs(table.coarsen().masses - parent.masses).max())
-        if not gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max())):
+        # The parent table is an independent scan, compared with the sums of
+        # each cell's children.
+        parent = measure_table(f, g, depth - 1).masses
+        gap = float(np.abs(table.masses.reshape(-1, spec.n_letters).sum(axis=1) - parent).max())
+        if not gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent).max())):
             raise ValidationError(
                 f"refinement sums disagree with the parent table by {gap:.3g}"
             )
@@ -453,10 +457,8 @@ def cmd_embed(args) -> int:
         )
 
     # nu and the metric need only the family's total mass, known before the
-    # scan (the same sum as density_matrices' total_mass), so each chunk's
-    # rows are written as the chunk arrives.
-    total = float(np.sum(family.weights * np.asarray([2.0 * energy(m) for m in family.members])))
-    finite = []
+    # scan, so each chunk's rows are written as the chunk arrives.
+    total, finite = family.total_mass, []
 
     def cell_rows(record: dict) -> None:
         # A C-ordered copy of the factors, as a joined column is, so that the
@@ -603,15 +605,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Refuse, before any work, an output path no table can replace: an empty
+    one (it would name the working directory), a directory, one whose
+    directory does not exist, or one file named by two options, whose second
+    table would find the first one's temporary sibling.  A path that exists
+    and is neither a regular file nor a directory (/dev/null, a FIFO) is
+    written in place, so it is exempt, however many options name it."""
+    files: dict[str, str] = {}
+    for name in ("out", "cells_out", "vertices_out"):
+        path, option = getattr(args, name, None), f"--{name.replace('_', '-')}"
+        if path == "":
+            raise ParseError(f"{option} needs a path, got ''")
+        if path is None or (os.path.exists(path)
+                            and not (os.path.isfile(path) or os.path.isdir(path))):
+            continue
+        real = os.path.realpath(path)
+        if os.path.isdir(real):
+            raise ParseError(f"{option} names a directory: {path!r}")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ParseError(f"{option} names a file in a missing directory: {path!r}")
+        if files.setdefault(real, option) != option:
+            raise ParseError(f"{files[real]} and {option} name the same file: {path!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # An empty path would name the working directory; it is refused before
-        # any work, like every other bad option value.
-        for name in ("out", "cells_out", "vertices_out"):
-            if getattr(args, name, None) == "":
-                raise ParseError(f"--{name.replace('_', '-')} needs a path, got ''")
+        # Bad output paths are refused before any work, like every other bad
+        # option value.
+        _check_output_paths(args)
         # Overflow, NaN and division by zero stop the run instead of flowing
         # into the output.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -21,10 +21,11 @@ MAX_CELLS = 1 << 22
 MAX_FIELD_BYTES = 1 << 32
 
 # Fixed subtree chunk size of the cell scan, which measure tables, density
-# fields and the chain-rule check all read.  Each density-field chunk is
-# reduced to its per-cell quantities as it arrives.  The chunk layout is a
-# function of the requested depth alone, so results are byte-for-byte
-# reproducible.
+# fields and the chain-rule check all read, and of graph_energy's blocks of
+# resistance products; harmonic._chunk_prefix_depth cuts both.  Each
+# density-field chunk is reduced to its per-cell quantities as it arrives.
+# The chunk layout is a function of the requested depth alone, so results
+# are byte-for-byte reproducible.
 CHUNK_CELLS = 1 << 15
 
 SYMMETRY_TOL = 1e-12        # |D - D^T| relative to max|D|

@@ -36,7 +36,7 @@ their closed-form limits, which drive the run-word analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -73,12 +73,16 @@ from .structure import convex_weights
 class FunctionFamily:
     """Finitely many piecewise harmonic members with convex weights.
 
-    Members are expected to carry twice-energy 1 (the normalization the
-    density matrices are built on); density_matrices re-checks this.
+    Every member must carry twice-energy 1 within FAMILY_NORM_TOL, the
+    normalization the density matrices are built on; a family is refused
+    when it is built otherwise.  total_mass, sum_i a_i 2E(e_i), is the
+    family's combined mass, which the scan's floor and embed's nu and metric
+    scale by, summed here only.
     """
 
     members: tuple[PiecewiseHarmonic, ...]
     weights: np.ndarray | None = None  # uniform when omitted
+    total_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         k = len(self.members)
@@ -87,8 +91,13 @@ class FunctionFamily:
         w = np.full(k, 1.0 / k) if self.weights is None else self.weights
         w = convex_weights(w, k, "family weights")
         w.setflags(write=False)
+        twice_energies = [2.0 * energy(member) for member in self.members]
+        for i, twice in enumerate(twice_energies, 1):
+            if abs(twice - 1.0) > FAMILY_NORM_TOL:
+                raise ValidationError(f"family member {i} has twice-energy {twice!r}, expected 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "total_mass", float(np.sum(w * np.asarray(twice_energies))))
 
     @property
     def size(self) -> int:
@@ -199,7 +208,9 @@ class DensityMatrixField:
     eigenvalues above tau_rank (each a math.fsum of per-chunk np.sum
     partials), ``min_eigenvalue`` and ``worst_trace_gap``, the smallest
     computed eigenvalue and the largest |sum_i a_i |Y_i|^2 - 1| over the
-    retained cells, and ``size``, the retained count.  The field holds no
+    retained cells, and ``size``, the retained count; besides them it keeps
+    ``depth``, the family ``weights``, the ``skipped`` count and the
+    absolute mass ``floor``.  The field holds no
     per-cell column: the first read of any of CELL_COLUMNS, among them
     ``factors`` (Y) and ``zeta`` (the rank-one factor), forms them all by
     running ``scan``, the deterministic scan that built the field, again, and
@@ -207,14 +218,12 @@ class DensityMatrixField:
     """
 
     depth: int
-    n_letters: int
     weights: np.ndarray
     size: int
     skipped: int
     sums: tuple[float, ...]
     min_eigenvalue: float
     worst_trace_gap: float
-    total_mass: float
     floor: float
     scan: Callable[[], Iterator[dict[str, np.ndarray]]]
 
@@ -390,28 +399,22 @@ def density_matrices(
     """Rank statistics of every cell whose mass clears the floor, with each
     chunk's per-cell record handed to ``on_chunk`` as it arrives.
 
-    The floor is mass_floor times the total combined mass.  A cell below it
-    has no meaningful density and is not refined; skipped counts its subtree.
-    tau_rank is the eigenvalue cutoff of the dimension count; the weighted
-    matrices have trace one, so the cutoff is an absolute fraction.  Each
-    chunk, as it arrives in lexicographic order, is reduced to its per-cell
-    record (_density_chunk), adds its partial sums and extremes and is passed
-    to ``on_chunk``.  Then it drops, so the field holds no per-cell column.
+    The floor is mass_floor times the family's total_mass, which the family
+    summed, with its normalization check, when it was built.  A cell below
+    it has no meaningful density and is not refined; skipped counts its
+    subtree.  tau_rank is the eigenvalue cutoff of the dimension count; the
+    weighted matrices have trace one, so the cutoff is an absolute fraction.
+    Each chunk, as it arrives in lexicographic order, is reduced to its
+    per-cell record (_density_chunk), adds its partial sums and extremes and
+    is passed to ``on_chunk``.  Then it drops, so the field holds no
+    per-cell column.
     """
     hs, a = family.structure, family.weights
-    n = hs.spec.n_letters
-    twice_energies = [2.0 * energy(member) for member in family.members]
-    for i, twice in enumerate(twice_energies):
-        if abs(twice - 1.0) > FAMILY_NORM_TOL:
-            raise ValidationError(
-                f"family member {i + 1} has twice-energy {twice!r}, expected 1"
-            )
     if not mass_floor > 0.0:
         raise ValidationError("mass floor must be positive")
     if not 0.0 < tau_rank < 1.0:
         raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
-    total = float(np.sum(a * np.asarray(twice_energies)))
-    floor = mass_floor * total
+    floor = mass_floor * family.total_mass
 
     def scan() -> Iterator[dict[str, np.ndarray]]:
         # The cell cap is checked when scan is called; scan_cell_masses is
@@ -425,8 +428,8 @@ def density_matrices(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
     return DensityMatrixField(
-        depth=depth, n_letters=n, weights=a, skipped=n ** depth - summary["size"],
-        total_mass=total, floor=floor, scan=scan, **summary,
+        depth=depth, weights=a, skipped=hs.spec.n_letters ** depth - summary["size"],
+        floor=floor, scan=scan, **summary,
     )
 
 

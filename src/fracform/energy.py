@@ -36,9 +36,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import CHUNK_CELLS, MEAN_RESIDUAL_TOL
+from .config import MEAN_RESIDUAL_TOL
 from .errors import NumericalError, ValidationError
-from .harmonic import HarmonicStructure, _weight_products, graph_energy
+from .harmonic import HarmonicStructure, _chunk_prefix_depth, _weight_products, graph_energy
 from .emit import WordColumn, write_table
 from .structure import check_cell_cap, convex_weights
 
@@ -117,13 +117,6 @@ def energy(f: PiecewiseHarmonic, g: PiecewiseHarmonic | None = None) -> float:
 
 # ---------------------------------------------------------------------------
 # the chunked cell scan
-
-
-def _chunk_prefix_depth(n_letters: int, depth: int) -> int:
-    t = 0
-    while n_letters ** (depth - t) > CHUNK_CELLS:
-        t += 1
-    return t
 
 
 def scan_cell_masses(
@@ -233,25 +226,16 @@ class CellMeasureTable:
     """Masses of one pair measure on all cells of a fixed depth.
 
     masses[c] is the (signed, if the pair is mixed) mass of the cell with lex
-    index c; total is their sum and equals 2 E(f, g) up to roundoff.
+    index c; total is their sum and equals 2 E(f, g) up to roundoff.  A
+    cell's children are n_letters consecutive rows, so the parent table's
+    masses are masses.reshape(-1, n_letters).sum(axis=1) up to roundoff,
+    which measure checks against an independent scan of the parent depth.
     """
 
     depth: int
     n_letters: int
     masses: np.ndarray
     total: float
-
-    def coarsen(self) -> "CellMeasureTable":
-        """Aggregate one level up by summing letter blocks."""
-        if self.depth == 0:
-            raise ValidationError("cannot coarsen a depth-0 table")
-        masses = self.masses.reshape(-1, self.n_letters).sum(axis=1)
-        return CellMeasureTable(
-            depth=self.depth - 1,
-            n_letters=self.n_letters,
-            masses=masses,
-            total=float(np.sum(masses)),
-        )
 
     def write_csv(self, target) -> None:
         """Emit `word,mass` rows to a path, or to stdout when ``target`` is None."""

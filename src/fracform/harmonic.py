@@ -103,18 +103,28 @@ def _weight_products(weights: np.ndarray, depth: int, prefix: float = 1.0) -> np
     return out
 
 
+def _chunk_prefix_depth(n_letters: int, depth: int) -> int:
+    """The depth of a lex-order chunk's prefix word: the least t for which
+    the subtree under a depth-t word, n_letters**(depth - t) cells, fits in
+    CHUNK_CELLS.  The cell scan's walk and graph_energy's weight blocks are
+    both cut by it."""
+    t = 0
+    while n_letters ** (depth - t) > CHUNK_CELLS:
+        t += 1
+    return t
+
+
 def _weight_blocks(weights: np.ndarray, depth: int):
-    """_weight_products(weights, depth) in lex-order blocks of at most
-    CHUNK_CELLS words, as (slice, products) pairs.
+    """_weight_products(weights, depth) in the lex-order chunks of
+    _chunk_prefix_depth, at most CHUNK_CELLS words each, as (slice,
+    products) pairs.
 
     A block is the subtree under one prefix word, and its products start
     from the prefix's own product and multiply the subtree's letters left to
     right, the very multiplications of the whole column, so the bits are its
     bits.
     """
-    sub = 0
-    while sub < depth and len(weights) ** (sub + 1) <= CHUNK_CELLS:
-        sub += 1
+    sub = depth - _chunk_prefix_depth(len(weights), depth)
     width = len(weights) ** sub
     for b, prefix in enumerate(_weight_products(weights, depth - sub)):
         yield slice(b * width, (b + 1) * width), _weight_products(weights, sub, prefix)

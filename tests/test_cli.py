@@ -341,54 +341,67 @@ def test_scan_frees_each_field_before_building_the_next(capsys, monkeypatch):
     assert len(earlier) == 3
 
 
-# Runs argv[1:] and prints its exit code and its peak RSS (KiB) from os.wait4.
-# A child's ru_maxrss includes what it shares with its parent before exec, so
-# the CLI is started from this small interpreter, not from the test process.
-PEAK_RSS_PROBE = """
+def _child_env() -> dict:
+    """The environment of a child process: this checkout's fracform first on
+    its path, and one BLAS thread."""
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs argv[2:] and prints its exit code and the os.wait4 usage field named
+# by argv[1] (ru_maxrss, the peak RSS in KiB, or ru_minflt, the minor page
+# faults).  A child's ru_maxrss includes what it shares with its parent
+# before exec, so the CLI is started from this small interpreter, not from
+# the test process.
+USAGE_PROBE = """
 import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+proc = subprocess.Popen(sys.argv[2:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                         stderr=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), getattr(usage, sys.argv[1]))
 """
 
-
-@pytest.mark.skipif(
+needs_wait4 = pytest.mark.skipif(
     not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
-    reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
+    reason="reads a child's peak RSS (in KiB, as Linux reports it) or minor page "
+           "faults through os.wait4",
 )
+
+
+def _child_usage(field: str, *argv: str) -> int:
+    """The ``field`` of a child's os.wait4 usage, for ``python argv``, which
+    must exit 0."""
+    probe = subprocess.run(
+        [sys.executable, "-c", USAGE_PROBE, field, sys.executable, *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, value = map(int, probe.stdout.split())
+    assert code == 0
+    return value
+
+
+def _peak_bytes(*argv: str) -> int:
+    """The peak RSS of ``fracform argv`` in a child, in bytes."""
+    return _child_usage("ru_maxrss", "-m", "fracform.cli", *argv) * 1024
+
+
+@needs_wait4
 def test_dense_scan_peak_rss_holds_no_per_cell_column():
     # The statistics stream through the chunk loop and scan keeps no per-cell
     # column without --cells-out, so what a depth-13 scan (1.6M cells) adds
     # over a depth-2 one is one chunk in hand, about 9 MiB, not a bound that
     # grows with the cells: one copy of the columns alone would be 73 MiB.
     # A wave of chunks on a two-thread pool made it about 17 MiB.
-    src = str(Path(ff.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
     def peak_bytes(depths):
-        probe = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "fracform.cli",
-             "scan", "--structure", "sg2", "--depths", depths, "--workers", "2"],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        code, kib = map(int, probe.stdout.split())
-        assert code == 0
-        return kib * 1024
+        return _peak_bytes("scan", "--structure", "sg2", "--depths", depths, "--workers", "2")
 
     growth = peak_bytes("2..13") - peak_bytes("2..2")
     assert growth <= 12 * 2**20, growth / 2**20
 
 
-# The same probe, printing the child's minor page faults in place of its peak RSS.
-MINOR_FAULTS_PROBE = PEAK_RSS_PROBE.replace("ru_maxrss", "ru_minflt")
-
-
-@pytest.mark.skipif(
-    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
-    reason="reads a child's minor page faults through os.wait4",
-)
+@needs_wait4
 def test_dense_scan_does_not_fault_its_chunk_temporaries_in_again():
     # Each chunk reduction writes most of its steps into arrays it already
     # holds, and takes its widest temporaries (P and the Grams) as one block
@@ -396,56 +409,29 @@ def test_dense_scan_does_not_fault_its_chunk_temporaries_in_again():
     # chunk.  A depth 2..13 scan then faults in about 9,500 pages more than
     # importing the CLI does; with a fresh array per step glibc handed the
     # heap top back to the kernel between chunks, and it took about 47,500.
-    src = str(Path(ff.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
     def faults(*argv):
-        probe = subprocess.run(
-            [sys.executable, "-c", MINOR_FAULTS_PROBE, sys.executable, *argv],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        code, count = map(int, probe.stdout.split())
-        assert code == 0
-        return count
+        return _child_usage("ru_minflt", *argv)
 
     scan = faults("-m", "fracform.cli", "scan", "--structure", "sg2", "--depths", "2..13")
     extra = scan - faults("-c", "import fracform.cli")
     assert extra <= 20_000, extra
 
 
-@pytest.mark.skipif(
-    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
-    reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
-)
+@needs_wait4
 def test_cells_out_streams_the_deepest_depth(tmp_path):
     # --cells-out writes each deepest-depth chunk's rows as the chunk arrives,
     # so it adds a few blocks of formatted rows to the run's peak, not the
     # depth's columns: depth 12's 531k cells would add about 23 MiB held.
-    src = str(Path(ff.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
     def peak_bytes(*extra):
-        probe = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "fracform.cli",
-             "scan", "--structure", "sg2", "--depths", "2..12", "--workers", "2",
-             "--out", str(tmp_path / "p.csv"), *extra],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        code, kib = map(int, probe.stdout.split())
-        assert code == 0
-        return kib * 1024
+        return _peak_bytes("scan", "--structure", "sg2", "--depths", "2..12", "--workers", "2",
+                           "--out", str(tmp_path / "p.csv"), *extra)
 
     growth = peak_bytes("--cells-out", str(tmp_path / "c.csv")) - peak_bytes()
     assert (tmp_path / "c.csv").stat().st_size > 531_441 * 50
     assert growth <= 10 * 2**20, growth / 2**20
 
 
-@pytest.mark.skipif(
-    not (sys.platform.startswith("linux") and hasattr(os, "wait4")),
-    reason="reads a child's peak RSS through os.wait4, in KiB as Linux reports it",
-)
+@needs_wait4
 def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
     # chainrule fills each depth's coordinates from the scan's chunk walk,
     # gathers and evaluates G one block of cells or rows at a time, forms each
@@ -458,20 +444,9 @@ def test_chainrule_peak_rss_holds_one_depth_of_vertex_arrays():
     # gather, corner point and gradient arrays 68 MiB, and before that stacked
     # copies, a second gather and the previous depth's arrays made it about
     # 88 MiB.
-    src = str(Path(ff.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
     def peak_bytes(depths):
-        probe = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "fracform.cli",
-             "chainrule", "--structure", "sg2", "--G", "x1^2+0.3*x1*x2-x2",
-             "--depths", depths, "--workers", "2"],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        code, kib = map(int, probe.stdout.split())
-        assert code == 0
-        return kib * 1024
+        return _peak_bytes("chainrule", "--structure", "sg2", "--G", "x1^2+0.3*x1*x2-x2",
+                           "--depths", depths, "--workers", "2")
 
     growth = peak_bytes("3..12") - peak_bytes("3..3")
     assert growth <= 35 * 2**20, growth / 2**20
@@ -490,9 +465,6 @@ print(json.dumps(sorted(sys.modules)))
 def test_commands_do_not_import_masked_arrays(tmp_path):
     # np.setdiff1d imports numpy.ma, which took about 8 ms of every command's
     # start-up; nothing the five commands run needs it, nor a thread pool.
-    src = str(Path(ff.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = [str(tmp_path / name) for name in ("a.csv", "b.csv", "c.csv")]
     runs = [
         ["validate", "--structure", "sg2"],
@@ -505,7 +477,7 @@ def test_commands_do_not_import_masked_arrays(tmp_path):
     ]
     probe = subprocess.run(
         [sys.executable, "-c", COMMANDS_THEN_MODULES, json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_child_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     modules = json.loads(probe.stdout.splitlines()[-1])
     assert "fracform.harmonic" in modules
@@ -687,6 +659,49 @@ def test_failed_embed_leaves_no_tables(tmp_path, capsys, monkeypatch):
     _failed_run_keeps_files(tmp_path, capsys, argv, message, ["v.csv", "c.csv"])
 
 
+def test_measure_total_mass_disagreement_fails_closed(tmp_path, capsys, monkeypatch):
+    # The table's total must be twice the energy, which is checked before
+    # the table is written.
+    monkeypatch.setattr(cli, "energy", lambda f, g=None: 3.0)
+    argv = ("measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "3",
+            "--out", str(tmp_path / "m.csv"))
+    message = "error: total mass 4.0000000000000036 disagrees with twice the energy 6.0"
+    _failed_run_keeps_files(tmp_path, capsys, argv, message, ["m.csv"])
+
+
+def test_embed_non_finite_coordinates_fail_closed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_vertex_values", lambda members, level: np.array([[np.nan, 0.0]]))
+    argv = ("embed", "--structure", "sg2", "--depth", "3",
+            "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"))
+    message = "error: vertex coordinates contain non-finite values"
+    _failed_run_keeps_files(tmp_path, capsys, argv, message, ["v.csv", "c.csv"])
+
+
+def test_embed_non_finite_metric_fails_closed(tmp_path, capsys, monkeypatch):
+    # One NaN factor entry makes the last cell's metric NaN, after its row
+    # went to the cells table.
+    build = cli.density_matrices
+
+    def poisoned(family, depth, on_chunk, **kwargs):
+        def hook(record):
+            record["factors"] = record["factors"].copy()
+            record["factors"][-1, 0, 0] = np.nan
+            on_chunk(record)
+
+        return build(family, depth, on_chunk=hook, **kwargs)
+
+    monkeypatch.setattr(cli, "density_matrices", poisoned)
+    argv = ("embed", "--structure", "sg2", "--depth", "3",
+            "--vertices-out", str(tmp_path / "v.csv"), "--cells-out", str(tmp_path / "c.csv"))
+    message = "error: per-cell metric contains non-finite values"
+    _failed_run_keeps_files(tmp_path, capsys, argv, message, ["v.csv", "c.csv"])
+
+
+def test_run_config_needs_a_depth():
+    with pytest.raises(ParseError, match="^at least one depth is required$"):
+        cli.RunConfig(structure_path="sg2", depths=())
+
+
 def test_distinct_rows_matches_tuple_set(rng):
     rows = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [1.0, 2.0]])
     assert _distinct_rows(rows) == len({tuple(row) for row in rows}) == 3
@@ -817,15 +832,19 @@ def test_chainrule_refuses_resistance_products_past_the_float_range(tmp_path, ca
 
 
 def test_measure_refinement_check_fails_closed(tmp_path, capsys, monkeypatch):
-    coarsen = ff.CellMeasureTable.coarsen
+    # The parent table, and only it, is scanned one level up, so perturbing
+    # the depth-2 table breaks the refinement sums.
+    measure_table = cli.measure_table
 
-    def perturbed(table):
-        up = coarsen(table)
-        masses = up.masses.copy()
+    def perturbed(f, g, depth):
+        table = measure_table(f, g, depth)
+        if depth == 3:
+            return table
+        masses = table.masses.copy()
         masses[1] += 1e-3
-        return dataclasses.replace(up, masses=masses)
+        return dataclasses.replace(table, masses=masses)
 
-    monkeypatch.setattr(ff.CellMeasureTable, "coarsen", perturbed)
+    monkeypatch.setattr(cli, "measure_table", perturbed)
     out_path = tmp_path / "m.csv"
     code, out, err = run(
         capsys, "measure", "--structure", "sg2", "--f", "1,0,0",
@@ -876,6 +895,17 @@ def test_exit_code_for_cell_cap(capsys):
         assert code == 1
         assert "depth " not in out
         assert err.splitlines() == ["error: depth 14 needs 4782969 cells, cap is 4194304"]
+
+
+def test_measure_checks_the_cell_cap_before_the_pair(capsys, monkeypatch):
+    # Like scan and chainrule, measure refuses an over-cap depth before it
+    # builds the harmonic pair or reads a function.
+    def no_pair(spec):
+        raise AssertionError("harmonic pair built before the cell cap check")
+
+    monkeypatch.setattr(cli, "harmonic_structure", no_pair)
+    got = run(capsys, "measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "14")
+    assert got == (1, "", "error: depth 14 needs 4782969 cells, cap is 4194304\n")
 
 
 def _no_table_at(monkeypatch, depth):
@@ -1224,6 +1254,63 @@ def test_empty_output_path_is_refused_before_the_structure_loads(
     assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
 
 
+@pytest.mark.parametrize("command,args,line", [
+    ("scan", ["--depths", "2..3", "--out", "X", "--cells-out", "X"],
+     "--out and --cells-out name the same file: 'X'"),
+    ("scan", ["--depths", "2..3", "--out", "old.csv", "--cells-out", "./old.csv"],
+     "--out and --cells-out name the same file: './old.csv'"),
+    ("embed", ["--depth", "2", "--vertices-out", "X", "--cells-out", "X"],
+     "--cells-out and --vertices-out name the same file: 'X'"),
+    ("scan", ["--depths", "2..3", "--out", "adir"], "--out names a directory: 'adir'"),
+    ("scan", ["--depths", "2..3", "--cells-out", "adir/"],
+     "--cells-out names a directory: 'adir/'"),
+    ("measure", ["--f", "1,0,0", "--depth", "3", "--out", "adir"],
+     "--out names a directory: 'adir'"),
+    ("embed", ["--depth", "2", "--vertices-out", "v.csv", "--cells-out", "adir"],
+     "--cells-out names a directory: 'adir'"),
+    ("scan", ["--depths", "2..3", "--out", "missing/p.csv"],
+     "--out names a file in a missing directory: 'missing/p.csv'"),
+    ("chainrule", ["--G", "x1", "--depths", "3..4", "--out", "missing/g.csv"],
+     "--out names a file in a missing directory: 'missing/g.csv'"),
+    ("embed", ["--depth", "2", "--vertices-out", "missing/v.csv", "--cells-out", "c.csv"],
+     "--vertices-out names a file in a missing directory: 'missing/v.csv'"),
+], ids=["same-new-file", "same-existing-file", "embed-same-file", "directory",
+        "directory-slash", "measure-directory", "embed-directory", "missing-directory",
+        "chainrule-missing-directory", "embed-missing-directory"])
+def test_bad_output_path_is_refused_before_the_structure_loads(
+    tmp_path, capsys, monkeypatch, command, args, line
+):
+    # Two options naming one file would collide on its temporary sibling
+    # after the whole run, and a directory or a missing parent would fail
+    # only at the write; all are refused before the structure loads.
+    loads, resolve = [], cli.resolve_structure
+    monkeypatch.setattr(cli, "resolve_structure",
+                        lambda token: loads.append(token) or resolve(token))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "old.csv").write_text("old\n")
+    got = run(capsys, command, "--structure", "sg2", *args)
+    assert got == (2, "", f"error: {line}\n")
+    assert loads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "old.csv"]
+    assert list((tmp_path / "adir").iterdir()) == []
+    assert (tmp_path / "old.csv").read_text() == "old\n"
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+@pytest.mark.parametrize("command,args", [
+    ("scan", ["--depths", "2..3", "--out", os.devnull, "--cells-out", os.devnull]),
+    ("embed", ["--depth", "2", "--vertices-out", os.devnull, "--cells-out", os.devnull]),
+], ids=["scan", "embed"])
+def test_outputs_may_share_a_device(tmp_path, capsys, monkeypatch, command, args):
+    # A path that is not a regular file is written in place, so two tables
+    # may both go to the null device.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, command, "--structure", "sg2", *args)
+    assert code == 0, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mass_floor_printed_in_full(capsys):
     code, out, err = run(
         capsys, "scan", "--structure", "vicsek", "--family", "level1", "--depths", "2..2",
@@ -1468,6 +1555,16 @@ def test_word_columns_from_a_range_and_an_array_agree(monkeypatch, depth, start)
         assert _written(monkeypatch, ["word", "x"], columns) == [expected] * 3
 
 
+def test_table_in_a_missing_directory_names_the_table(tmp_path):
+    # The temporary sibling cannot be created, and the error names the table.
+    path = tmp_path / "missing" / "t.csv"
+    with pytest.raises(OSError) as info:
+        emit.write_table(path, ["a"], (np.arange(1),))
+    assert info.value.filename == str(path)
+    assert str(info.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _refuse_replace(*args):
     raise AssertionError(f"os.replace{args}")
 
@@ -1579,9 +1676,9 @@ def test_embed_csv_bytes(tmp_path, capsys, sg2):
         alpha = np.flatnonzero(weighted >= (1.0 - PIVOT_TIE_TOL) * weighted.max())[0]
         col = z[:, alpha] / np.sqrt(z[alpha, alpha])
         direction = col / np.sqrt(np.sum(col * col))
-        metric = z * fld.total_mass
+        metric = z * family.total_mass
         rows.append([
-            oracles.reference_word(idx, 3, 3), lam / fld.total_mass, *metric.ravel(), *direction
+            oracles.reference_word(idx, 3, 3), lam / family.total_mass, *metric.ravel(), *direction
         ])
     header = ["word", "nu", "z1_1", "z1_2", "z2_1", "z2_2", "dir1", "dir2"]
     assert cells.read_bytes() == oracles.reference_csv(header, rows)

@@ -1,21 +1,18 @@
 import dataclasses
 import functools
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 
 import fracform as ff
-from fracform import dimension
+from fracform import dimension, harmonic
 from fracform.config import TAU_RANK
 from fracform.dimension import _density_chunk, _zeta_block, check_field_bytes
-from fracform.errors import CapExceededError, ValidationError
+from fracform.errors import CapExceededError, NumericalError, ValidationError
 
 import oracles
-
-# The package's ``energy`` attribute is the function, not the module.
-energy_module = importlib.import_module("fracform.energy")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ def test_field_byte_budget(sg2, monkeypatch):
     lam = ff.density_matrices(fam, 4).lam
     lo, hi = float(lam.min()), float(lam.max())
     full = ff.density_matrices(fam, 4)
-    pruned = ff.density_matrices(fam, 4, mass_floor=0.5 * (lo + hi) / full.total_mass)
+    pruned = ff.density_matrices(fam, 4, mass_floor=0.5 * (lo + hi) / fam.total_mass)
     assert (full.size, full.skipped) == (3**4, 0) and 0 < pruned.size < full.size
     with pytest.raises(CapExceededError, match=f"density field of 2 members needs {3**4 * 32} "):
         full.matrices
@@ -125,11 +122,11 @@ def test_total_mass_and_floor(sg2):
     fam = ff.harmonic_family(sg2)
     field = ff.density_matrices(fam, 3)
     # members carry twice-energy one and the weights are convex
-    assert field.total_mass == pytest.approx(1.0, rel=1e-12)
-    assert field.floor == pytest.approx(1e-14 * field.total_mass)
+    assert fam.total_mass == pytest.approx(1.0, rel=1e-12)
+    assert field.floor == 1e-14 * fam.total_mass
     lo, hi = float(field.lam.min()), float(field.lam.max())
     assert lo < hi
-    raised = ff.density_matrices(fam, 3, mass_floor=0.5 * (lo + hi) / field.total_mass)
+    raised = ff.density_matrices(fam, 3, mass_floor=0.5 * (lo + hi) / fam.total_mass)
     assert 0 < raised.size < field.size
     assert raised.skipped == field.skipped + field.size - raised.size
 
@@ -140,6 +137,11 @@ def test_all_cells_skipped_raises(sg2):
         ff.density_matrices(fam, 2, mass_floor=10.0)
 
 
+def test_zero_mass_floor_is_refused(sg2):
+    with pytest.raises(ValidationError, match="^mass floor must be positive$"):
+        ff.density_matrices(ff.harmonic_family(sg2), 2, mass_floor=0.0)
+
+
 @functools.lru_cache(maxsize=4)
 def unpruned_field(name, build, depth):
     """Family, total mass, and the mass, factor, spectrum, pivot and residual
@@ -147,7 +149,7 @@ def unpruned_field(name, build, depth):
     chunk reduced as density_matrices reduces it, with a zero floor."""
     hs = ff.harmonic_structure(ff.builtin_structure(name))
     fam = getattr(ff, f"{build}_family")(hs)
-    total = float(np.sum(fam.weights * [2.0 * ff.energy(m) for m in fam.members]))
+    total = fam.total_mass
     records = [_density_chunk(fam.weights, 0.0, rows, x)
                for rows, x in ff.scan_cell_masses(hs, fam.members, depth)]
     names = ("indices", "lam", "factors", "eigenvalues", "alpha", "residuals")
@@ -172,8 +174,8 @@ def test_pruned_field_equals_full_field(name, build, depth, floor, prefix, monke
     # The full field is one chunk; the pruned walk splits at depth ``prefix``
     # into n or n^2 chunks, and starts pruning at that depth.
     n = fam.members[0].structure.spec.n_letters
-    monkeypatch.setattr(energy_module, "CHUNK_CELLS", n ** (depth - prefix))
-    assert energy_module._chunk_prefix_depth(n, depth) == prefix
+    monkeypatch.setattr(harmonic, "CHUNK_CELLS", n ** (depth - prefix))
+    assert harmonic._chunk_prefix_depth(n, depth) == prefix
     if isinstance(floor, str):
         # Just above a real cell's mass, so that cell and its equals drop out.
         live = np.sort(lam[lam >= 1e-14 * total])
@@ -417,10 +419,11 @@ def test_trace_check_reads_worst_gap(vicsek, bad):
 
 
 def test_family_energy_normalization_checked(sg2):
+    # The family checks its members' normalization when it is built, so an
+    # unnormalized family never reaches a scan.
     f = ff.PiecewiseHarmonic(sg2, 0, np.array([1.0, 0.0, 0.0]))  # 2E = 4
-    fam = ff.FunctionFamily(members=(f,), weights=np.array([1.0]))
-    with pytest.raises(ValidationError):
-        ff.density_matrices(fam, 2)
+    with pytest.raises(ValidationError, match=r"^family member 1 has twice-energy 4\.0, expected 1$"):
+        ff.FunctionFamily(members=(f,), weights=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +532,13 @@ def test_representing_field_identity(vicsek):
     np.testing.assert_allclose(pairing, 1.0, atol=1e-10)
 
 
+def test_representing_field_refuses_a_zero_square_sum(sg2):
+    field = ff.density_matrices(ff.harmonic_family(sg2), 2)
+    zero = types.SimpleNamespace(zeta=np.zeros_like(field.zeta))
+    with pytest.raises(NumericalError, match="^nonpositive weighted square sum on a retained cell$"):
+        ff.representing_field(field, zeta=zero)
+
+
 # ---------------------------------------------------------------------------
 # single-letter runs
 
@@ -542,6 +552,16 @@ def test_run_mass_matches_cell_mass(sg2):
         )[0, 0]
         scaled = direct / 0.6 ** n
         assert ff.cell_run_mass(sg2, u, 1, n) == pytest.approx(scaled, rel=1e-12)
+
+
+@pytest.mark.parametrize("letter,n,message", [
+    (0, 1, "letter 0 has no fixed boundary point"),
+    (4, 1, "letter 4 has no fixed boundary point"),
+    (1, -1, "n must be nonnegative"),
+])
+def test_run_mass_refusals(sg2, letter, n, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ff.cell_run_mass(sg2, [0.3, -1.2, 0.5], letter, n)
 
 
 def test_run_mass_limit(sg2):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import fracform as ff
 from fracform import structure
 from fracform.config import CHUNK_CELLS, CONSISTENCY_TOL
-from fracform.energy import _chunk_prefix_depth, _refine, _vertex_values
+from fracform.energy import _refine, _vertex_values
 from fracform.errors import ValidationError
-from fracform.harmonic import _weight_blocks, _weight_products
+from fracform.harmonic import _chunk_prefix_depth, _weight_blocks, _weight_products
 
 import oracles
 from conftest import INTERVAL, THIN_INTERVAL, random_piecewise_harmonic
@@ -147,7 +147,8 @@ def test_thin_letter_masses_stay_finite_at_depth_21():
         parent = ff.measure_table(f, depth=20)
     twice = 2.0 * ff.energy(f)
     assert abs(table.total - twice) <= CONSISTENCY_TOL * max(1.0, twice)
-    gap = float(np.abs(table.coarsen().masses - parent.masses).max())
+    children = table.masses.reshape(-1, 2).sum(axis=1)
+    gap = float(np.abs(children - parent.masses).max())
     assert gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent.masses).max()))
 
 
@@ -307,14 +308,15 @@ def test_measure_against_brute_masses(sg2, rng):
 
 
 def test_coarsen_equals_independent_scan(vicsek, rng):
+    # Summing each cell's five children, consecutive rows of the depth-3
+    # table, gives the independently scanned depth-2 table.
     f = random_piecewise_harmonic(vicsek, 1, rng)
     fine = ff.measure_table(f, depth=3)
     parent = ff.measure_table(f, depth=2)
     np.testing.assert_allclose(
-        fine.coarsen().masses, parent.masses, rtol=0, atol=1e-13 * abs(parent.total)
+        fine.masses.reshape(-1, 5).sum(axis=1), parent.masses, rtol=0,
+        atol=1e-13 * abs(parent.total)
     )
-    with pytest.raises(ValidationError):
-        ff.measure_table(f, depth=0).coarsen()
 
 
 def test_cross_measure_is_bilinear(sg2, rng):
@@ -378,6 +380,21 @@ def test_scan_validates_at_call_time(sg2):
         ff.measure_table(f, depth=19)
     with pytest.raises(ValidationError, match="one weight per member"):
         ff.scan_cell_masses(sg2, [f], 3, floor=1e-14)
+
+
+def test_library_refusals_of_members_and_depths(sg2, vicsek, rng):
+    # Reachable only from the library: the commands build every member on
+    # their own pair and check depths against levels first.
+    f = random_piecewise_harmonic(sg2, 2, rng)
+    other = random_piecewise_harmonic(vicsek, 0, rng)
+    with pytest.raises(ValidationError, match="^family member built on a different structure$"):
+        ff.scan_cell_masses(sg2, [f, other], 3)
+    with pytest.raises(ValidationError, match="^scan depth 1 is below a member of level 2$"):
+        ff.scan_cell_masses(sg2, [f], 1)
+    with pytest.raises(ValidationError, match="^cannot pair functions on different structures$"):
+        ff.energy(f, other)
+    with pytest.raises(ValidationError, match="^depth must be nonnegative$"):
+        ff.measure_table(f, depth=-1)
 
 
 # ---------------------------------------------------------------------------

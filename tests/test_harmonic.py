@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +121,40 @@ def test_eigen_letter_range(sg2, vicsek):
         ff.eigen_data(vicsek, 5)  # letter 5 fixes no boundary vertex
 
 
+# Letter-1 matrices on sg2 (D column (-2, 1, 1), r = 0.6), each breaking one
+# eigen_data check.  V's columns are right eigenvectors: (1, 1, 1) at 1,
+# (1, -1, 0) at r and (0, 1, -1) at 0.3, and (-2, 1, 1) annihilates the
+# first and the last, so it is the left eigenvector at r.
+_MIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (np.eye(3), "eigenvalue 1 of letter 1 is not simple"),
+    (np.diag([0.9, 0.6, 0.3]), "eigenvalue 1 of letter 1 is not simple"),
+    (np.diag([1.0, 0.6, 0.6]), "eigenvalue 0.6 of letter 1 is not simple"),
+    (np.diag([1.0, 0.6, 0.8]), "letter 1: eigenvalue modulus 0.8 is not below r = 0.6"),
+    (np.diag([1.0, 0.6, -0.6]), "letter 1: eigenvalue modulus 0.6 is not below r = 0.6"),
+    (np.diag([1.0, 0.6, 0.3]),
+     "letter 1: D column at the fixed point is not a left eigenvector at r"),
+    (_MIXED @ np.diag([1.0, 0.6, 0.3]) @ np.linalg.inv(_MIXED),
+     "letter 1: right eigenvector at r has mixed signs"),
+], ids=["one-triple", "one-missing", "r-double", "modulus-above", "modulus-equal",
+        "not-left", "mixed-signs"])
+def test_eigen_data_refusals(sg2, matrix, message):
+    # Two checks are reached by no matrix that passes these.  The left/right
+    # pairing of a simple eigenvalue is nonzero; a pairing below
+    # EIGEN_GAP_TOL makes r's condition number about 1e9, so the computed
+    # eigenvalue leaves r's EIGEN_GAP_TOL window, or a second eigenvalue
+    # enters it, and the simplicity or modulus check refuses first.  The
+    # energy mass -right^T D right is positive unless right is constant,
+    # and a constant right pairs to zero with the D column, which
+    # annihilates constants, so the pairing check refuses first.
+    extensions = sg2.extensions.copy()
+    extensions[0] = matrix
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ff.eigen_data(dataclasses.replace(sg2, extensions=extensions), 1)
+
+
 # ---------------------------------------------------------------------------
 # laplacian validation
 
@@ -149,6 +185,8 @@ def test_validate_laplacian_rejections():
     zero = np.zeros((3, 3))
     with pytest.raises(ValidationError):
         ff.validate_laplacian(zero)
+    with pytest.raises(ValidationError, match=r"^laplacian must be square, got shape \(2, 3\)$"):
+        ff.validate_laplacian(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

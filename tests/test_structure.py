@@ -192,6 +192,13 @@ def test_disconnected_level_one_rejected():
         ff.validate_structure(raw)
 
 
+def test_realization_boundary_point_missing_rejected():
+    raw = load_raw("sg2")
+    del raw["realization"]["boundary_points"]["p2"]
+    with pytest.raises(ParseError, match="^realization boundary_points missing 'p2'$"):
+        ff.validate_structure(raw)
+
+
 def test_realization_geometry_mismatch_rejected():
     raw = load_raw("sg2")
     raw["realization"]["boundary_points"]["p2"] = [1.0, 0.25]
