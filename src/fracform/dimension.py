@@ -162,9 +162,8 @@ def family_from_values(
     """Family from explicit vertex-value rows, normalized member by member."""
     if mean is None:
         mean = mean_functional(hs)
-    rows = [np.asarray(row, dtype=float) for row in value_rows]
     members = []
-    for idx, row in enumerate(rows):
+    for idx, row in enumerate(value_rows):
         f = normalize_xi(PiecewiseHarmonic(hs, level, row), mean)
         if float(np.ptp(f.values)) == 0.0:
             raise ValidationError(f"member {idx + 1} is constant; it carries no measure")
@@ -209,30 +208,34 @@ class DensityMatrixField:
     partials), ``min_eigenvalue`` and ``worst_trace_gap``, the smallest
     computed eigenvalue and the largest |sum_i a_i |Y_i|^2 - 1| over the
     retained cells, and ``size``, the retained count; besides them it keeps
-    ``depth``, the family ``weights``, the ``skipped`` count and the
-    absolute mass ``floor``.  The field holds no
+    the ``family`` it was built from, whose ``weights`` and ``size`` it
+    reads as ``weights`` and ``family_size``, the ``depth``, the ``skipped``
+    count and the absolute mass ``floor``.  The field holds no
     per-cell column: the first read of any of CELL_COLUMNS, among them
     ``factors`` (Y) and ``zeta`` (the rank-one factor), forms them all by
-    running ``scan``, the deterministic scan that built the field, again, and
-    keeps them; ``matrices`` (Z) is formed from ``factors`` on each read.
+    running the deterministic scan that built the field (_records) again,
+    and keeps them; ``matrices`` (Z) is formed from ``factors`` on each read.
     """
 
+    family: FunctionFamily
     depth: int
-    weights: np.ndarray
     size: int
     skipped: int
     sums: tuple[float, ...]
     min_eigenvalue: float
     worst_trace_gap: float
     floor: float
-    scan: Callable[[], Iterator[dict[str, np.ndarray]]]
 
     indices, lam, eigenvalues, alpha, residuals, factors, zeta = (
         property(lambda fld, name=name: fld._rescanned[name]) for name in CELL_COLUMNS)
 
     @property
+    def weights(self) -> np.ndarray:
+        return self.family.weights
+
+    @property
     def family_size(self) -> int:
-        return int(self.weights.size)
+        return self.family.size
 
     @cached_property
     def _rescanned(self) -> dict[str, np.ndarray]:
@@ -244,7 +247,7 @@ class DensityMatrixField:
         joined in turn while its parts are dropped, so the read holds one
         copy of the columns plus the one being joined.
         """
-        records = list(self.scan())
+        records = list(_records(self.family, self.depth, self.floor))
         columns = {name: np.concatenate([np.ascontiguousarray(r.pop(name)) for r in records])
                    for name in CELL_COLUMNS}
         for column in columns.values():
@@ -276,40 +279,6 @@ def check_field_bytes(cells: int, depth: int, family_size: int) -> None:
             f"depth {depth} density field of {family_size} members needs {need} bytes, "
             f"cap is {MAX_FIELD_BYTES}"
         )
-
-
-def _fill(
-    scan: Iterator[dict[str, np.ndarray]], tau_rank: float = TAU_RANK, on_chunk: Callable | None = None
-) -> dict:
-    """What the field keeps of the scan's _density_chunk records: the
-    retained ``size``, the four weighted ``sums`` (tau_rank is the cutoff of
-    the eigenvalue count), ``min_eigenvalue`` and ``worst_trace_gap``.
-
-    Each record is handed to ``on_chunk``, when given, as it arrives, in
-    lexicographic cell order; no record outlives its turn of the loop.  Each
-    chunk adds one row of np.sum partials, and the sums are math.fsum over
-    those rows, so they depend on the chunk layout, which depends on the
-    depth alone.  The extremes are a running np.minimum and np.maximum,
-    which keep a NaN from any chunk.
-    """
-    size, partials = 0, []
-    low, worst = np.full(1, np.inf), np.zeros(1)
-    for record in scan:
-        if on_chunk is not None:
-            on_chunk(record)
-        lam, spectrum = record["lam"], record["eigenvalues"]
-        size += lam.size
-        # The counts are small integers, so adding them as floats is exact.
-        above = np.zeros_like(lam)
-        for eigenvalue in spectrum.T:
-            above += eigenvalue > tau_rank
-        second = np.sum(lam * spectrum[:, 1]) if spectrum.shape[1] > 1 else 0.0
-        partials.append((np.sum(lam), second, np.sum(lam * record["residuals"]),
-                         np.sum(lam * above)))
-        np.minimum(low, spectrum.min(initial=np.inf), out=low)
-        np.maximum(worst, record["gap"], out=worst)
-    return dict(size=size, sums=tuple(math.fsum(s) for s in zip(*partials)),
-                min_eigenvalue=float(low[0]), worst_trace_gap=float(worst[0]))
 
 
 def _density_chunk(
@@ -389,6 +358,16 @@ def _two_column_spectrum(a: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.nd
     return out
 
 
+def _records(family: FunctionFamily, depth: int, floor: float) -> Iterator[dict[str, np.ndarray]]:
+    """The _density_chunk record of each scan chunk of the family at depth,
+    with the absolute mass floor, in lexicographic order.  scan_cell_masses
+    is looked up, and the cell cap checked, as the scan starts, so a wrapper
+    put on this module sees the scan."""
+    a = family.weights
+    for item in scan_cell_masses(family.structure, family.members, depth, weights=a, floor=floor):
+        yield _density_chunk(a, floor, *item)
+
+
 def density_matrices(
     family: FunctionFamily,
     depth: int,
@@ -404,32 +383,46 @@ def density_matrices(
     it has no meaningful density and is not refined; skipped counts its
     subtree.  tau_rank is the eigenvalue cutoff of the dimension count; the
     weighted matrices have trace one, so the cutoff is an absolute fraction.
-    Each chunk, as it arrives in lexicographic order, is reduced to its
-    per-cell record (_density_chunk), adds its partial sums and extremes and
-    is passed to ``on_chunk``.  Then it drops, so the field holds no
-    per-cell column.
+
+    The loop here is all the field keeps of the scan.  Each chunk, as it
+    arrives in lexicographic order, is reduced to its per-cell record
+    (_records), passed to ``on_chunk``, and adds its retained count, one
+    row of np.sum partials and its extremes; then it drops, so the field
+    holds no per-cell column.  The sums are math.fsum over those rows, so
+    they depend on the chunk layout, which depends on the depth alone.  The
+    extremes are a running np.minimum and np.maximum, which keep a NaN from
+    any chunk.
     """
-    hs, a = family.structure, family.weights
     if not mass_floor > 0.0:
         raise ValidationError("mass floor must be positive")
     if not 0.0 < tau_rank < 1.0:
         raise ValidationError(f"tau_rank must lie in (0, 1), got {tau_rank}")
     floor = mass_floor * family.total_mass
-
-    def scan() -> Iterator[dict[str, np.ndarray]]:
-        # The cell cap is checked when scan is called; scan_cell_masses is
-        # looked up then too, so a wrapper put on this module sees the scan.
-        return (_density_chunk(a, floor, *item)
-                for item in scan_cell_masses(hs, family.members, depth, weights=a, floor=floor))
-
-    summary = _fill(scan(), tau_rank, on_chunk)
-    if not summary["size"]:
+    size, partials = 0, []
+    low, worst = np.full(1, np.inf), np.zeros(1)
+    for record in _records(family, depth, floor):
+        if on_chunk is not None:
+            on_chunk(record)
+        lam, spectrum = record["lam"], record["eigenvalues"]
+        size += lam.size
+        # The counts are small integers, so adding them as floats is exact.
+        above = np.zeros_like(lam)
+        for eigenvalue in spectrum.T:
+            above += eigenvalue > tau_rank
+        second = np.sum(lam * spectrum[:, 1]) if spectrum.shape[1] > 1 else 0.0
+        partials.append((np.sum(lam), second, np.sum(lam * record["residuals"]),
+                         np.sum(lam * above)))
+        np.minimum(low, spectrum.min(initial=np.inf), out=low)
+        np.maximum(worst, record["gap"], out=worst)
+    if not size:
         raise ValidationError(
             f"every depth-{depth} cell fell below the mass floor {floor!r}"
         )
     return DensityMatrixField(
-        depth=depth, weights=a, skipped=hs.spec.n_letters ** depth - summary["size"],
-        floor=floor, scan=scan, **summary,
+        family=family, depth=depth, size=size,
+        skipped=family.structure.spec.n_letters ** depth - size,
+        sums=tuple(math.fsum(s) for s in zip(*partials)),
+        min_eigenvalue=float(low[0]), worst_trace_gap=float(worst[0]), floor=floor,
     )
 
 
@@ -557,7 +550,6 @@ class RepresentingField:
     construction, re-verified numerically.
     """
 
-    depth: int
     s: np.ndarray
     h: np.ndarray
     violations: int
@@ -578,7 +570,7 @@ def representing_field(
     bad += int(np.sum(s > 1.0 + REPRESENTING_TOL))
     for arr in (s, h):
         arr.setflags(write=False)
-    return RepresentingField(depth=field.depth, s=s, h=h, violations=bad)
+    return RepresentingField(s=s, h=h, violations=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -325,9 +325,7 @@ def normalize_xi(f: PiecewiseHarmonic, mean: MeanFunctional) -> PiecewiseHarmoni
 
     Constant functions (zero energy) map to the zero function.
     """
-    if float(np.ptp(f.values)) == 0.0:
-        return PiecewiseHarmonic(f.structure, f.level, np.zeros_like(f.values))
-    twice = 2.0 * energy(f)
+    twice = 0.0 if float(np.ptp(f.values)) == 0.0 else 2.0 * energy(f)
     if twice <= 0.0:
         return PiecewiseHarmonic(f.structure, f.level, np.zeros_like(f.values))
     center = mean.integrate(f)

@@ -188,7 +188,8 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
     carry this data.  Checks: 1 and r_i are simple eigenvalues, every other
     eigenvalue has modulus strictly below r_i, the right eigenvector can be
     taken entrywise nonnegative, and the left one is the corresponding D
-    column up to scale.
+    column up to scale; the left-eigenvector and pairing checks are
+    relative to that column's norm, so they hold at any scale of D.
     """
     d = hs.d
     if not 1 <= letter <= d:
@@ -211,10 +212,11 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
             f"letter {letter}: eigenvalue modulus {second:.6g} is not below r = {ri}"
         )
 
+    # Both checks scale with D, since left is the D column; |pairing| <= |left|
+    # because right is a unit vector clipped at zero.
     left = hs.laplacian[:, letter - 1].copy()
-    if float(np.linalg.norm(left @ A - ri * left)) > EIGEN_GAP_TOL * max(
-        1.0, float(np.linalg.norm(left))
-    ):
+    scale = float(np.linalg.norm(left))
+    if float(np.linalg.norm(left @ A - ri * left)) > EIGEN_GAP_TOL * scale:
         raise ValidationError(
             f"letter {letter}: D column at the fixed point is not a left eigenvector at r"
         )
@@ -229,7 +231,7 @@ def eigen_data(hs: HarmonicStructure, letter: int) -> EigenData:
         )
     right = np.clip(right, 0.0, None)
     pairing = float(left @ right)
-    if abs(pairing) < EIGEN_GAP_TOL:
+    if abs(pairing) < EIGEN_GAP_TOL * scale:
         raise NumericalError(
             f"letter {letter}: left/right eigenvector pairing is numerically zero"
         )

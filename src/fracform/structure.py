@@ -40,8 +40,6 @@ class VertexTable:
     lexicographic index c.  For m = 0 the table is V_0 itself.
     """
 
-    depth: int
-    n_letters: int
     num_vertices: int
     slots: np.ndarray
     boundary_ids: np.ndarray
@@ -127,9 +125,7 @@ def build_vertices(spec: StructureSpec, depth: int) -> VertexTable:
         nv = n * nv - late.size
     slots.setflags(write=False)
     boundary_ids.setflags(write=False)
-    return VertexTable(
-        depth=depth, n_letters=n, num_vertices=nv, slots=slots, boundary_ids=boundary_ids
-    )
+    return VertexTable(num_vertices=nv, slots=slots, boundary_ids=boundary_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ by quantized geometry, or glued by the definition of the gluing at every
 depth, instead of the level-by-level recurrence of the vertex tables; boundary
 forms come from dense Schur complements, cell masses from explicit per-word
 matrix products instead of the chunked scan, and big-graph energies from a
-scipy.sparse assembly, and vicsek's harmonic profile from an exact
-derivation in rationals.  CSV text is rebuilt one row at a time, with words
-spelled out by digit expansion of the lex index and printf-style formatting,
-never through the block writer, and lex indices of words come from their
-base-n digits.
+scipy.sparse assembly, vicsek's harmonic profile from an exact derivation in
+rationals, and sg2's mean_lambda2 from products of its normalized letters,
+built from (D, r) by dense elimination in an eigenbasis of -D.  CSV text is
+rebuilt one row at a time, with words spelled out by digit expansion of the
+lex index and printf-style formatting, never through the block writer, and
+lex indices of words come from their base-n digits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,54 @@ def vicsek_harmonic_laws(laplacian, r: Fraction, depths) -> dict:
     for m in depths:
         nu = (c / r) ** m
         laws[m] = (nu / (d - 1), Fraction(d - 2, d - 1) * nu * nu, 1 + (d - 2) * nu)
+    return laws
+
+
+# The Sierpinski gasket's level-1 gluing in the same form: cell i meets cell
+# j at corner p_j of cell i, which is corner p_i of cell j.
+SG2_PAIRS = (((1, 1), (2, 0)), ((1, 2), (3, 0)), ((2, 2), (3, 1)))
+
+
+def sg2_mean_lambda2(laplacian, r, depths) -> dict:
+    """Depth-m mean_lambda2 of the Sierpinski gasket's harmonic family, for
+    each m in depths, as 1/2 sum_{|w| = m} sigma_2(C~_w)^2.
+
+    The level-1 network glues three cells by SG2_PAIRS through
+    glued_slot_ids, each cell carrying -laplacian / r_i, and A_i maps boundary
+    values to the harmonic extension's values on the corners of cell i.  In
+    coordinates x = T u, T = diag(sqrt(w)) V^T from the two nonzero
+    eigenpairs (w, V) of -laplacian, the energy is |x|^2 and the normalized
+    letters are C~_i = r_i^{-1/2} T A_i T^+, with C~_w = C~_{w_m} ... C~_{w_1}.
+    The family's two members have |x| = 1/sqrt(2) and orthogonal
+    coordinates, and uniform weights 1/2, so a cell's mass is
+    1/2 |C~_w|_F^2, the total 1, and the mass times the second eigenvalue of
+    its trace-one matrix 1/2 sigma_2(C~_w)^2.  sigma_2^2 is taken as
+    det^2 / sigma_1^2, the determinant a product of the letters' own, so a
+    nearly rank-one cell keeps its relative accuracy.
+    """
+    laplacian, r = np.asarray(laplacian, dtype=float), np.asarray(r, dtype=float)
+    slots, boundary_ids, num_vertices = glued_slot_ids(3, 3, SG2_PAIRS, 1)
+    form = np.zeros((num_vertices, num_vertices))
+    for cell, corners in enumerate(slots):
+        form[np.ix_(corners, corners)] -= laplacian / r[cell]
+    interior = np.setdiff1d(np.arange(num_vertices), boundary_ids)
+    extension = np.zeros((num_vertices, 3))
+    extension[boundary_ids] = np.eye(3)
+    extension[interior] = np.linalg.solve(form[np.ix_(interior, interior)],
+                                          -form[np.ix_(interior, boundary_ids)])
+    w, v = np.linalg.eigh(-laplacian)
+    w, v = w[1:], v[:, 1:]
+    to_x, from_x = np.sqrt(w)[:, None] * v.T, v / np.sqrt(w)
+    letters = np.array([to_x @ extension[slots[i]] @ from_x / np.sqrt(r[i]) for i in range(3)])
+    letter_dets = np.linalg.det(letters)
+    words, dets, laws = np.eye(2)[None], np.ones(1), {}
+    for m in range(1, max(depths) + 1):
+        words = np.einsum("lab,wbc->lwac", letters, words).reshape(-1, 2, 2)
+        dets = np.outer(letter_dets, dets).ravel()
+        if m in depths:
+            frobenius = np.einsum("wab,wab->w", words, words)
+            top = 0.5 * (frobenius + np.sqrt(frobenius ** 2 - 4.0 * dets ** 2))
+            laws[m] = 0.5 * math.fsum(dets ** 2 / top)
     return laws
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -74,6 +75,25 @@ def test_validate_builtins(capsys):
         assert code == 0
         assert out.strip().endswith("ok")
         assert "fixed-point residual" in out
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-12])
+def test_validate_accepts_a_scaled_laplacian(tmp_path, capsys, scale):
+    # (c D, r) is a harmonic pair whenever (D, r) is, with the same extension
+    # matrices; the eigenvector checks scale with the D column, so sg2's
+    # letters pass at any scale and print what sg2's print.
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    raw["laplacian"] = [[scale * v for v in row] for row in raw["laplacian"]]
+    target = tmp_path / "scaled.json"
+    target.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "validate", "--structure", str(target))
+    assert (code, err) == (0, "")
+    _, reference, _ = run(capsys, "validate", "--structure", "sg2")
+    # The energy mass and the eigenvectors scale with D; r, the spectrum and
+    # the second modulus do not.
+    letter = re.compile(r"^(letter \d: r = .*\]), energy mass = \S+, (second modulus = .*)$", re.M)
+    assert letter.findall(out) == letter.findall(reference)
+    assert len(letter.findall(out)) == 3
 
 
 def test_validate_structure_without_pair(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import types
 
@@ -509,6 +510,20 @@ def test_streamed_means_are_within_rounding_of_fsum(sg2, depth):
     }
     for name, value in expected.items():
         assert abs(getattr(prof, name) - value) <= 4.4e-16 * value, name
+
+
+def test_sg2_mean_lambda2_matches_the_letter_product_law(sg2):
+    # The oracle builds sg2's normalized letters from the document's (D, r)
+    # without fracform and sums 1/2 sigma_2(C~_w)^2 over the depth's words.
+    # Both sides stay within a few rounding units (about 1.1e-15 relative
+    # at depth 10); the bound leaves room for the growth with depth.
+    rtol = 1e-13
+    raw = json.loads(ff.builtin_structure_path("sg2").read_text())
+    laws = oracles.sg2_mean_lambda2(raw["laplacian"], raw["weights"], range(2, 11))
+    fam = ff.harmonic_family(sg2)
+    for depth, law in laws.items():
+        measured = ff.rank_statistics(ff.density_matrices(fam, depth)).mean_lambda2
+        assert abs(measured - law) <= rtol * law, depth
 
 
 def test_single_member_family_rank_one(sg2):

@@ -143,16 +143,30 @@ _MIXED = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
 def test_eigen_data_refusals(sg2, matrix, message):
     # Two checks are reached by no matrix that passes these.  The left/right
     # pairing of a simple eigenvalue is nonzero; a pairing below
-    # EIGEN_GAP_TOL makes r's condition number about 1e9, so the computed
-    # eigenvalue leaves r's EIGEN_GAP_TOL window, or a second eigenvalue
-    # enters it, and the simplicity or modulus check refuses first.  The
-    # energy mass -right^T D right is positive unless right is constant,
-    # and a constant right pairs to zero with the D column, which
-    # annihilates constants, so the pairing check refuses first.
+    # EIGEN_GAP_TOL times |left| (both checks on the left eigenvector are
+    # measured against the D column's norm, so they hold at any scale of D)
+    # makes r's condition number about 1e9, so the computed eigenvalue
+    # leaves r's EIGEN_GAP_TOL window, or a second eigenvalue enters it, and
+    # the simplicity or modulus check refuses first.  The energy mass
+    # -right^T D right is positive unless right is constant, and a constant
+    # right pairs to zero with the D column, which annihilates constants, so
+    # the pairing check refuses first.
     extensions = sg2.extensions.copy()
     extensions[0] = matrix
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ff.eigen_data(dataclasses.replace(sg2, extensions=extensions), 1)
+
+
+def test_eigen_data_checks_scale_with_the_laplacian(sg2):
+    # At D x 1e-12 the not-left matrix is still refused as not left: its
+    # residual is a fixed fraction of |left|, which an absolute tolerance
+    # passed, leaving the pairing check to refuse the pair instead.
+    extensions = sg2.extensions.copy()
+    extensions[0] = np.diag([1.0, 0.6, 0.3])
+    small = dataclasses.replace(sg2, laplacian=1e-12 * sg2.laplacian, extensions=extensions)
+    message = "letter 1: D column at the fixed point is not a left eigenvector at r"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ff.eigen_data(small, 1)
 
 
 # ---------------------------------------------------------------------------
