@@ -6,6 +6,13 @@ eigen table), ``measure`` (cell-mass CSV for one function pair), ``scan``
 per-cell metric export), and ``chainrule`` (discrete chain-rule convergence
 report for a polynomial of the coordinates).
 
+measure, scan, embed and chainrule check their inputs before any work, in
+one order: the output paths (``emit.check_targets``), the option values and
+ranges (``RunConfig``), then, in ``_pair_run``, each depth against the cell
+cap and a ``--mu`` count against the alphabet, and the harmonic pair; then
+the function or family inputs, and last each depth against the family's
+level (``_family_run``).
+
 Exit codes: 0 on success, 1 when a mathematical or validation check fails,
 2 when input cannot be read or parsed.
 """
@@ -14,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from contextlib import nullcontext
@@ -32,7 +38,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .emit import WordColumn, table_writer, write_table
+from .emit import WordColumn, check_targets, table_writer, write_table
 from .structure import (
     StructureSpec,
     _floats,
@@ -194,26 +200,27 @@ def _build_family(
     return FunctionFamily(family.members, weights)
 
 
-def _family_run(args, depths: Sequence[int], **fields):
-    """Config, structure, harmonic pair and family for scan, embed and
-    chainrule; every depth is checked against the cell cap before any work,
-    and against the family's level once the family is built."""
-    config = RunConfig(
-        structure_path=args.structure,
-        depths=depths,
-        family=args.family,
-        weights=_parse_floats(args.weights, "--weights") if args.weights else None,
-        mu=_parse_floats(args.mu, "--mu") if args.mu else None,
-        workers=args.workers,
-        **fields,
-    )
+def _pair_run(args, depths: Sequence[int], **fields):
+    """Config, structure and harmonic pair for measure, scan, embed and
+    chainrule.  Every depth is checked against the cell cap, and a --mu
+    against the alphabet, before the pair is built."""
+    config = RunConfig(args.structure, depths, workers=args.workers, **fields)
     spec = resolve_structure(args.structure)
     for depth in config.depths:
         check_cell_cap(spec.n_letters, depth)
-    mu = convex_weights(config.mu, spec.n_letters, "--mu", ParseError) if config.mu else None
-    hs = harmonic_structure(spec)
-    mean = mean_functional(hs, mu)
-    family = _build_family(hs, config, mean)
+    if config.mu:
+        convex_weights(config.mu, spec.n_letters, "--mu", ParseError)
+    return config, spec, harmonic_structure(spec)
+
+
+def _family_run(args, depths: Sequence[int], **fields):
+    """_pair_run and then the family for scan, embed and chainrule; every
+    depth is checked against the family's level once the family is built."""
+    weights = _parse_floats(args.weights, "--weights") if args.weights else None
+    mu = _parse_floats(args.mu, "--mu") if args.mu else None
+    config, spec, hs = _pair_run(args, depths, family=args.family, weights=weights, mu=mu,
+                                 **fields)
+    family = _build_family(hs, config, mean_functional(hs, config.mu))
     # A --depths range is ascending, so its first depth is its lowest.
     level = max(m.level for m in family.members)
     names = ("--depth", "--vertex-depth") if args.command == "embed" else ("depth",)
@@ -347,28 +354,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    config = RunConfig(
-        structure_path=args.structure,
-        depths=(args.depth,),
-        workers=args.workers,
-    )
-    spec = resolve_structure(args.structure)
-    check_cell_cap(spec.n_letters, config.depths[0])
-    hs = harmonic_structure(spec)
+    _, spec, hs = _pair_run(args, (args.depth,))
     f = _load_function(hs, args.f)
     g = _load_function(hs, args.g) if args.g else None
-    depth = config.depths[0]
-    table = measure_table(f, g, depth)
+    table = measure_table(f, g, args.depth)
     twice = 2.0 * energy(f, g)
     scale = max(1.0, abs(twice))
     if not abs(table.total - twice) <= CONSISTENCY_TOL * scale:  # NaN fails too
         raise ValidationError(
             f"total mass {table.total!r} disagrees with twice the energy {twice!r}"
         )
-    if depth >= 1:
+    if args.depth >= 1:
         # The parent table is an independent scan, compared with the sums of
         # each cell's children.
-        parent = measure_table(f, g, depth - 1).masses
+        parent = measure_table(f, g, args.depth - 1).masses
         gap = float(np.abs(table.masses.reshape(-1, spec.n_letters).sum(axis=1) - parent).max())
         if not gap <= CONSISTENCY_TOL * max(1.0, float(np.abs(parent).max())):
             raise ValidationError(
@@ -548,8 +547,10 @@ def _add_common(sub: argparse.ArgumentParser, family: bool = True) -> None:
                          help="harmonic | level1 | file:PATH")
         sub.add_argument("--weights", default=None,
                          help="comma-separated family weights a_i (default uniform)")
-        sub.add_argument("--mu", default=None,
-                         help="comma-separated reference measure weights (default uniform)")
+        sub.add_argument("--mu", default=None, help=(
+            "comma-separated reference measure weights (default uniform); they center "
+            "the coordinates embed writes and chainrule differentiates, and scan's "
+            "statistics do not depend on them beyond rounding"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,37 +606,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_paths(args) -> None:
-    """Refuse, before any work, an output path no table can replace: an empty
-    one (it would name the working directory), a directory, one whose
-    directory does not exist, or one file named by two options, whose second
-    table would find the first one's temporary sibling.  A path that exists
-    and is neither a regular file nor a directory (/dev/null, a FIFO) is
-    written in place, so it is exempt, however many options name it."""
-    files: dict[str, str] = {}
-    for name in ("out", "cells_out", "vertices_out"):
-        path, option = getattr(args, name, None), f"--{name.replace('_', '-')}"
-        if path == "":
-            raise ParseError(f"{option} needs a path, got ''")
-        if path is None or (os.path.exists(path)
-                            and not (os.path.isfile(path) or os.path.isdir(path))):
-            continue
-        real = os.path.realpath(path)
-        if os.path.isdir(real):
-            raise ParseError(f"{option} names a directory: {path!r}")
-        if not os.path.isdir(os.path.dirname(real)):
-            raise ParseError(f"{option} names a file in a missing directory: {path!r}")
-        if files.setdefault(real, option) != option:
-            raise ParseError(f"{files[real]} and {option} name the same file: {path!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # Bad output paths are refused before any work, like every other bad
         # option value.
-        _check_output_paths(args)
+        check_targets((f"--{name.replace('_', '-')}", getattr(args, name, None))
+                      for name in ("out", "cells_out", "vertices_out"))
         # Overflow, NaN and division by zero stop the run instead of flowing
         # into the output.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

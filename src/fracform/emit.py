@@ -15,22 +15,30 @@ every double; integer columns ``%d``; word columns ``%s`` of dot-joined
 letters (the empty word as ""), looked up by lex index in two half-word
 tables.
 
-A path is written under a temporary sibling that replaces it only when the
+One rule, ``_in_place``, decides where a table is written, and both the
+writer and ``check_targets`` (the preflight that refuses a bad path before
+any work) follow it.  Omitted, a table goes to stdout.  A file that stdout
+or stderr is open on is written through that stream, and any other path
+that exists and is neither a regular file nor a directory (``/dev/null``, a
+FIFO) is written in place; neither is ever renamed over.  Every other path
+is written under a temporary sibling that replaces it only when the
 ``with`` body succeeds, so a failed run leaves no table and an existing file
-as it was.  A path that exists and is not a regular file (``/dev/null``, a
-FIFO) is written in place and never renamed over.
+as it was.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ContextManager, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+
+from .errors import ParseError
 
 # A two-column table is written 4096 rows at a time.  On the 531,441-row
 # depth-12 cell-mass table, blocks of 2048 or 32768 fields were no faster to
@@ -82,16 +90,62 @@ def _array_fields(arr: np.ndarray):
     return ",".join([spec] * cols.shape[1]), lambda start, stop: cols[start:stop].T.tolist()
 
 
+def _in_place(path) -> Callable[[], ContextManager[TextIO]] | None:
+    """How a table at ``path`` is written in place, as a callable that opens
+    its handle, or None when a temporary sibling replaces ``path``.
+
+    A file that stdout or stderr is open on is written through that stream,
+    as an omitted path is written through stdout, so what the stream holds
+    stays; a temporary sibling would replace the file under the stream.  Any
+    other path that exists and is neither a regular file nor a directory
+    (/dev/null, a FIFO) is opened and written.
+    """
+    try:
+        status = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with suppress(OSError):  # the descriptor may be closed
+            if os.path.samestat(status, os.fstat(fd)):
+                return lambda: nullcontext(stream)
+    if stat.S_ISREG(status.st_mode) or stat.S_ISDIR(status.st_mode):
+        return None
+    return lambda: open(path, "w", encoding="utf-8", newline="")
+
+
+def check_targets(targets: Iterable[tuple[str, str | None]]) -> None:
+    """Refuse, before any work, a table path that no table can replace:
+    ``targets`` pairs each option with its path (None when omitted).
+
+    A path is refused when it is empty (it would name the working
+    directory), a directory, a file in a directory that does not exist, or
+    one file named by two options, whose second table would find the first
+    one's temporary sibling.  A path written in place (_in_place) is exempt,
+    however many options name it.
+    """
+    files: dict[str, str] = {}
+    for option, path in targets:
+        if path == "":
+            raise ParseError(f"{option} needs a path, got ''")
+        if path is None or _in_place(path):
+            continue
+        real = os.path.realpath(path)
+        if os.path.isdir(real):
+            raise ParseError(f"{option} names a directory: {path!r}")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ParseError(f"{option} names a file in a missing directory: {path!r}")
+        if files.setdefault(real, option) != option:
+            raise ParseError(f"{files[real]} and {option} name the same file: {path!r}")
+
+
 @contextmanager
 def _opened(target):
-    """A text handle on stdout (target None), on ``target`` itself when it
-    exists and is not a regular file, or else on a temporary sibling that
-    replaces ``target`` when the with body succeeds and is removed when it
-    fails."""
-    if target is None:
-        yield sys.stdout
-    elif os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+    """A text handle on stdout (target None), on ``target`` in place
+    (_in_place), or else on a temporary sibling that replaces ``target``
+    when the with body succeeds and is removed when it fails."""
+    opener = (lambda: nullcontext(sys.stdout)) if target is None else _in_place(target)
+    if opener is not None:
+        with opener() as handle:
             yield handle
     else:
         # A symlink's file is replaced, not the link.

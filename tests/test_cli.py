@@ -917,14 +917,22 @@ def test_exit_code_for_cell_cap(capsys):
         assert err.splitlines() == ["error: depth 14 needs 4782969 cells, cap is 4194304"]
 
 
-def test_measure_checks_the_cell_cap_before_the_pair(capsys, monkeypatch):
-    # Like scan and chainrule, measure refuses an over-cap depth before it
-    # builds the harmonic pair or reads a function.
+@pytest.mark.parametrize("args", [
+    ("measure", "--f", "1,0,0", "--depth", "14"),
+    ("scan", "--depths", "2..30"),
+    ("chainrule", "--G", "x1^2", "--depths", "2..30"),
+    ("embed", "--depth", "14", "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv"),
+    ("embed", "--depth", "2", "--vertex-depth", "14",
+     "--vertices-out", "unused-v.csv", "--cells-out", "unused-c.csv"),
+], ids=["measure", "scan", "chainrule", "embed-depth", "embed-vertex-depth"])
+def test_measure_checks_the_cell_cap_before_the_pair(capsys, monkeypatch, args):
+    # Every command refuses an over-cap depth in one preflight, before it
+    # builds the harmonic pair or reads a function or family.
     def no_pair(spec):
         raise AssertionError("harmonic pair built before the cell cap check")
 
     monkeypatch.setattr(cli, "harmonic_structure", no_pair)
-    got = run(capsys, "measure", "--structure", "sg2", "--f", "1,0,0", "--depth", "14")
+    got = run(capsys, args[0], "--structure", "sg2", *args[1:])
     assert got == (1, "", "error: depth 14 needs 4782969 cells, cap is 4194304\n")
 
 
@@ -1410,6 +1418,38 @@ def test_mu_checked_before_harmonic_pair(capsys, monkeypatch, values, exit_code)
     assert len(err.splitlines()) == 1 and err.startswith("error: --mu")
 
 
+@pytest.mark.parametrize("structure,family,depths,mu", [
+    ("sg2", "harmonic", "2..7", "0.2,0.3,0.5"),
+    ("vicsek", "harmonic", "2..5", "0.1,0.15,0.2,0.25,0.3"),
+    ("vicsek", "level1", "2..4", "0.1,0.15,0.2,0.25,0.3"),
+])
+def test_scan_statistics_do_not_depend_on_mu(tmp_path, capsys, structure, family, depths, mu):
+    # Energy coordinates annihilate constants, and --mu only centers the
+    # members, so it moves scan's profile and cells by rounding alone: the
+    # words, skipped counts, alpha and summary line stay, and every number
+    # stays within 1e-12 (relative for the profile, absolute for the cells,
+    # whose eigenvalues are at most 1 and reach 1e-114).
+    tables = []
+    for extra in ((), ("--mu", mu)):
+        profile, cells = tmp_path / f"p{len(extra)}.csv", tmp_path / f"c{len(extra)}.csv"
+        code, out, _ = run(capsys, "scan", "--structure", structure, "--family", family,
+                           "--depths", depths, *extra,
+                           "--out", str(profile), "--cells-out", str(cells))
+        assert code == 0
+        tables.append((out, *(list(csv.reader(path.read_text().splitlines()))
+                              for path in (profile, cells))))
+    (out, profile, cells), (mu_out, mu_profile, mu_cells) = tables
+    assert mu_out == out
+    for rows, mu_rows, tol in ((profile, mu_profile, dict(rtol=1e-12, atol=0)),
+                               (cells, mu_cells, dict(rtol=0, atol=1e-12))):
+        # The first column (depth or word) and the last (skipped count or
+        # alpha) match exactly.
+        assert mu_rows[0] == rows[0] and len(mu_rows) == len(rows) > 1
+        assert [(r[0], r[-1]) for r in mu_rows] == [(r[0], r[-1]) for r in rows]
+        got, want = (np.array([r[1:-1] for r in t[1:]], dtype=float) for t in (mu_rows, rows))
+        np.testing.assert_allclose(got, want, **tol)
+
+
 def test_argparse_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["chainrule", "--structure", "sg2", "--depths", "3..4"])
@@ -1627,6 +1667,33 @@ def test_table_to_a_non_regular_file_is_written_in_place(tmp_path, monkeypatch):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("stream,args", [
+    ("stdout", ("scan", "--depths", "2..2", "--out", "/dev/stdout")),
+    ("stderr", ("measure", "--f", "1,0,0", "--depth", "1", "--out", "/dev/stderr")),
+    ("stdout", ("scan", "--depths", "2..2", "--out", "/dev/stdout", "--cells-out", "/dev/stdout")),
+], ids=["scan-out", "measure-out", "scan-out-and-cells-out"])
+def test_table_to_a_redirected_standard_stream_is_appended(tmp_path, stream, args):
+    # A table named by the file that stdout or stderr is open on goes through
+    # that stream, as an omitted --out does: the file keeps the line it held
+    # and gets every line the run writes to the stream, in the order a pipe
+    # gets them.  A temporary sibling renamed over the file would drop both,
+    # and two options naming it are not the same-file error.
+    argv = [sys.executable, "-m", "fracform.cli", args[0], "--structure", "sg2", *args[1:]]
+    child = dict(env=_child_env(), cwd=tmp_path, text=True, timeout=120)
+    piped = subprocess.run(argv, capture_output=True, **child)
+    assert piped.returncode == 0
+    log = tmp_path / "log"
+    log.write_text("kept\n")
+    other = "stderr" if stream == "stdout" else "stdout"
+    with log.open("a") as handle:
+        done = subprocess.run(argv, **{stream: handle, other: subprocess.PIPE}, **child)
+    assert done.returncode == 0
+    assert log.read_text() == "kept\n" + getattr(piped, stream)
+    assert getattr(done, other) == getattr(piped, other)
+    assert [p.name for p in tmp_path.iterdir()] == ["log"]
 
 
 def test_vicsek_harmonic_profile_meets_exact_laws(tmp_path, capsys):
